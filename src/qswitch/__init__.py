@@ -42,7 +42,6 @@ from .trigger import (
     check_trigger_condition,
     numeric_evolve,
     reflection_bound,
-    rotation_angle,
 )
 
 __version__ = "0.1.0"

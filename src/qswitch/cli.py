@@ -436,7 +436,10 @@ def compute_sweep(config, constants):
             pt_config = with_sweep_value(pt_config, name, value)
         prefix = {f"sweep_{n}": float(v) for n, v in zip(names, values)}
         if target == "timing":
-            row, _ = compute_timing(pt_config, constants)
+            row, point_warnings = compute_timing(pt_config, constants)
+            if point_warnings:
+                at = ", ".join(f"{k}={v:.17g}" for k, v in prefix.items())
+                warnings.extend(f"{at}: {message}" for message in point_warnings)
         else:
             row = switch_summary(pt_config)
         rows.append({**prefix, **row})

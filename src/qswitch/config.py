@@ -8,6 +8,7 @@ reproduce without external files.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field, replace
 
@@ -154,16 +155,22 @@ def apply_preset(config, name, constants):
 
 def _parse_complex(text, where):
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError:
         raise ConfigError(f"{where}: cannot parse complex value {text!r}") from None
+    if not cmath.isfinite(value):
+        raise ConfigError(f"{where}: value must be finite, got {text!r}")
+    return value
 
 
 def _parse_float(text, where):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"{where}: cannot parse number {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: value must be finite, got {text!r}")
+    return value
 
 
 def _parse_int(text, where):

@@ -28,8 +28,8 @@ class PhysicalConstants:
     hbar: float = HBAR
 
     def __post_init__(self):
-        if self.c <= 0 or self.G <= 0 or self.hbar <= 0:
-            raise ValueError("physical constants must be strictly positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.c, self.G, self.hbar)):
+            raise ValueError("physical constants must be finite and strictly positive")
 
 
 CODATA2018 = PhysicalConstants()
@@ -64,10 +64,10 @@ class CentralBody:
     constants: PhysicalConstants = field(default=CODATA2018)
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError(f"mass must be positive, got {self.mass}")
-        if self.radius <= 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not (math.isfinite(self.mass) and self.mass > 0):
+            raise ValueError(f"mass must be finite and positive, got {self.mass}")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
         if self.schwarzschild_radius >= self.radius:
             raise ValueError(
                 "body is not in the weak-field regime: "

@@ -87,7 +87,7 @@ ENERGY_LEVELS = EnergyLevelMap(
 
 
 def _check_unit_disk(name, value):
-    if abs(value) > 1.0 + 1e-12:
+    if not abs(value) <= 1.0 + 1e-12:
         raise ValueError(f"|{name}| must be <= 1, got {abs(value):g}")
 
 
@@ -124,6 +124,9 @@ class AmplitudeModel:
     def __post_init__(self):
         for name in ("c1a", "c4a", "c1b", "c2b", "f_ba", "f_ab"):
             _check_unit_disk(name, getattr(self, name))
+        for name in ("delta_1a", "delta_4a", "delta_1b", "delta_2b", "gamma_ba", "gamma_ab"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
     # no-absorption complements per incoming photon index
     def d_a(self, photon):
@@ -253,7 +256,7 @@ def build_input(alphas):
     if alphas.size != 5:
         raise ValueError(f"need 5 target amplitudes, got {alphas.size}")
     total = float(np.vdot(alphas, alphas).real)
-    if abs(total - 1.0) > NORMALIZATION_ATOL:
+    if not abs(total - 1.0) <= NORMALIZATION_ATOL:
         raise ValueError(f"target amplitudes must be normalized, got |alpha|^2={total!r}")
     lv = ENERGY_LEVELS
     state = None

@@ -203,6 +203,9 @@ class ProtocolSchedule:
     dt_c: float
 
     def __post_init__(self):
+        values = (self.h, self.d, self.dt_v, self.dt_s, self.dt_c)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"require finite h, d, dt_v, dt_s, dt_c, got {values}")
         if self.h < 0 or self.d <= 0:
             raise ValueError(f"require h >= 0 and d > 0, got h={self.h}, d={self.d}")
         if self.dt_v < 0 or self.dt_s < 0 or self.dt_c <= 0:

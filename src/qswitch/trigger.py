@@ -13,6 +13,14 @@ packet exits the zone at tau_star = T/4.
 Two independent routes are provided: the piecewise closed form valid in
 the perfect-transmission limit, and a split-step Fourier integration of
 the two decoupled sigma_x eigenchannels (barrier for |+>, well for |->).
+
+The integration runs in the frame that moves with the classical packet:
+psi(x, t) = exp(i (p_cl (x - x_cl) + S) / hbar) phi(x - x_cl, t) with
+x_cl = A cos(omega t), p_cl = -m omega A sin(omega t) is exact for the
+harmonic potential.  phi starts as the ground-state Gaussian at y = 0 and
+feels m omega^2 y^2 / 2 +- v0 chi_[0, delta](y + x_cl(t)), so the grid
+(GridSpec, in y) holds the packet rather than the whole orbit.  The phase
+factor is common to both channels and drops out of every population.
 """
 
 from __future__ import annotations
@@ -51,16 +59,15 @@ class TriggerParams:
     amplitude: float | None = None
 
     def __post_init__(self):
-        if self.m <= 0 or self.omega <= 0 or self.delta <= 0:
-            raise ValueError("require m > 0, omega > 0, delta > 0")
-        if self.v0 < 0:
-            raise ValueError(f"require v0 >= 0, got {self.v0}")
-        if self.hbar <= 0:
-            raise ValueError(f"require hbar > 0, got {self.hbar}")
+        explicit = () if self.amplitude is None else ("amplitude",)
+        for name in ("m", "omega", "delta", "hbar") + explicit:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"require finite {name} > 0, got {value}")
+        if not (math.isfinite(self.v0) and self.v0 >= 0):
+            raise ValueError(f"require finite v0 >= 0, got {self.v0}")
         if self.amplitude is None and self.v0 == 0.0:
             raise ValueError("v0 = 0 requires an explicit amplitude")
-        if self.amplitude is not None and self.amplitude <= 0:
-            raise ValueError(f"require amplitude > 0, got {self.amplitude}")
 
     @property
     def period(self):
@@ -123,75 +130,60 @@ class TriggerParams:
         ]
 
 
-def rotation_angle(params):
-    """sigma_x rotation v0*delta/(hbar*omega*A); pi/2 for the derived amplitude."""
-    return params.rotation_angle
-
-
 @dataclass(frozen=True)
 class TriggerState:
-    """Snapshot of the clock+internal system at proper time tau.
-
-    Analytic snapshots carry the coherent parameter alpha and a pure
-    internal 2-vector (ready-off, ready-on); numeric snapshots carry the
-    two sigma_x channel wavefunctions on the grid instead.
-    """
+    """Closed-form snapshot of the clock+internal system at proper time tau:
+    the coherent parameter alpha and the internal 2-vector (ready-off, ready-on)."""
 
     tau: float
-    internal: np.ndarray | None = None
-    alpha: complex | None = None
-    packet_width: float | None = None
-    hbar: float | None = None
-    x: np.ndarray | None = None
-    psi_plus: np.ndarray | None = None
-    psi_minus: np.ndarray | None = None
-    dx: float | None = None
+    internal: np.ndarray
+    alpha: complex
+    packet_width: float
+    hbar: float
 
     @property
     def p_off(self):
         """Population of the not-yet-fired internal state."""
-        if self.internal is not None:
-            return float(abs(self.internal[0]) ** 2)
-        off = (self.psi_plus + self.psi_minus) / math.sqrt(2.0)
-        return float(np.sum(np.abs(off) ** 2) * self.dx)
+        return float(abs(self.internal[0]) ** 2)
 
     @property
     def p_on(self):
         """Population of the fired internal state."""
-        if self.internal is not None:
-            return float(abs(self.internal[1]) ** 2)
-        on = (self.psi_plus - self.psi_minus) / math.sqrt(2.0)
-        return float(np.sum(np.abs(on) ** 2) * self.dx)
+        return float(abs(self.internal[1]) ** 2)
 
     @property
     def norm(self):
-        if self.internal is not None:
-            return float(np.linalg.norm(self.internal))
-        total = np.sum((np.abs(self.psi_plus) ** 2 + np.abs(self.psi_minus) ** 2))
-        return math.sqrt(float(total) * self.dx)
+        return float(np.linalg.norm(self.internal))
 
     @property
     def x_mean(self):
         """Oscillator position expectation."""
-        if self.alpha is not None:
-            return math.sqrt(2.0) * self.packet_width * self.alpha.real
-        density = np.abs(self.psi_plus) ** 2 + np.abs(self.psi_minus) ** 2
-        total = float(np.sum(density) * self.dx)
-        return float(np.sum(self.x * density) * self.dx / total)
+        return math.sqrt(2.0) * self.packet_width * self.alpha.real
 
     @property
     def p_mean(self):
         """Oscillator momentum expectation."""
-        if self.alpha is not None:
-            return math.sqrt(2.0) * self.hbar / self.packet_width * self.alpha.imag
-        k = 2.0 * math.pi * scipy.fft.fftfreq(len(self.x), d=self.dx)
-        weight = 0.0
-        total = 0.0
-        for psi in (self.psi_plus, self.psi_minus):
-            spectrum = np.abs(scipy.fft.fft(psi)) ** 2
-            weight += float(np.sum(k * spectrum))
-            total += float(np.sum(spectrum))
-        return self.hbar * weight / total
+        return math.sqrt(2.0) * self.hbar / self.packet_width * self.alpha.imag
+
+
+@dataclass(frozen=True)
+class ChannelState:
+    """Both sigma_x channels of the co-moving packet.
+
+    psi[0] is the |+> (barrier) and psi[1] the |-> (well) channel, sampled
+    at y = x - x_cl on the grid, without the common moving-frame phase.
+    """
+
+    psi: np.ndarray
+    dx: float
+
+    @property
+    def psi_plus(self):
+        return self.psi[0]
+
+    @property
+    def psi_minus(self):
+        return self.psi[1]
 
 
 def analytic_evolve(params, tau):
@@ -230,17 +222,25 @@ def reflection_bound(params):
     energy does not clear the barrier (invalid regime, also surfaced by
     validity_failures()).
     """
-    energy = params.kinetic_energy
-    if energy <= params.v0:
-        return 1.0
-    k = params.m * params.speed / params.hbar
-    k_prime = math.sqrt(2.0 * params.m * (energy - params.v0)) / params.hbar
+    k, k_prime = _wavenumbers(params)
     return ((k - k_prime) / (k + k_prime)) ** 2
+
+
+def _wavenumbers(params):
+    """Carrier k = m v / hbar and transmitted k' = sqrt(2 m (E - v0)) / hbar
+    over the barrier; k' = 0 when the packet does not clear it."""
+    k = params.m * params.speed / params.hbar
+    excess = max(params.kinetic_energy - params.v0, 0.0)
+    return k, math.sqrt(2.0 * params.m * excess) / params.hbar
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Spatial grid and step ceiling for the split-step integration."""
+    """Grid and step ceiling for the split-step integration.
+
+    x_min and x_max bound the co-moving coordinate y = x - x_cl(t), not the
+    lab position: the packet sits near y = 0 for the whole run.
+    """
 
     x_min: float
     x_max: float
@@ -263,41 +263,48 @@ def _fft_friendly(n):
     return best
 
 
-def _max_wavenumber(params):
-    """Momentum content the grid must hold: carrier m omega A / hbar
-    plus a few packet widths of spread."""
-    return params.m * params.omega * params.amp / params.hbar + 6.0 / params.sigma
-
-
-def default_grid(params, points_per_sigma=8.0, steps_per_scale=200.0):
-    """Grid covering [-1.5A, 1.5A] that resolves both width and momentum.
-
-    The spacing is the stricter of sigma/points_per_sigma (packet width)
-    and pi/k_max (the coherent carrier wavenumber m omega A / hbar, which
-    dominates whenever A >> sigma).  The point count is rounded up to a
-    5-smooth FFT length.  The time-step ceiling resolves both the
-    oscillator period and the coupling scale:
-    dt <= min(2 pi/omega, pi hbar/v0) / steps_per_scale.
-    """
-    span = 3.0 * params.amp
-    dx_req = min(params.sigma / points_per_sigma, math.pi / _max_wavenumber(params))
-    n_points = _fft_friendly(max(256, int(math.ceil(span / dx_req))))
-    scale = params.period
+def _time_scale(params):
+    """Fastest time scale the step must resolve: min(2 pi/omega, pi hbar/v0)."""
     if params.v0 > 0:
-        scale = min(scale, math.pi * params.hbar / params.v0)
-    return GridSpec(
-        x_min=-1.5 * params.amp,
-        x_max=1.5 * params.amp,
-        n_points=n_points,
-        dt_max=scale / steps_per_scale,
-    )
+        return min(params.period, math.pi * params.hbar / params.v0)
+    return params.period
 
 
-def _validate_grid(params, grid):
-    if grid.x_min > -1.5 * params.amp or grid.x_max < 1.5 * params.amp:
+def _max_wavenumber(params):
+    """Momentum content of the co-moving packet: a few packet widths of
+    spread plus the slow-down k - k' of the barrier channel in the zone."""
+    k, k_prime = _wavenumbers(params)
+    return 6.0 / params.sigma + (k - k_prime)
+
+
+def _reach(params, tau_end):
+    """Half-width in y the grid must cover: 10 sigma of tails plus the lag
+    delta (k/k' - 1) that each zone passage up to tau_end leaves behind
+    (the well channel's lead is smaller); never more than the orbit, 2A."""
+    k, k_prime = _wavenumbers(params)
+    lag = params.delta * (k / k_prime - 1.0) if k_prime > 0 else math.inf
+    passages = max(1, math.floor(2.0 * tau_end / params.period + 0.5))
+    return 10.0 * params.sigma + min(passages * lag, 2.0 * params.amp)
+
+
+def default_grid(params, points_per_sigma=8.0, steps_per_scale=200.0, tau_end=None):
+    """Co-moving grid [-r, r], r the packet's reach up to tau_end (default
+    tau_star), resolving both width and momentum: spacing the stricter of
+    sigma/points_per_sigma and pi/(6/sigma + k - k'), a 5-smooth point
+    count, and a step ceiling min(2 pi/omega, pi hbar/v0) / steps_per_scale.
+    """
+    reach = _reach(params, params.tau_star if tau_end is None else tau_end)
+    dx_req = min(params.sigma / points_per_sigma, math.pi / _max_wavenumber(params))
+    n_points = _fft_friendly(max(256, math.ceil(2.0 * reach / dx_req)))
+    return GridSpec(-reach, reach, n_points, _time_scale(params) / steps_per_scale)
+
+
+def _validate_grid(params, grid, tau_end):
+    reach = _reach(params, tau_end)
+    if grid.x_min > -reach or grid.x_max < reach:
         raise ValueError(
-            f"grid [{grid.x_min:g}, {grid.x_max:g}] does not cover "
-            f"[-1.5A, 1.5A] = [{-1.5 * params.amp:g}, {1.5 * params.amp:g}]"
+            f"grid [{grid.x_min:g}, {grid.x_max:g}] does not cover the packet's "
+            f"co-moving reach [{-reach:g}, {reach:g}]"
         )
     if grid.dx > params.sigma / 8.0 * (1 + 1e-12):
         raise ValueError(
@@ -310,9 +317,7 @@ def _validate_grid(params, grid):
             f"grid spacing {grid.dx:g} cannot represent the packet momentum: "
             f"Nyquist {k_nyquist:g} < required {k_needed:g} rad/m"
         )
-    scale = params.period
-    if params.v0 > 0:
-        scale = min(scale, math.pi * params.hbar / params.v0)
+    scale = _time_scale(params)
     if grid.dt_max > scale / 200.0 * (1 + 1e-12):
         raise ValueError(
             f"time step {grid.dt_max:g} does not resolve the fastest scale "
@@ -332,7 +337,7 @@ class TriggerTrajectory:
     p_off: np.ndarray
     p_on: np.ndarray
     norm: np.ndarray
-    final: TriggerState
+    final: ChannelState
 
     def at(self, tau):
         """Sampled values at the stored time closest to tau."""
@@ -350,96 +355,89 @@ class TriggerTrajectory:
 def numeric_evolve(params, grid=None, tau_end=None, sample_times=(), n_samples=200):
     """Integrate the two sigma_x channels with Strang-split Fourier steps.
 
-    The |+> channel sees the harmonic potential plus the zone barrier, the
-    |-> channel sees the zone well; both evolve independently and are
-    recombined into internal-state populations.  Splitting is unitary, so
-    the norm is conserved to FFT roundoff.  `sample_times` are landed on
-    exactly (the step is shortened as needed); n_samples regular samples
-    cover [0, tau_end] in addition.
+    Runs in the co-moving frame of the module docstring: the |+> channel
+    sees the harmonic potential plus the barrier, the |-> channel plus the
+    well, both at y = x - x_cl(t), with the zone sampled at each step's
+    grid times.  Splitting is unitary, so the norm is conserved to FFT
+    roundoff.  The wave reflected at the zone edges (moving at 2 omega A
+    relative to the packet) is not resolved; its population is at most
+    reflection_bound(params), inside the closed-form agreement budget
+    max(0.05, 3 * reflection).  `sample_times` are landed on exactly (the
+    step is shortened as needed); n_samples regular samples cover
+    [0, tau_end] in addition.  x_mean and p_mean are lab-frame values.
     """
     if tau_end is None:
         tau_end = params.tau_star
     if tau_end <= 0:
         raise ValueError(f"require tau_end > 0, got {tau_end}")
     if grid is None:
-        grid = default_grid(params)
-    _validate_grid(params, grid)
+        grid = default_grid(params, tau_end=tau_end)
+    _validate_grid(params, grid, tau_end)
 
+    m, omega, hbar, amp = params.m, params.omega, params.hbar, params.amp
     n = grid.n_points
     dx = grid.dx
-    x = grid.x_min + dx * np.arange(n)
+    y = grid.x_min + dx * np.arange(n)
     k = 2.0 * math.pi * scipy.fft.fftfreq(n, d=dx)
-    harmonic = 0.5 * params.m * params.omega**2 * x**2
-    zone = params.v0 * ((x >= 0.0) & (x <= params.delta))
-    v_plus = harmonic + zone
-    v_minus = harmonic - zone
-    kinetic = params.hbar * k**2 / (2.0 * params.m)
+    harmonic = 0.5 * m * omega**2 * y**2
+    kinetic = hbar * k**2 / (2.0 * m)
+    zone = np.array([[params.v0], [-params.v0]])  # barrier for |+>, well for |->
 
-    packet = np.exp(-((x - params.amp) ** 2) / (2.0 * params.sigma**2))
-    packet = packet / math.sqrt(float(np.sum(np.abs(packet) ** 2)) * dx)
-    psi = {"+": packet.astype(complex) / math.sqrt(2.0),
-           "-": packet.astype(complex) / math.sqrt(2.0)}
+    packet = np.exp(-(y**2) / (2.0 * params.sigma**2))
+    packet = packet / math.sqrt(float(np.sum(packet**2)) * dx)
+    psi = np.tile(packet.astype(complex) / math.sqrt(2.0), (2, 1))
 
-    events = {0.0, float(tau_end)}
-    events.update(float(t) for t in sample_times)
+    events = {0.0, float(tau_end), *(float(t) for t in sample_times)}
     if n_samples:
-        events.update(
-            tau_end * i / n_samples for i in range(n_samples + 1)
-        )
+        events.update(tau_end * i / n_samples for i in range(n_samples + 1))
     events = sorted(t for t in events if 0.0 <= t <= tau_end)
 
-    taus, x_means, p_means, p_offs, p_ons, norms = [], [], [], [], [], []
-
-    def record(tau):
-        state = TriggerState(
-            tau=tau, hbar=params.hbar, x=x,
-            psi_plus=psi["+"], psi_minus=psi["-"], dx=dx,
-        )
-        taus.append(tau)
-        x_means.append(state.x_mean)
-        p_means.append(state.p_mean)
-        p_offs.append(state.p_off)
-        p_ons.append(state.p_on)
-        norms.append(state.norm)
-
-    record(0.0)
-    now = 0.0
-    for target in events:
-        if target <= now:
-            continue
-        span = target - now
-        steps = max(1, int(math.ceil(span / grid.dt_max)))
-        dt = span / steps
-        half = {s: np.exp(-0.5j * v * dt / params.hbar)
-                for s, v in (("+", v_plus), ("-", v_minus))}
-        full = {s: h * h for s, h in half.items()}
+    states = [psi]
+    for start, end in zip(events, events[1:]):
+        steps = max(1, math.ceil((end - start) / grid.dt_max))
+        dt = (end - start) / steps
+        half = np.exp(-0.5j * harmonic * dt / hbar)
+        full = half * half
         kick = np.exp(-1j * kinetic * dt)
-        for s in ("+", "-"):
-            # merged Strang sweep: half V, (kick, full V)*(steps-1), kick, half V;
-            # the first product allocates so recorded snapshots stay intact
-            work = half[s] * psi[s]
-            for i in range(steps):
-                work = scipy.fft.fft(work, overwrite_x=True, workers=2)
+        # merged Strang sweep on a copy, so recorded states stay intact:
+        # half V(t_0), (kick, full V(t_i)) for 0 < i < steps, kick, half V(t_steps)
+        work = psi.copy()
+        for i in range(steps + 1):
+            if i:
+                work = scipy.fft.fft(work, axis=-1, overwrite_x=True)
                 work *= kick
-                work = scipy.fft.ifft(work, overwrite_x=True, workers=2)
-                work *= full[s] if i < steps - 1 else half[s]
-            psi[s] = work
-        now = target
-        record(now)
+                work = scipy.fft.ifft(work, axis=-1, overwrite_x=True)
+            edge = i in (0, steps)
+            work *= half if edge else full
+            x_cl = amp * math.cos(omega * (start + i * dt))
+            if -x_cl < y[-1] + 0.5 * dx and params.delta - x_cl > y[0] - 0.5 * dx:
+                # each cell [y - dx/2, y + dx/2] gets the zone term times the
+                # fraction of it inside [-x_cl, delta - x_cl], so the phase
+                # follows the moving edges smoothly rather than cell by cell
+                inside = (np.minimum(params.delta - x_cl, y + 0.5 * dx)
+                          - np.maximum(-x_cl, y - 0.5 * dx))
+                tau = (0.5 if edge else 1.0) * dt / hbar
+                work *= np.exp(-1j * tau * zone * np.clip(inside / dx, 0.0, 1.0))
+        psi = work
+        states.append(psi)
 
-    final = TriggerState(
-        tau=now, hbar=params.hbar, x=x, psi_plus=psi["+"], psi_minus=psi["-"], dx=dx
-    )
+    # lab-frame observables of all samples: <x> = x_cl + <y>, <p> = p_cl + hbar <k>
+    taus = np.asarray(events)
+    states = np.asarray(states)
+    density = np.sum(np.abs(states) ** 2, axis=1)
+    total = np.sum(density, axis=-1)
+    spectrum = np.sum(np.abs(scipy.fft.fft(states, axis=-1)) ** 2, axis=1)
     return TriggerTrajectory(
         params=params,
         grid=grid,
-        taus=np.asarray(taus),
-        x_mean=np.asarray(x_means),
-        p_mean=np.asarray(p_means),
-        p_off=np.asarray(p_offs),
-        p_on=np.asarray(p_ons),
-        norm=np.asarray(norms),
-        final=final,
+        taus=taus,
+        x_mean=amp * np.cos(omega * taus) + density @ y / total,
+        p_mean=(-m * omega * amp * np.sin(omega * taus)
+                + hbar * (spectrum @ k) / np.sum(spectrum, axis=-1)),
+        p_off=np.sum(np.abs(states[:, 0] + states[:, 1]) ** 2, axis=-1) * dx / 2.0,
+        p_on=np.sum(np.abs(states[:, 0] - states[:, 1]) ** 2, axis=-1) * dx / 2.0,
+        norm=np.sqrt(total * dx),
+        final=ChannelState(psi=psi, dx=dx),
     )
 
 

@@ -13,6 +13,7 @@ from qswitch.config import (
     parse_constants,
     with_sweep_value,
 )
+from qswitch.cli import main
 from qswitch.spacetime import CODATA2018
 
 
@@ -90,6 +91,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="outside any section"):
             parse_config("mass = 1\n", CODATA2018)
 
+    @pytest.mark.parametrize("text, line", [
+        ("[trigger]\nm = nan\n", 2),
+        ("[body]\npreset = earth\n[protocol]\nh = nan\n", 4),
+        ("[switch]\nc1a = 0.5\nalpha = nan,0,0,0,0\n", 3),
+        ("[protocol]\nd = -inf\n", 2),
+        ("[switch]\nf_ba = infj\n", 2),
+    ])
+    def test_non_finite_value_reports_line(self, text, line):
+        with pytest.raises(ConfigError, match=f"line {line}: value must be finite"):
+            parse_config(text, CODATA2018)
+
     def test_alpha_needs_five_entries(self):
         with pytest.raises(ConfigError, match="5 comma-separated"):
             parse_config("[switch]\nalpha = 1, 0\n", CODATA2018)
@@ -158,6 +170,19 @@ class TestCliCommands:
         result = run_cli("timing", "--config", str(bad))
         assert result.returncode == 2
         assert "line 2" in result.stderr
+
+    @pytest.mark.parametrize("command, text, line", [
+        ("trigger", "[trigger]\nm = nan\n", 2),
+        ("timing", "[body]\npreset = earth\n[protocol]\nh = nan\n", 4),
+        ("switch", "[switch]\nalpha = nan,0,0,0,0\n", 2),
+    ])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, command, text, line):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"line {line}: value must be finite" in captured.err
 
     def test_switch_default_scenario(self):
         result = run_cli("switch")
@@ -228,6 +253,25 @@ class TestCliCommands:
 
 
 class TestSweep:
+    def test_strict_sees_point_warnings(self, tmp_path, capsys):
+        # eps >= 1e-17 breaks the trigger-sharpness window on earth, exactly
+        # as timing --strict reports for a single point
+        cfg = tmp_path / "eps.cfg"
+        cfg.write_text(
+            "[body]\npreset = earth\n"
+            "[sweep]\ntarget = timing\nparameter = eps\nmin = 1e-19\nmax = 1e-16\n"
+            "count = 4\nscale = log\n"
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        relaxed = capsys.readouterr().err.splitlines()
+        assert len(relaxed) == 2
+        assert all(line.startswith("warning: sweep_eps=") for line in relaxed)
+        assert all("trigger sharpness insufficient" in line for line in relaxed)
+        assert main(["sweep", "--config", str(cfg), "--strict"]) == 1
+        point = tmp_path / "point.cfg"
+        point.write_text("[body]\npreset = earth\n[protocol]\neps = 1e-16\n")
+        assert main(["timing", "--config", str(point), "--strict"]) == 1
+
     def test_single_point_sweep_matches_timing(self, tmp_path):
         cfg = tmp_path / "one.cfg"
         cfg.write_text(

@@ -208,6 +208,15 @@ class TestPhysicalConstants:
         with pytest.raises(ValueError):
             PhysicalConstants(c=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PhysicalConstants(G=bad)
+        with pytest.raises(ValueError, match="finite"):
+            CentralBody(bad, EARTH_RADIUS)
+        with pytest.raises(ValueError, match="finite"):
+            CentralBody(EARTH_MASS, bad)
+
     def test_injectable(self):
         k = PhysicalConstants(c=1.0, G=1.0, hbar=1.0)
         body = CentralBody(0.1, 10.0, k)

@@ -161,6 +161,12 @@ class TestAmplitudeModel:
         with pytest.raises(ValueError):
             AmplitudeModel(f_ab=1.0001)
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            AmplitudeModel(c1a=complex(math.nan, 0.0))
+        with pytest.raises(ValueError, match="finite"):
+            AmplitudeModel(delta_1a=math.inf)
+
 
 class TestInteractionOperators:
     def test_a_full_absorption_limits(self):
@@ -243,6 +249,8 @@ class TestBuildInput:
             build_input([1, 1, 0, 0, 0])
         with pytest.raises(ValueError):
             build_input([1, 0, 0])
+        with pytest.raises(ValueError):
+            build_input([math.nan, 0, 0, 0, 0])
 
 
 class TestIdealRuns:

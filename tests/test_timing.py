@@ -233,6 +233,13 @@ class TestWindows:
 
 
 class TestSchedulesAndPaths:
+    @pytest.mark.parametrize("field", ["h", "d", "dt_v", "dt_s", "dt_c"])
+    def test_schedule_rejects_nan(self, earth, field):
+        values = dict(h=2.0, d=1e-6, dt_v=1.0, dt_s=3.0, dt_c=0.5)
+        values[field] = float("nan")
+        with pytest.raises(ValueError, match="finite"):
+            ProtocolSchedule(earth, **values)
+
     def test_schedule_event_times(self, earth):
         schedule = ProtocolSchedule(earth, h=2.0, d=1e-6, dt_v=1.0, dt_s=3.0, dt_c=0.5)
         assert schedule.dt_r == 4.0

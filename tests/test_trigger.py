@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from qswitch.trigger import (
     GridSpec,
@@ -12,7 +13,6 @@ from qswitch.trigger import (
     default_grid,
     numeric_evolve,
     reflection_bound,
-    rotation_angle,
 )
 
 
@@ -24,7 +24,71 @@ def params_with_factors(amp_over_delta=12.0, delta_over_sigma=12.0):
     return TriggerParams(m=1.0, omega=1.0, delta=delta, v0=v0, hbar=1.0)
 
 
-FAST = params_with_factors(12.0, 12.0)  # ~2 s numeric runs
+FAST = params_with_factors(12.0, 12.0)
+
+
+def lab_frame_evolve(params, grid, tau_end=None, sample_times=(), n_samples=60):
+    """Reference integrator: both sigma_x channels in the lab frame.
+
+    The grid spans x itself, [grid.x_min, grid.x_max] (see lab_grid), and
+    the zone stays put, so this shares neither the moving frame nor its
+    time-dependent potential with numeric_evolve.  Strang-split Fourier
+    steps, half V / full V merged.  Returns lab-frame samples.
+    """
+    tau_end = params.tau_star if tau_end is None else tau_end
+    n, dx = grid.n_points, grid.dx
+    x = grid.x_min + dx * np.arange(n)
+    k = 2.0 * math.pi * scipy.fft.fftfreq(n, d=dx)
+    zone = params.v0 * ((x >= 0.0) & (x <= params.delta))
+    harmonic = 0.5 * params.m * params.omega**2 * x**2
+    potential = harmonic + np.array([[1.0], [-1.0]]) * zone
+    kinetic = params.hbar * k**2 / (2.0 * params.m)
+    packet = np.exp(-((x - params.amp) ** 2) / (2.0 * params.sigma**2))
+    packet = packet / math.sqrt(float(np.sum(packet**2)) * dx)
+    psi = np.tile(packet.astype(complex) / math.sqrt(2.0), (2, 1))
+
+    events = {0.0, float(tau_end), *(float(t) for t in sample_times)}
+    events.update(tau_end * i / n_samples for i in range(n_samples + 1))
+    taus, states, now = [0.0], [psi], 0.0
+    for target in sorted(events):
+        if target <= now:
+            continue
+        steps = max(1, math.ceil((target - now) / grid.dt_max))
+        dt = (target - now) / steps
+        half = np.exp(-0.5j * potential * dt / params.hbar)
+        full = half * half
+        kick = np.exp(-1j * kinetic * dt)
+        work = half * psi
+        for i in range(steps):
+            work = scipy.fft.ifft(scipy.fft.fft(work, axis=-1) * kick, axis=-1)
+            work *= full if i < steps - 1 else half
+        psi, now = work, target
+        taus.append(now)
+        states.append(psi)
+
+    states = np.asarray(states)
+    density = np.sum(np.abs(states) ** 2, axis=1)
+    spectrum = np.sum(np.abs(scipy.fft.fft(states, axis=-1)) ** 2, axis=1)
+    return {
+        "taus": np.asarray(taus),
+        "x_mean": density @ x / np.sum(density, axis=-1),
+        "p_mean": params.hbar * (spectrum @ k) / np.sum(spectrum, axis=-1),
+        "p_off": np.sum(np.abs(states[:, 0] + states[:, 1]) ** 2, axis=-1) * dx / 2.0,
+        "norm": np.sqrt(np.sum(density, axis=-1) * dx),
+    }
+
+
+def lab_grid(params, dt_max=None):
+    """Lab grid over [-1.5A, 1.5A]: spacing the stricter of sigma/8 and
+    pi/k_max with the carrier k_max = m omega A / hbar + 6/sigma, a
+    5-smooth point count, and the default step ceiling."""
+    k_max = params.m * params.omega * params.amp / params.hbar + 6.0 / params.sigma
+    dx_req = min(params.sigma / 8.0, math.pi / k_max)
+    n = math.ceil(3.0 * params.amp / dx_req)
+    n = min(2**a * 5**b for a in range(40) for b in range(5) if 2**a * 5**b >= n)
+    if dt_max is None:
+        dt_max = default_grid(params).dt_max
+    return GridSpec(-1.5 * params.amp, 1.5 * params.amp, n, dt_max)
 
 
 class TestParams:
@@ -46,22 +110,29 @@ class TestParams:
     def test_rotation_angle_is_half_pi_under_defining_relation(self):
         for factors in ((10.0, 15.0), (12.0, 12.0), (25.0, 40.0)):
             p = params_with_factors(*factors)
-            assert rotation_angle(p) == pytest.approx(math.pi / 2.0, abs=1e-15)
+            assert p.rotation_angle == pytest.approx(math.pi / 2.0, abs=1e-15)
 
     def test_rotation_angle_linear_in_v0_and_delta(self):
         base = params_with_factors(12.0, 12.0)
         half_v0 = TriggerParams(m=1.0, omega=1.0, delta=base.delta,
                                 v0=base.v0 / 2.0, hbar=1.0, amplitude=base.amp)
-        assert rotation_angle(half_v0) == pytest.approx(math.pi / 4.0, rel=1e-15)
+        assert half_v0.rotation_angle == pytest.approx(math.pi / 4.0, rel=1e-15)
         double_delta = TriggerParams(m=1.0, omega=1.0, delta=2.0 * base.delta,
                                      v0=base.v0, hbar=1.0, amplitude=base.amp)
-        assert rotation_angle(double_delta) == pytest.approx(math.pi, rel=1e-15)
+        assert double_delta.rotation_angle == pytest.approx(math.pi, rel=1e-15)
 
     def test_validity_failures_reported(self):
         p = params_with_factors(12.0, 3.0)  # packet not narrow vs the zone
         failures = p.validity_failures()
         assert any("zone-width/packet-width" in f for f in failures)
         assert not params_with_factors(12.0, 12.0).validity_failures()
+
+    @pytest.mark.parametrize("field", ["m", "omega", "delta", "v0", "hbar", "amplitude"])
+    def test_rejects_non_finite(self, field):
+        values = dict(m=1.0, omega=1.0, delta=12.0, v0=FAST.v0, hbar=1.0, amplitude=None)
+        values[field] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            TriggerParams(**values)
 
     def test_zero_coupling_needs_explicit_amplitude(self):
         with pytest.raises(ValueError):
@@ -133,28 +204,53 @@ class TestReflectionBound:
 
 
 class TestGridValidation:
+    """The grid spans the co-moving coordinate y = x - x_cl(t)."""
+
     def test_default_grid_satisfies_preconditions(self):
-        grid = default_grid(FAST)
-        assert grid.x_min <= -1.5 * FAST.amp
-        assert grid.x_max >= 1.5 * FAST.amp
-        assert grid.dx <= FAST.sigma / 8.0
-        assert math.pi / grid.dx >= FAST.m * FAST.omega * FAST.amp / FAST.hbar
+        p = FAST
+        grid = default_grid(p)
+        # the packet and its 10 sigma tails, plus the barrier channel's lag
+        k = p.m * p.speed / p.hbar
+        k_prime = math.sqrt(2.0 * p.m * (p.kinetic_energy - p.v0)) / p.hbar
+        lag = p.delta * (k / k_prime - 1.0)
+        assert 0.0 < lag < p.sigma
+        assert grid.x_min <= -(10.0 * p.sigma + lag)
+        assert grid.x_max >= 10.0 * p.sigma + lag
+        # far narrower than the orbit: the carrier is factored out
+        assert grid.x_max - grid.x_min < 0.2 * p.amp
+        assert grid.dx <= p.sigma / 8.0
+        assert math.pi / grid.dx >= 6.0 / p.sigma + (k - k_prime)
+        assert grid.dt_max <= min(p.period, math.pi * p.hbar / p.v0) / 200.0
 
     def test_short_domain_rejected(self):
-        grid = GridSpec(-FAST.amp, FAST.amp, 65536, 1e-4)
-        with pytest.raises(ValueError):
-            numeric_evolve(FAST, grid=grid)
+        good = default_grid(FAST)
+        # 8 sigma each side, at the default spacing and step
+        short = GridSpec(-8.0 * FAST.sigma, 8.0 * FAST.sigma, 256, good.dt_max)
+        assert short.dx <= FAST.sigma / 8.0
+        with pytest.raises(ValueError, match="reach"):
+            numeric_evolve(FAST, grid=short)
 
     def test_coarse_spacing_rejected(self):
-        grid = GridSpec(-1.5 * FAST.amp, 1.5 * FAST.amp, 512, 1e-4)
-        with pytest.raises(ValueError):
+        good = default_grid(FAST)
+        grid = GridSpec(good.x_min, good.x_max, 64, good.dt_max)
+        with pytest.raises(ValueError, match="spacing"):
             numeric_evolve(FAST, grid=grid)
 
     def test_coarse_time_step_rejected(self):
         good = default_grid(FAST)
         bad = GridSpec(good.x_min, good.x_max, good.n_points, FAST.period / 10.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="time step"):
             numeric_evolve(FAST, grid=bad)
+
+    def test_below_barrier_reports_failure(self):
+        # E = m omega^2 A^2 / 2 = 0.5 < v0 = 10: the barrier channel reflects
+        p = TriggerParams(m=1.0, omega=1.0, delta=1.0, v0=10.0, hbar=1.0,
+                          amplitude=1.0)
+        report = check_trigger_condition(p, mode="numeric")
+        assert not report.passed
+        assert report.reflection == 1.0
+        assert any("kinetic-energy/barrier" in f for f in report.validity_failures)
+        assert report.norm_drift < 1e-8
 
 
 @pytest.fixture(scope="module")
@@ -185,22 +281,37 @@ class TestNumeric:
         assert fast_trajectory.at(probe)["p_off"] >= 0.99
 
     def test_free_evolution_matches_coherent_motion(self):
-        # no coupling: <x> and <p> must follow the closed-form oscillation;
-        # run a full period at a step fine enough for the 1e-6 bar (the
-        # default ceiling is only an upper bound)
+        # the lab-frame oracle with no coupling: <x> and <p> must follow the
+        # closed-form oscillation; run a full period at a step fine enough
+        # for the 1e-6 bar (the default ceiling is only an upper bound)
         p = TriggerParams(m=1.0, omega=1.0, delta=8.0, v0=0.0, hbar=1.0,
                           amplitude=30.0)
-        base = default_grid(p)
-        grid = GridSpec(base.x_min, base.x_max, base.n_points, 1e-3)
-        traj = numeric_evolve(p, grid=grid, tau_end=p.period, n_samples=50)
-        x_expected = p.amp * np.cos(p.omega * traj.taus)
-        x_dev = float(np.max(np.abs(traj.x_mean - x_expected))) / p.amp
+        traj = lab_frame_evolve(p, lab_grid(p, dt_max=1e-3), tau_end=p.period,
+                                n_samples=50)
+        x_expected = p.amp * np.cos(p.omega * traj["taus"])
+        x_dev = float(np.max(np.abs(traj["x_mean"] - x_expected))) / p.amp
         assert x_dev < 1e-6
         p_scale = p.m * p.omega * p.amp
-        p_expected = -p_scale * np.sin(p.omega * traj.taus)
-        p_dev = float(np.max(np.abs(traj.p_mean - p_expected))) / p_scale
+        p_expected = -p_scale * np.sin(p.omega * traj["taus"])
+        p_dev = float(np.max(np.abs(traj["p_mean"] - p_expected))) / p_scale
         assert p_dev < 1e-6
-        assert float(np.max(np.abs(traj.norm - 1.0))) < 1e-8
+        assert float(np.max(np.abs(traj["norm"] - 1.0))) < 1e-8
+
+    def test_moving_frame_agrees_with_lab_frame(self, fast_trajectory):
+        # same sample times, default grids of each frame; measured
+        # |dp_off| 7.9e-4 (the lab grid's own edge error: halving its
+        # spacing moves p_off by 5.0e-4), |dx|/A 1.1e-6, |dp|/(m omega A)
+        # 1.9e-5, |dnorm| 2e-13
+        probe = FAST.tau_star - 2.0 * FAST.epsilon
+        lab = lab_frame_evolve(FAST, lab_grid(FAST),
+                               sample_times=(probe, FAST.tau_star), n_samples=60)
+        assert np.array_equal(lab["taus"], fast_trajectory.taus)
+        assert np.max(np.abs(fast_trajectory.p_off - lab["p_off"])) < 2e-3
+        x_dev = np.max(np.abs(fast_trajectory.x_mean - lab["x_mean"])) / FAST.amp
+        assert x_dev < 5e-6
+        p_scale = FAST.m * FAST.omega * FAST.amp
+        assert np.max(np.abs(fast_trajectory.p_mean - lab["p_mean"])) / p_scale < 1e-4
+        assert np.max(np.abs(fast_trajectory.norm - lab["norm"])) < 1e-10
 
     def test_check_trigger_condition_modes(self):
         analytic = check_trigger_condition(FAST, mode="analytic")
