@@ -32,9 +32,11 @@ from .hilbert import state_csv_rows
 from .spacetime import CODATA2018
 from .switch_model import (
     AmplitudeModel,
+    DiagonalResult,
     build_input,
     diagonal_measure,
     run_switch,
+    switch_summaries,
 )
 from .timing import (
     ProtocolSchedule,
@@ -223,19 +225,9 @@ def compute_switch(config):
         sel = outcome.postselection(zeta)
         for mode in ("agents", "path"):
             if sel.state is None:
-                for sign in ("+", "-"):
-                    rows.append({
-                        "scenario": config.scenario,
-                        "zeta": zeta,
-                        "zeta_probability": sel.probability,
-                        "mode": mode,
-                        "outcome": sign,
-                        "outcome_probability": 0.0,
-                        "mode_remainder": 0.0,
-                        "residual": "",
-                    })
-                continue
-            results, remainder = diagonal_measure(sel.state, mode)
+                results, remainder = [DiagonalResult(sign, 0.0, None) for sign in "+-"], 0.0
+            else:
+                results, remainder = diagonal_measure(sel.state, mode)
             for res in results:
                 rows.append({
                     "scenario": config.scenario,
@@ -268,22 +260,16 @@ def switch_report_text(config, outcome):
     return "\n".join(lines) + "\n"
 
 
+def switch_rows(config, models):
+    """Sweep digests of `config`'s input under each model, as one batch:
+    class probabilities and the no-witness class's order readout."""
+    table = switch_summaries(build_input(config.switch.alpha), models)
+    return [dict(zip(SWITCH_SUMMARY_COLUMNS, row)) for row in table.tolist()]
+
+
 def switch_summary(config):
-    """Single-row digest used by sweeps: class probabilities and the
-    order-superposition readout of the no-witness class."""
-    outcome, _ = compute_switch(config)
-    row = {}
-    for sel in outcome.postselections:
-        row[f"zeta{sel.zeta}_probability"] = sel.probability
-    sel3 = outcome.postselection(3)
-    if sel3.state is not None:
-        results, _ = diagonal_measure(sel3.state, "agents")
-        row["zeta3_plus_probability"] = results[0].probability
-        row["zeta3_minus_probability"] = results[1].probability
-    else:
-        row["zeta3_plus_probability"] = 0.0
-        row["zeta3_minus_probability"] = 0.0
-    return row
+    """Digest of one point: a batch of one through :func:`switch_rows`."""
+    return switch_rows(config, [build_model(config.switch)])[0]
 
 
 SWITCH_SUMMARY_COLUMNS = [
@@ -408,6 +394,11 @@ def trajectory_rows(trajectory, params):
 MAX_SWEEP_POINTS = 1_000_000
 
 
+def _at(prefix):
+    """A sweep point's values, as its warnings and errors name it."""
+    return ", ".join(f"{k}={v:.17g}" for k, v in prefix.items())
+
+
 def compute_sweep(config, constants):
     ranges = config.sweep.ranges
     if not 1 <= len(ranges) <= 2:
@@ -422,27 +413,31 @@ def compute_sweep(config, constants):
     names = [rng.parameter for rng in ranges]
     target = config.sweep.target
 
-    points = []
     if len(grids) == 1:
         points = [(v,) for v in grids[0]]
     else:
         points = [(v1, v2) for v1 in grids[0] for v2 in grids[1]]
 
-    rows = []
-    warnings = []
+    rows, warnings, models = [], [], []
     for values in points:
         pt_config = config
         for name, value in zip(names, values):
             pt_config = with_sweep_value(pt_config, name, value)
         prefix = {f"sweep_{n}": float(v) for n, v in zip(names, values)}
-        if target == "timing":
-            row, point_warnings = compute_timing(pt_config, constants)
-            if point_warnings:
-                at = ", ".join(f"{k}={v:.17g}" for k, v in prefix.items())
-                warnings.extend(f"{at}: {message}" for message in point_warnings)
-        else:
-            row = switch_summary(pt_config)
-        rows.append({**prefix, **row})
+        try:
+            if target == "timing":
+                row, point_warnings = compute_timing(pt_config, constants)
+                if point_warnings:
+                    warnings.extend(f"{_at(prefix)}: {message}" for message in point_warnings)
+                rows.append({**prefix, **row})
+            else:
+                models.append(build_model(pt_config.switch))
+                rows.append(prefix)
+        except ValueError as exc:
+            raise ConfigError(f"{_at(prefix)}: {exc}") from None
+    if target == "switch":
+        # every point's model is valid before any point is evaluated
+        rows = [{**prefix, **row} for prefix, row in zip(rows, switch_rows(config, models))]
     param_cols = [f"sweep_{n}" for n in names]
     if target == "timing":
         columns = param_cols + TIMING_COLUMNS

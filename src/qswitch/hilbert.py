@@ -1,8 +1,8 @@
 """Dense state vectors over labeled tensor factors, with sparse operators.
 
-The protocol's register is small enough (2400 amplitudes) that dense
-storage wins on simplicity and testability.  Factors are addressed by
-name; basis index conventions:
+The protocol's register is small enough (2*6*5*5*2*2 = 1200 amplitudes)
+that dense storage wins on simplicity and testability.  Factors are
+addressed by name; basis index conventions:
 
     path    (2): 0 = early branch (A then B), 1 = late branch (B then A)
     agentA  (6): levels A0..A5
@@ -75,12 +75,6 @@ class StateVector:
     def norm(self):
         return float(np.linalg.norm(self.amps))
 
-    def normalized(self):
-        n = self.norm
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.factors, self.amps / n)
-
     def overlap(self, other):
         """<self|other> for states on the same factors."""
         if self.factors != other.factors:
@@ -104,12 +98,8 @@ class StateVector:
 
     def nonzero_rows(self, cutoff=DUMP_CUTOFF):
         """(index tuple, amplitude) pairs with |amplitude| above the cutoff."""
-        dims = self.dims
-        rows = []
-        for flat, amp in enumerate(self.amps):
-            if abs(amp) > cutoff:
-                rows.append((np.unravel_index(flat, dims), complex(amp)))
-        return rows
+        keep = np.flatnonzero(np.abs(self.amps) > cutoff)
+        return [(np.unravel_index(flat, self.dims), complex(self.amps[flat])) for flat in keep]
 
 
 def basis_state(indices, factors=SWITCH_FACTORS):
@@ -168,13 +158,10 @@ class SparseOperator:
             mat[fout, fin] += amp
         return mat
 
-    def support_columns(self):
-        return sorted({fin for fin, _, _ in self._flat})
-
     def is_isometry(self, atol=ORTHONORMALITY_ATOL):
         """Columns with any entry are mutually orthonormal within atol."""
         mat = self.as_matrix()
-        cols = self.support_columns()
+        cols = sorted({fin for fin, _, _ in self._flat})
         if not cols:
             return True
         sub = mat[:, cols]
@@ -207,39 +194,27 @@ def apply(op, state):
 
 
 def _selection_mask(state, selector):
-    dims = state.dims
-    if callable(selector):
-        mask = np.zeros(dims, dtype=bool)
-        for idx in np.ndindex(*dims):
-            mask[idx] = bool(selector(dict(zip(state.factors, idx))))
-        return mask.reshape(-1)
-    mask = np.zeros(dims, dtype=bool)
-    slicer = []
-    for name, dim in zip(state.factors, dims):
-        if name in selector:
-            wanted = selector[name]
-            if isinstance(wanted, int):
-                wanted = (wanted,)
-            for k in wanted:
-                if not 0 <= k < dim:
-                    raise ValueError(
-                        f"index {k} out of range for factor {name!r} (dim {dim})"
-                    )
-            slicer.append(tuple(wanted))
-        else:
-            slicer.append(tuple(range(dim)))
-    mask[np.ix_(*slicer)] = True
     unknown = set(selector) - set(state.factors)
     if unknown:
         raise ValueError(f"selector names absent factors: {sorted(unknown)}")
+    slicer = []
+    for name, dim in zip(state.factors, state.dims):
+        wanted = selector.get(name, range(dim))
+        wanted = (wanted,) if isinstance(wanted, int) else tuple(wanted)
+        for k in wanted:
+            if not 0 <= k < dim:
+                raise ValueError(f"index {k} out of range for factor {name!r} (dim {dim})")
+        slicer.append(wanted)
+    mask = np.zeros(state.dims, dtype=bool)
+    mask[np.ix_(*slicer)] = True
     return mask.reshape(-1)
 
 
 def project(state, selector):
     """Zero out non-matching amplitudes.
 
-    `selector` is either a mapping {factor: index or iterable of indices}
-    or a predicate on {factor: index} dicts.  Returns the unnormalized
+    `selector` maps factor names to an index or an iterable of indices;
+    factors it does not name are kept whole.  Returns the unnormalized
     projected state and its probability (squared norm); a zero-probability
     projection returns the zero vector with probability 0.
     """

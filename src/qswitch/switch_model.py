@@ -8,6 +8,11 @@ presence is recorded in a two-level detector factor.  The path factor
 controls which agent acts first, and a photon that was already scattered
 once interacts with the second agent through dedicated double-scattering
 amplitudes rather than the fresh-photon ones.
+
+The interactions' index structure does not depend on the amplitudes: it
+is compiled once, at import, into the scattering histories of a run.  A
+batch of runs multiplies the input amplitudes its support reaches by rows
+of a (batch, 13) array of model coefficients.
 """
 
 from __future__ import annotations
@@ -19,14 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (
+    FACTOR_DIMS,
     PATH_EARLY,
     PATH_LATE,
+    SWITCH_FACTORS,
     SparseOperator,
     StateVector,
-    apply,
     basis_state,
+    factor_dims,
     measure_in_basis,
-    project,
 )
 
 # target indices (photon energies e1..e5)
@@ -85,6 +91,22 @@ ENERGY_LEVELS = EnergyLevelMap(
     },
 )
 
+#: (path, agentA, agentB) of the doubly scattered early (A's e1, then B's e2
+#: channel) and late (B's e1, then A's e4) branches the "agents" readout mixes
+DIAGONAL_BRANCHES = (
+    (PATH_EARLY, ENERGY_LEVELS.absorb_a[E1].level_out, ENERGY_LEVELS.absorb_b[E2].level_out),
+    (PATH_LATE, ENERGY_LEVELS.absorb_a[E4].level_out, ENERGY_LEVELS.absorb_b[E1].level_out),
+)
+
+#: amplitudes an interaction entry can carry; "1" is the witness emission
+#: for a photon outside the agent's absorption table
+COEFFICIENTS = ("1", "c1a", "c4a", "c1b", "c2b", "f_ba", "f_ab",
+                "d1a", "d4a", "d1b", "d2b", "g_ba", "g_ab")
+
+#: the two interactions, in order, on each path branch
+ORDERS = {PATH_EARLY: (("a", "first"), ("b", "after_a")),
+          PATH_LATE: (("b", "first"), ("a", "after_b"))}
+
 
 def _check_unit_disk(name, value):
     if not abs(value) <= 1.0 + 1e-12:
@@ -128,122 +150,168 @@ class AmplitudeModel:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
-    # no-absorption complements per incoming photon index
+    def coefficients(self):
+        """The model's value of each name in COEFFICIENTS, in that order."""
+        return (1.0, self.c1a, self.c4a, self.c1b, self.c2b, self.f_ba, self.f_ab,
+                *(_complement(getattr(self, c), getattr(self, phase)) for c, phase in (
+                    ("c1a", "delta_1a"), ("c4a", "delta_4a"), ("c1b", "delta_1b"),
+                    ("c2b", "delta_2b"), ("f_ba", "gamma_ba"), ("f_ab", "gamma_ab"))))
+
     def d_a(self, photon):
-        if photon == E1:
-            return _complement(self.c1a, self.delta_1a)
-        if photon == E4:
-            return _complement(self.c4a, self.delta_4a)
-        return 1.0
+        """Agent A's no-absorption complement for an incoming photon index."""
+        return self.coefficients()[_index(f"d{photon + 1}a")]
 
     def d_b(self, photon):
-        if photon == E1:
-            return _complement(self.c1b, self.delta_1b)
-        if photon == E2:
-            return _complement(self.c2b, self.delta_2b)
-        return 1.0
-
-    def c_a(self, photon):
-        return {E1: self.c1a, E4: self.c4a}.get(photon, 0.0)
-
-    def c_b(self, photon):
-        return {E1: self.c1b, E2: self.c2b}.get(photon, 0.0)
+        return self.coefficients()[_index(f"d{photon + 1}b")]
 
     @property
     def g_ba(self):
-        return _complement(self.f_ba, self.gamma_ba)
+        return self.coefficients()[_index("g_ba")]
 
     @property
     def g_ab(self):
-        return _complement(self.f_ab, self.gamma_ab)
+        return self.coefficients()[_index("g_ab")]
 
 
-def _fresh_triples(prefix, ready, rest, absorb, c_of, d_of):
-    """Channels for a photon meeting an armed agent for the first time."""
+def _index(name):
+    """Position of a name in COEFFICIENTS; the complement of a photon outside
+    the agent's absorption table ("d3a") is not there: it is exactly 1."""
+    return COEFFICIENTS.index(name) if name in COEFFICIENTS else 0
+
+
+def _compile_interaction(agent, context):
+    """(factors, triples) of one agent's operator; see :func:`interaction`."""
+    other = "b" if agent == "a" else "a"
+    own, det, outside = f"agent{agent.upper()}", f"det{agent.upper()}", f"agent{other.upper()}"
+    lv = ENERGY_LEVELS
+    ready, rest, absorb = (getattr(lv, f"{key}_{agent}") for key in ("ready", "rest", "absorb"))
+    if context == "first":
+        factors, prefixes, marker = (own, "target", det), [()], None
+    else:
+        factors = (outside, own, "target", det)
+        prefixes = [(level,) for level in range(FACTOR_DIMS[outside])]
+        first = getattr(lv, f"absorb_{other}")[E1]
+        marker = ((first.level_out,), first.photon_out)
     triples = []
-    for photon in range(5):
-        src = prefix + (ready, photon, 0)
-        if photon in absorb:
-            ch = absorb[photon]
-            triples.append((src, prefix + (ch.level_out, ch.photon_out, 0), c_of(photon)))
-        triples.append((src, prefix + (rest, photon, 1), d_of(photon)))
-    return triples
+    for prefix in prefixes:
+        for photon in range(FACTOR_DIMS["target"]):
+            src = prefix + (ready, photon, 0)
+            c, d = f"c{photon + 1}{agent}", f"d{photon + 1}{agent}"
+            if (prefix, photon) == marker:
+                c, d = f"f_{agent}{other}", f"g_{agent}{other}"
+            if photon in absorb:
+                ch = absorb[photon]
+                triples.append((src, prefix + (ch.level_out, ch.photon_out, 0), _index(c)))
+            triples.append((src, prefix + (rest, photon, 1), _index(d)))
+    return factors, tuple(triples)
+
+
+_INTERACTIONS = {key: _compile_interaction(*key) for stages in ORDERS.values() for key in stages}
+
+
+def interaction(agent, context="first"):
+    """Index structure (factors, triples) of agent "a" or "b"'s operator.
+
+    A triple (index in, index out, k) carries amplitude COEFFICIENTS[k];
+    basis elements without one are annihilated.  Context "first": the agent
+    meets the photon fresh.  Context "after_b" for A ("after_a" for B): it
+    acts second and conditions on, but never changes, the other agent's
+    level; the photon that agent re-emitted from its e1 absorption scatters
+    with f_ab, g_ab (f_ba, g_ba for B) instead of the fresh amplitudes.
+    """
+    if (agent, context) not in _INTERACTIONS:
+        raise ValueError(f"unknown context {context!r} for agent {agent!r}")
+    return _INTERACTIONS[agent, context]
+
+
+def _operator(agent, model, context):
+    factors, triples = interaction(agent, context)
+    values = model.coefficients()
+    return SparseOperator(factors, [(i, o, values[k]) for i, o, k in triples])
 
 
 def interaction_a(model, context="first"):
-    """Agent A's scattering operator.
-
-    context "first": A meets the photon fresh; acts on (agentA, target, detA).
-    context "after_b": A acts second.  A photon that B already scattered
-    (flagged by B sitting in its post-absorption level) is rescattered with
-    amplitude f_ab instead of the fresh c4a, so the operator additionally
-    conditions on (and never changes) the agentB factor.
-    """
-    lv = ENERGY_LEVELS
-    if context == "first":
-        return SparseOperator(
-            ("agentA", "target", "detA"),
-            _fresh_triples((), lv.ready_a, lv.rest_a, lv.absorb_a, model.c_a, model.d_a),
-        )
-    if context != "after_b":
-        raise ValueError(f"unknown context {context!r}")
-    marker = lv.absorb_b[E1]  # B's e1 absorption: level B3, outgoing photon e4
-    triples = []
-    for b_level in range(5):
-        prefix = (b_level,)
-        for photon in range(5):
-            src = prefix + (lv.ready_a, photon, 0)
-            if b_level == marker.level_out and photon == marker.photon_out:
-                ch = lv.absorb_a[photon]
-                triples.append(
-                    (src, prefix + (ch.level_out, ch.photon_out, 0), model.f_ab)
-                )
-                triples.append((src, prefix + (lv.rest_a, photon, 1), model.g_ab))
-                continue
-            if photon in lv.absorb_a:
-                ch = lv.absorb_a[photon]
-                triples.append(
-                    (src, prefix + (ch.level_out, ch.photon_out, 0), model.c_a(photon))
-                )
-            triples.append((src, prefix + (lv.rest_a, photon, 1), model.d_a(photon)))
-    return SparseOperator(("agentB", "agentA", "target", "detA"), triples)
+    """Agent A's scattering operator; context "first" or "after_b"."""
+    return _operator("a", model, context)
 
 
 def interaction_b(model, context="first"):
-    """Agent B's scattering operator; mirror of :func:`interaction_a`.
+    """Agent B's scattering operator; context "first" or "after_a"."""
+    return _operator("b", model, context)
 
-    In context "after_a" the photon A re-emitted from its e1 absorption
-    (flagged by agentA sitting in that channel's final level) scatters with
-    amplitude f_ba instead of the fresh c2b.
+
+def _compile_histories():
+    """Every scattering history of a run, as columns: the register index it
+    ends on (ascending, distinct: each amplitude is a single product), the
+    index it starts from, its coefficient index in each interaction, its
+    postselection class, and its slot in the (early/late, target) block the
+    "agents" diagonal measurement reads (-1 off that block)."""
+    dims = factor_dims(SWITCH_FACTORS)
+    zeta_of = {pattern: zeta for zeta, pattern in DETECTOR_PATTERNS.items()}
+    rows = []
+    for path, stages in ORDERS.items():
+        walks = ((idx, idx, ()) for idx in np.ndindex(*dims) if idx[0] == path)
+        for stage in stages:
+            factors, triples = interaction(*stage)
+            axes = [SWITCH_FACTORS.index(name) for name in factors]
+            step = {}
+            for src, dst, k in triples:
+                step.setdefault(src, []).append((dst, k))
+            walks = [
+                (start, tuple(dst[axes.index(a)] if a in axes else v for a, v in enumerate(idx)),
+                 ks + (k,))
+                for start, idx, ks in walks
+                for dst, k in step.get(tuple(idx[a] for a in axes), ())
+            ]
+        for start, idx, ks in walks:
+            zeta = zeta_of[idx[4:]]
+            on_block = zeta == 3 and idx[:3] in DIAGONAL_BRANCHES
+            slot = DIAGONAL_BRANCHES.index(idx[:3]) * dims[3] + idx[3] if on_block else -1
+            rows.append((np.ravel_multi_index(idx, dims), np.ravel_multi_index(start, dims),
+                         ks, zeta, slot))
+    columns = [np.array(column) for column in zip(*sorted(rows))]
+    if len(set(columns[0])) != len(rows):
+        raise ValueError("two scattering histories end on one register amplitude")
+    return columns
+
+
+_END, _START, _COEFFICIENT, _ZETA, _SLOT = _compile_histories()
+
+
+def _reachable(input_state, coefficients):
+    """Histories whose start the input holds, and their (batch, history) amplitudes."""
+    if input_state.factors != SWITCH_FACTORS:
+        raise ValueError(f"the switch needs a state on {SWITCH_FACTORS}")
+    keep = np.flatnonzero(input_state.amps[_START])
+    amps = input_state.amps[_START[keep]]
+    for k in _COEFFICIENT[keep].T:  # one interaction after the other
+        amps = coefficients[:, k] * amps
+    return keep, amps
+
+
+def switch_summaries(input_state, models):
+    """Postselection classes and the zeta=3 readout of a batch of models.
+
+    Returns a (len(models), 6) array: the zeta=0..3 probabilities, then the
+    + and - probabilities of the "agents" diagonal measurement of the zeta=3
+    class (0.0 where it is empty).  Only amplitudes reachable from the
+    input's support are computed; sums run in a fixed order, so a row does
+    not depend on the rest of the batch.
     """
-    lv = ENERGY_LEVELS
-    if context == "first":
-        return SparseOperator(
-            ("agentB", "target", "detB"),
-            _fresh_triples((), lv.ready_b, lv.rest_b, lv.absorb_b, model.c_b, model.d_b),
-        )
-    if context != "after_a":
-        raise ValueError(f"unknown context {context!r}")
-    marker = lv.absorb_a[E1]  # A's e1 absorption: level A3, outgoing photon e2
-    triples = []
-    for a_level in range(6):
-        prefix = (a_level,)
-        for photon in range(5):
-            src = prefix + (lv.ready_b, photon, 0)
-            if a_level == marker.level_out and photon == marker.photon_out:
-                ch = lv.absorb_b[photon]
-                triples.append(
-                    (src, prefix + (ch.level_out, ch.photon_out, 0), model.f_ba)
-                )
-                triples.append((src, prefix + (lv.rest_b, photon, 1), model.g_ba))
-                continue
-            if photon in lv.absorb_b:
-                ch = lv.absorb_b[photon]
-                triples.append(
-                    (src, prefix + (ch.level_out, ch.photon_out, 0), model.c_b(photon))
-                )
-            triples.append((src, prefix + (lv.rest_b, photon, 1), model.d_b(photon)))
-    return SparseOperator(("agentA", "agentB", "target", "detB"), triples)
+    coefficients = np.array([m.coefficients() for m in models], dtype=complex)
+    keep, amps = _reachable(input_state, coefficients)
+    n_target = FACTOR_DIMS["target"]
+    table = np.zeros((len(models), 6))
+    block = np.zeros((len(models), 2 * n_target + 1), dtype=complex)
+    for r, zeta in enumerate(_ZETA[keep]):
+        table[:, zeta] += abs(amps[:, r]) ** 2
+    block[:, _SLOT[keep]] = amps  # histories off the block land in the last column
+    for t in range(n_target):
+        table[:, 4] += abs(block[:, t] + block[:, n_target + t]) ** 2
+        table[:, 5] += abs(block[:, t] - block[:, n_target + t]) ** 2
+    zeta3 = table[:, 3:4]
+    np.divide(0.5 * table[:, 4:], zeta3, out=table[:, 4:], where=zeta3 > 0.0)
+    return table
 
 
 def build_input(alphas):
@@ -259,23 +327,12 @@ def build_input(alphas):
     if not abs(total - 1.0) <= NORMALIZATION_ATOL:
         raise ValueError(f"target amplitudes must be normalized, got |alpha|^2={total!r}")
     lv = ENERGY_LEVELS
-    state = None
+    amps = np.zeros(factor_dims(SWITCH_FACTORS), dtype=complex)
     for path in (PATH_EARLY, PATH_LATE):
         for photon, amp in enumerate(alphas):
-            if amp == 0.0:
-                continue
-            term = (amp / math.sqrt(2.0)) * basis_state(
-                {
-                    "path": path,
-                    "agentA": lv.ready_a,
-                    "agentB": lv.ready_b,
-                    "target": photon,
-                    "detA": 0,
-                    "detB": 0,
-                }
-            )
-            state = term if state is None else state + term
-    return state
+            if amp != 0.0:
+                amps[path, lv.ready_a, lv.ready_b, photon, 0, 0] = amp / math.sqrt(2.0)
+    return StateVector(SWITCH_FACTORS, amps)
 
 
 @dataclass(frozen=True)
@@ -308,30 +365,19 @@ def run_switch(input_state, model):
 
     The early branch scatters off A then B, the late branch off B then A;
     the second interaction uses the double-scattering amplitudes where the
-    first agent's level records a previous scattering.
+    first agent's level records a previous scattering (the histories of
+    :func:`switch_summaries`).
     """
-    early, _ = project(input_state, {"path": PATH_EARLY})
-    late, _ = project(input_state, {"path": PATH_LATE})
-    early = apply(interaction_b(model, "after_a"), apply(interaction_a(model, "first"), early))
-    late = apply(interaction_a(model, "after_b"), apply(interaction_b(model, "first"), late))
-    pre = early + late
-
-    detector_basis_factors = ("detA", "detB")
+    keep, amps = _reachable(input_state, np.array([model.coefficients()], dtype=complex))
+    pre = np.zeros_like(input_state.amps)
+    pre[_END[keep]] = amps[0]
+    pre = StateVector(SWITCH_FACTORS, pre)
     selections = []
-    for zeta in range(4):
-        det_a, det_b = DETECTOR_PATTERNS[zeta]
-        pattern = basis_state(
-            {"detA": det_a, "detB": det_b}, factors=detector_basis_factors
-        )
+    for zeta, (det_a, det_b) in DETECTOR_PATTERNS.items():
+        pattern = basis_state({"detA": det_a, "detB": det_b}, factors=("detA", "detB"))
         outcome = measure_in_basis(pre, [pattern])[0]
-        selections.append(
-            Postselection(
-                zeta=zeta, probability=outcome.probability, state=outcome.collapsed
-            )
-        )
-    return SwitchOutcome(
-        model=model, pre_measurement=pre, postselections=tuple(selections)
-    )
+        selections.append(Postselection(zeta, outcome.probability, outcome.collapsed))
+    return SwitchOutcome(model=model, pre_measurement=pre, postselections=tuple(selections))
 
 
 def postselect(outcome, zeta):
@@ -349,32 +395,15 @@ class DiagonalResult:
     residual: StateVector | None
 
 
+_DIAGONAL_MODES = {"agents": (("path", "agentA", "agentB"), DIAGONAL_BRANCHES),
+                   "path": (("path",), ((PATH_EARLY,), (PATH_LATE,)))}
+
+
 def _diagonal_basis(mode):
-    lv = ENERGY_LEVELS
-    if mode == "agents":
-        factors = ("path", "agentA", "agentB")
-        early = basis_state(
-            {
-                "path": PATH_EARLY,
-                "agentA": lv.absorb_a[E1].level_out,
-                "agentB": lv.absorb_b[E2].level_out,
-            },
-            factors=factors,
-        )
-        late = basis_state(
-            {
-                "path": PATH_LATE,
-                "agentA": lv.absorb_a[E4].level_out,
-                "agentB": lv.absorb_b[E1].level_out,
-            },
-            factors=factors,
-        )
-    elif mode == "path":
-        factors = ("path",)
-        early = basis_state({"path": PATH_EARLY}, factors=factors)
-        late = basis_state({"path": PATH_LATE}, factors=factors)
-    else:
+    if mode not in _DIAGONAL_MODES:
         raise ValueError(f"unknown diagonal-measurement mode {mode!r}")
+    factors, branches = _DIAGONAL_MODES[mode]
+    early, late = (basis_state(dict(zip(factors, b)), factors=factors) for b in branches)
     inv = 1.0 / math.sqrt(2.0)
     return [inv * (early + late), inv * (early - late)]
 

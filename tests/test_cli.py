@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from qswitch.config import (
@@ -13,6 +14,7 @@ from qswitch.config import (
     parse_constants,
     with_sweep_value,
 )
+from qswitch import cli
 from qswitch.cli import main
 from qswitch.spacetime import CODATA2018
 
@@ -356,3 +358,76 @@ class TestSweep:
         lines = result.stdout.strip().split("\n")
         pairs = [tuple(map(float, l.split(",")[:2])) for l in lines[1:]]
         assert pairs == sorted(pairs)  # ascending lexicographic order
+
+    def test_bad_switch_point_named_before_any_evaluation(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "bad_switch.cfg"
+        cfg.write_text(
+            "[switch]\nalpha = 1,0,0,0,0\n"
+            "[sweep]\ntarget = switch\nparameter = c1a\nmin = 0\nmax = 2\ncount = 5\n"
+        )
+
+        def evaluated(*args):
+            raise AssertionError("a switch point was evaluated before all were checked")
+
+        monkeypatch.setattr(cli, "switch_rows", evaluated)
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sweep_c1a=1.5: |c1a| must be <= 1, got 1.5\n"
+
+    def test_bad_timing_point_named(self, tmp_path, capsys):
+        cfg = tmp_path / "bad_timing.cfg"
+        cfg.write_text(
+            "[body]\npreset = earth\n"
+            "[sweep]\ntarget = timing\nparameter = h\nmin = -1\nmax = 1\ncount = 5\n"
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: sweep_h=-1: require h > 0")
+
+
+def _sweep_matches_switch_summary(text):
+    """Run a switch sweep; every row must equal switch_summary at its point."""
+    config = parse_config(text, CODATA2018)
+    columns, rows, _ = cli.compute_sweep(config, CODATA2018)
+    names = [rng.parameter for rng in config.sweep.ranges]
+    for row in rows:
+        point = config
+        for name in names:
+            point = with_sweep_value(point, name, row[f"sweep_{name}"])
+        assert {c: row[c] for c in cli.SWITCH_SUMMARY_COLUMNS} == cli.switch_summary(point)
+    return rows
+
+
+class TestSwitchSweepSupport:
+    """The batch evaluates only what the input reaches; rows must not care."""
+
+    def test_all_five_photons(self):
+        rows = _sweep_matches_switch_summary(
+            "[switch]\nalpha = 0.2, 0.4j, -0.4, 0.6, 0.52915026221291817\n"
+            "c4a = 0.3+0.4j\nc2b = 0.7\nf_ab = 0.5j\ndelta_4a = 1.1\ngamma_ab = 2.3\n"
+            "[sweep]\ntarget = switch\nparameter = c1a\nmin = 0\nmax = 1\ncount = 4\n"
+            "parameter2 = f_ba\nmin2 = 0\nmax2 = 1\ncount2 = 3\n"
+        )
+        assert len(rows) == 12
+        for row in rows:
+            classes = [row[f"zeta{z}_probability"] for z in range(4)]
+            assert min(classes) > 0.0  # every detector pattern is reached
+            assert sum(classes) == pytest.approx(1.0, abs=1e-12)
+
+    def test_empty_no_witness_class_reads_exact_zero(self):
+        with np.errstate(divide="raise", invalid="raise"):
+            rows = _sweep_matches_switch_summary(
+                "[switch]\nalpha = 1,0,0,0,0\nc1b = 0\n"
+                "[sweep]\ntarget = switch\nparameter = c1a\nmin = 0\nmax = 1\ncount = 3\n"
+            )
+        empty = rows[0]
+        assert empty["sweep_c1a"] == 0.0
+        assert empty["zeta3_probability"] == 0.0
+        assert empty["zeta3_plus_probability"] == 0.0
+        assert empty["zeta3_minus_probability"] == 0.0
+        for row in rows[1:]:
+            assert row["zeta3_probability"] > 0.0
+            readout = row["zeta3_plus_probability"] + row["zeta3_minus_probability"]
+            assert readout == pytest.approx(1.0, abs=1e-12)

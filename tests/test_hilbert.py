@@ -188,7 +188,7 @@ class TestProject:
         kept, prob = project(state, {})
         assert np.array_equal(kept.amps, state.amps)
         assert prob == pytest.approx(1.0, abs=1e-12)
-        none, prob0 = project(state, lambda idx: False)
+        none, prob0 = project(state, {"detA": ()})
         assert none.norm == 0.0
         assert prob0 == 0.0
 
@@ -210,14 +210,6 @@ class TestProject:
         kept, _ = project(state, {"agentA": (0, 2, 4)})
         rest, _ = project(state, {"agentA": (1, 3, 5)})
         assert np.array_equal(kept.amps + rest.amps, state.amps)
-
-    def test_predicate_selector(self):
-        rng = np.random.default_rng(18)
-        state = random_state(rng)
-        by_dict, p1 = project(state, {"detA": 1})
-        by_predicate, p2 = project(state, lambda idx: idx["detA"] == 1)
-        assert np.array_equal(by_dict.amps, by_predicate.amps)
-        assert p1 == p2
 
     def test_unknown_selector_name_rejected(self):
         state = basis_state({"path": 0}, factors=("path",))
