@@ -11,14 +11,8 @@ from .spacetime import (
     schwarzschild_radius,
 )
 from .timing import (
-    Hold,
-    LinearAscent,
     MatchingSolution,
-    PathProfile,
     ProtocolSchedule,
-    build_paths,
-    proper_time,
-    proper_time_difference,
     small_mass_duration,
     solve_matching,
     solved_schedule,

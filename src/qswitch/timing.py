@@ -10,7 +10,7 @@ branches at the same elapsed proper time tau_star only when
 
 with dt_r the head start of the early path.  Solving this fixes the
 duration of the whole experiment; everything else here is supporting
-machinery (piecewise path profiles, quadrature, feasibility margins).
+machinery (the closed-form ascent proper time, feasibility margins).
 """
 
 from __future__ import annotations
@@ -18,171 +18,49 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy.integrate import quad
-
 from .spacetime import CentralBody, dilation_difference, dilation_factor
 
-#: Relative tolerance for proper-time quadrature over ascent segments.
-QUADRATURE_RTOL = 1e-13
+#: Taylor coefficients of (z - asinh z)/z in z^2, highest order first; 15
+#: terms reach double precision for z < _GAP_SERIES_LIMIT.
+_GAP_SERIES = tuple(
+    (-1) ** (k + 1) * math.comb(2 * k, k) / (4**k * (2 * k + 1)) for k in range(15, 0, -1)
+)
+_GAP_SERIES_LIMIT = 0.3
 
 
-@dataclass(frozen=True)
-class Hold:
-    """Stay at fixed radius r (m) for coordinate duration dt (s)."""
+def _ascent_proper_time(radius, r_s, h, dt_v):
+    """Proper time of a climb from radius to radius+h at constant dr/dt over dt_v.
 
-    r: float
-    dt: float
+    With r = R_S cosh^2(theta) the integral of sqrt(1 - R_S/r) dr is
+    R_S (sinh(theta) cosh(theta) - theta).  Writing a = sinh(theta_1),
+    b = sinh(theta_0), w = 1 / (a cosh(theta_0) + b cosh(theta_1)) and
+    z = sinh(theta_1 - theta_0) = w h / R_S,
 
+        dtau_v = dt_v w [cosh(theta_1 + theta_0) - 1 + (z - asinh z)/z].
 
-@dataclass(frozen=True)
-class LinearAscent:
-    """Move from r_start to r_end (m) at constant dr/dt over dt (s)."""
-
-    r_start: float
-    r_end: float
-    dt: float
-
-
-@dataclass(frozen=True)
-class PathProfile:
-    """Contiguous piecewise worldline at fixed angular position."""
-
-    segments: tuple
-
-    def __post_init__(self):
-        for seg in self.segments:
-            if seg.dt <= 0:
-                raise ValueError(f"segment durations must be positive, got {seg.dt}")
-
-    @property
-    def total_duration(self):
-        return math.fsum(seg.dt for seg in self.segments)
-
-    def truncated(self, duration):
-        """Clip the path to the first `duration` seconds of coordinate time."""
-        if duration <= 0 or duration > self.total_duration * (1 + 1e-12):
-            raise ValueError(
-                f"truncation {duration:g} s outside path duration "
-                f"{self.total_duration:g} s"
-            )
-        kept = []
-        remaining = duration
-        for seg in self.segments:
-            if remaining <= 0:
-                break
-            if seg.dt <= remaining:
-                kept.append(seg)
-                remaining -= seg.dt
-            else:
-                if isinstance(seg, Hold):
-                    kept.append(Hold(seg.r, remaining))
-                else:
-                    frac = remaining / seg.dt
-                    r_mid = seg.r_start + (seg.r_end - seg.r_start) * frac
-                    kept.append(LinearAscent(seg.r_start, r_mid, remaining))
-                remaining = 0.0
-        return PathProfile(tuple(kept))
-
-
-def _validate_radii(path, body):
-    r_s = body.schwarzschild_radius
-    for seg in path.segments:
-        radii = (seg.r,) if isinstance(seg, Hold) else (seg.r_start, seg.r_end)
-        for r in radii:
-            if r <= r_s:
-                raise ValueError(f"path radius {r:g} m is not outside R_S={r_s:g} m")
-
-
-def _segment_proper_time(seg, body):
-    if isinstance(seg, Hold):
-        return dilation_factor(seg.r, body) * seg.dt
-    if seg.r_start == seg.r_end:
-        return dilation_factor(seg.r_start, body) * seg.dt
-    rate = (seg.r_end - seg.r_start) / seg.dt
-
-    def integrand(t):
-        return dilation_factor(seg.r_start + rate * t, body)
-
-    value, _ = quad(integrand, 0.0, seg.dt, epsabs=0.0, epsrel=QUADRATURE_RTOL)
-    return value
-
-
-def proper_time(path, body):
-    """Proper time integral sqrt(1 - R_S/r(t)) dt along the path (s).
-
-    Hold segments use the closed form; ascents use adaptive quadrature at
-    relative tolerance ``QUADRATURE_RTOL``.
+    Every factor is a sum of positive terms: z and cosh(theta_1 + theta_0) - 1
+    come from conjugate forms, and (z - asinh z)/z from its Taylor series
+    when z is small, so nothing cancels anywhere from the horizon outwards
+    (within about 2e-15 of the exact integral).  h = 0 gives the hold
+    rate sqrt(1 - R_S/R) dt_v.
     """
-    _validate_radii(path, body)
-    return math.fsum(_segment_proper_time(seg, body) for seg in path.segments)
-
-
-def proper_time_difference(path_a, path_b, body):
-    """tau(path_a) - tau(path_b) for paths of equal coordinate duration.
-
-    Proper time is additive over segments, so the difference is assembled
-    segment-wise rather than by naive subtraction of two nearly equal
-    totals:
-
-    1. segments identical in both paths (e.g. a shared ascent played at
-       different coordinate times) cancel exactly and are dropped;
-    2. the remaining holds of the two paths are paired chunk-by-chunk in
-       coordinate duration, each chunk contributing a cancellation-safe
-       ``dilation_difference(r_hi, r_lo) * dt`` with the appropriate sign;
-    3. any leftover (unpaired ascents or duration mismatch inside holds)
-       falls back on direct quadrature.
-
-    Positive when path_a accumulates more proper time (is higher).
-    """
-    _validate_radii(path_a, body)
-    _validate_radii(path_b, body)
-    dur_a, dur_b = path_a.total_duration, path_b.total_duration
-    if not math.isclose(dur_a, dur_b, rel_tol=1e-12, abs_tol=0.0):
-        raise ValueError(
-            f"paths must have equal coordinate durations, got {dur_a:g} and {dur_b:g}"
-        )
-
-    rem_a = list(path_a.segments)
-    rem_b = list(path_b.segments)
-    for seg in list(rem_a):
-        if seg in rem_b:
-            rem_a.remove(seg)
-            rem_b.remove(seg)
-
-    holds_a = [s for s in rem_a if isinstance(s, Hold)]
-    holds_b = [s for s in rem_b if isinstance(s, Hold)]
-    ascents_a = [s for s in rem_a if not isinstance(s, Hold)]
-    ascents_b = [s for s in rem_b if not isinstance(s, Hold)]
-
-    terms = []
-    i = j = 0
-    left_a = holds_a[0].dt if holds_a else 0.0
-    left_b = holds_b[0].dt if holds_b else 0.0
-    while i < len(holds_a) and j < len(holds_b):
-        dt = min(left_a, left_b)
-        r_a, r_b = holds_a[i].r, holds_b[j].r
-        if r_a != r_b:
-            sign = 1.0 if r_a > r_b else -1.0
-            terms.append(sign * dilation_difference(max(r_a, r_b), min(r_a, r_b), body) * dt)
-        left_a -= dt
-        left_b -= dt
-        if left_a <= 0.0:
-            i += 1
-            left_a = holds_a[i].dt if i < len(holds_a) else 0.0
-        if left_b <= 0.0:
-            j += 1
-            left_b = holds_b[j].dt if j < len(holds_b) else 0.0
-
-    # unpaired leftovers: direct evaluation (no cancellation partner exists)
-    if i < len(holds_a):
-        terms.append(dilation_factor(holds_a[i].r, body) * left_a)
-        terms.extend(_segment_proper_time(s, body) for s in holds_a[i + 1:])
-    if j < len(holds_b):
-        terms.append(-dilation_factor(holds_b[j].r, body) * left_b)
-        terms.extend(-_segment_proper_time(s, body) for s in holds_b[j + 1:])
-    terms.extend(_segment_proper_time(s, body) for s in ascents_a)
-    terms.extend(-_segment_proper_time(s, body) for s in ascents_b)
-    return math.fsum(terms)
+    u0 = radius - r_s
+    a = math.sqrt((u0 + h) / r_s)
+    b = math.sqrt(u0 / r_s)
+    cosh_a = math.sqrt(1.0 + a * a)
+    cosh_b = math.sqrt(1.0 + b * b)
+    w = 1.0 / (a * cosh_b + b * cosh_a)
+    cosh_sum_m1 = (a + b) ** 2 / (1.0 + (1.0 + a * a + b * b) / (cosh_a * cosh_b + a * b))
+    z = w * h / r_s
+    if z < _GAP_SERIES_LIMIT:
+        z2 = z * z
+        gap = 0.0
+        for coefficient in _GAP_SERIES:
+            gap = gap * z2 + coefficient
+        gap *= z2
+    else:
+        gap = (z - math.asinh(z)) / z
+    return dt_v * w * (cosh_sum_m1 + gap)
 
 
 @dataclass(frozen=True)
@@ -256,10 +134,8 @@ class ProtocolSchedule:
     @property
     def dtau_v(self):
         """Proper time accumulated during one ascent (identical for both paths)."""
-        if self.dt_v == 0.0:
-            return 0.0
-        seg = LinearAscent(self.body.radius, self.r_top, self.dt_v)
-        return _segment_proper_time(seg, self.body)
+        body = self.body
+        return _ascent_proper_time(body.radius, body.schwarzschild_radius, self.h, self.dt_v)
 
     @property
     def dtau_c(self):
@@ -445,50 +321,3 @@ def validate_windows(schedule, dtau_1, eps, threshold=10.0):
         threshold=threshold,
     )
 
-
-def build_paths(schedule):
-    """The two branch worldlines, aligned on total duration t4 - t0.
-
-    Early path: ascend during [t0, t1], then hold at R+h through t4.
-    Late path: hold at R until t2, ascend during [t2, t3], hold at R+h
-    until t4.  Zero-duration segments (dt_v = 0, dt_s = 0) are dropped.
-    """
-    r_lo = schedule.body.radius
-    r_hi = schedule.r_top
-    early = []
-    late = []
-    if schedule.dt_v > 0:
-        early.append(LinearAscent(r_lo, r_hi, schedule.dt_v))
-    hold_early = schedule.t4 - schedule.t1
-    if hold_early > 0:
-        early.append(Hold(r_hi, hold_early))
-    if schedule.t2 > 0:
-        late.append(Hold(r_lo, schedule.t2))
-    if schedule.dt_v > 0:
-        late.append(LinearAscent(r_lo, r_hi, schedule.dt_v))
-    if schedule.dt_c > 0:
-        late.append(Hold(r_hi, schedule.dt_c))
-    if not early or not late:
-        raise ValueError("schedule is empty: no positive-duration segments")
-    path_early = PathProfile(tuple(early))
-    path_late = PathProfile(tuple(late))
-    if not math.isclose(
-        path_early.total_duration, path_late.total_duration, rel_tol=1e-12
-    ):
-        raise ValueError("inconsistent schedule: branch durations differ")
-    return path_early, path_late
-
-
-def path_matching_residual(schedule):
-    """Matching residual recomputed from the built paths (consistency check).
-
-    Evaluates tau(early, to t3) - tau(late, to t3) - dtau_c, i.e. the same
-    quantity as :meth:`ProtocolSchedule.matching_residual` but assembled
-    from the worldline machinery instead of the schedule algebra.
-    """
-    path_early, path_late = build_paths(schedule)
-    t3 = schedule.t3
-    diff = proper_time_difference(
-        path_early.truncated(t3), path_late.truncated(t3), schedule.body
-    )
-    return diff - schedule.dtau_c

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .spacetime import HBAR
 
@@ -373,6 +372,8 @@ def numeric_evolve(params, grid=None, tau_end=None, sample_times=(), n_samples=2
     if grid is None:
         grid = default_grid(params, tau_end=tau_end)
     _validate_grid(params, grid, tau_end)
+
+    import scipy.fft  # here, not at the top, so importing qswitch skips scipy
 
     m, omega, hbar, amp = params.m, params.omega, params.hbar, params.amp
     n = grid.n_points

@@ -16,7 +16,9 @@ from qswitch.config import (
 )
 from qswitch import cli
 from qswitch.cli import main
-from qswitch.spacetime import CODATA2018
+from qswitch.spacetime import CODATA2018, CentralBody, schwarzschild_radius
+
+from test_timing import oracle_ascent
 
 
 def run_cli(*args, env=None):
@@ -165,6 +167,35 @@ class TestCliCommands:
         result = run_cli("timing")
         assert result.returncode == 2
         assert "error:" in result.stderr
+
+    def test_timing_climb_near_horizon(self, tmp_path):
+        # a climb that starts 1e-8 R_S above the horizon: the run must be
+        # clean and its dtau_v exact
+        r_s = schwarzschild_radius(1e30)
+        body = CentralBody(1e30, r_s * (1.0 + 1e-8))
+        cfg = tmp_path / "horizon.cfg"
+        cfg.write_text(
+            f"[body]\nmass = 1e30\nradius = {body.radius!r}\n"
+            f"[protocol]\nh = {1e-9 * r_s!r}\nd = 1.0\ndt_v = 1e-9\n"
+        )
+        result = run_cli("timing", "--config", str(cfg))
+        assert result.returncode == 0, result.stderr
+        assert all(line.startswith("warning: ") for line in result.stderr.splitlines())
+        header, row = result.stdout.strip().split("\n")
+        cells = dict(zip(header.split(","), row.split(",")))
+        oracle = oracle_ascent(body, float(cells["h"]), 1e-9)
+        assert float(cells["dtau_v"]) == pytest.approx(float(oracle), rel=1e-14, abs=0.0)
+
+    def test_import_leaves_scipy_out(self):
+        # scipy is the clock's alone; it loads when a clock run starts
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, qswitch.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_parse_error_exit_code_and_line(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -1,16 +1,9 @@
 import mpmath as mp
 import pytest
 
-from qswitch.spacetime import CODATA2018, CentralBody, dilation_difference
+from qswitch.spacetime import CODATA2018, CentralBody, dilation_difference, dilation_factor
 from qswitch.timing import (
-    Hold,
-    LinearAscent,
-    PathProfile,
     ProtocolSchedule,
-    build_paths,
-    path_matching_residual,
-    proper_time,
-    proper_time_difference,
     small_mass_duration,
     solve_matching,
     solved_schedule,
@@ -29,88 +22,101 @@ def oracle_proper_time_hold(r, dt, body):
     return mp.sqrt(1 - r_s / mp.mpf(r)) * mp.mpf(dt)
 
 
+def oracle_ascent(body, h, dt_v):
+    """Proper time of a climb from R to R+h > R at constant dr/dt over dt_v.
+
+    40-digit mp.quad of sqrt(1 - R_S/r(t)) with r(t) = R + h t/dt_v, from
+    the same double R, R_S and h as the program.  The range is split where
+    r - R_S grows by a factor 4, so climbs that start near the horizon or
+    rise far above R converge too.
+    """
+    r_s, radius, h = mp.mpf(body.schwarzschild_radius), mp.mpf(body.radius), mp.mpf(h)
+    gap = radius - r_s
+    growth = (gap + h) / gap
+    pieces = max(1, int(mp.ceil(mp.log(growth, 4))))
+    breaks = [(growth ** (mp.mpf(k) / pieces) - 1) * gap / h for k in range(pieces)]
+    rate = mp.quad(lambda s: mp.sqrt(1 - r_s / (radius + h * s)), breaks + [1])
+    return mp.mpf(dt_v) * rate
+
+
+def exact_events(schedule):
+    """(t2, t3, t4) summed exactly from the schedule's durations."""
+    t2 = mp.mpf(schedule.dt_v) + schedule.dt_s
+    t3 = t2 + schedule.dt_v
+    return t2, t3, t3 + schedule.dt_c
+
+
+def oracle_branch_tau(schedule, branch, t_end):
+    """Proper time of the "early" or "late" branch from t0 = 0 to t_end.
+
+    From the definition, not from the schedule algebra: the branch holds at
+    R until its climb starts (t0 early, t2 late), climbs to R+h over dt_v,
+    then holds at R+h, and a hold at r adds sqrt(1 - R_S/r) dt.  t_end must
+    not fall before the climb ends.
+    """
+    body = schedule.body
+    r_s, radius = mp.mpf(body.schwarzschild_radius), mp.mpf(body.radius)
+    start = mp.mpf(0) if branch == "early" else exact_events(schedule)[0]
+    top = start + schedule.dt_v
+    assert t_end >= top
+    climb = oracle_ascent(body, schedule.h, schedule.dt_v) if schedule.dt_v else 0
+    return (
+        mp.sqrt(1 - r_s / radius) * start
+        + climb
+        + mp.sqrt(1 - r_s / (radius + schedule.h)) * (t_end - top)
+    )
+
+
+def oracle_residual(schedule):
+    """tau(early, to t3) - tau(late, to t4) from oracle_branch_tau."""
+    _, t3, t4 = exact_events(schedule)
+    return oracle_branch_tau(schedule, "early", t3) - oracle_branch_tau(schedule, "late", t4)
+
+
+def ascent(body, h, dt_v):
+    """A schedule that only sets the climb; dtau_v depends on nothing else."""
+    return ProtocolSchedule(body, h=h, d=1e-6, dt_v=dt_v, dt_s=0.0, dt_c=1.0)
+
+
 class TestProperTime:
-    def test_flat_limit(self, earth):
-        assert proper_time(PathProfile((Hold(1e30, 5.0),)), earth) == pytest.approx(
-            5.0, abs=1e-12
-        )
+    def test_flat_limit(self):
+        far = CentralBody(EARTH_MASS, 1e30)
+        assert ascent(far, 1.0, 5.0).dtau_v == pytest.approx(5.0, abs=1e-12)
 
     def test_hold_at_surface_one_second(self, earth):
-        value = proper_time(PathProfile((Hold(EARTH_RADIUS, 1.0),)), earth)
+        # h = 0 puts the crossing hold at the surface
+        schedule = ProtocolSchedule(earth, h=0.0, d=1e-6, dt_v=0.0, dt_s=0.0, dt_c=1.0)
+        value = schedule.dtau_c
         assert value == pytest.approx(
-            float(oracle_proper_time_hold(EARTH_RADIUS, 1.0, earth)), rel=1e-15
+            float(oracle_proper_time_hold(EARTH_RADIUS, 1.0, earth)), rel=1e-15, abs=0.0
         )
         assert 1.0 - value == pytest.approx(6.961311e-10, rel=1e-6)
 
     def test_ascent_reduces_to_hold_for_small_height(self, earth):
-        hold = proper_time(PathProfile((Hold(EARTH_RADIUS, 3.0),)), earth)
-        ramp = proper_time(
-            PathProfile((LinearAscent(EARTH_RADIUS, EARTH_RADIUS + 1e-9, 3.0),)), earth
-        )
-        assert ramp == pytest.approx(hold, rel=1e-12)
+        hold = dilation_factor(EARTH_RADIUS, earth) * 3.0
+        assert ascent(earth, 1e-9, 3.0).dtau_v == pytest.approx(hold, rel=1e-12)
 
     def test_ascent_against_quadrature_oracle(self, earth):
-        # 40-digit quadrature of the same worldline, frozen
-        path = PathProfile((LinearAscent(EARTH_RADIUS, EARTH_RADIUS + 100.0, 10.0),))
-        assert proper_time(path, earth) == pytest.approx(
-            9.999999993038743319, rel=1e-13
+        # 40-digit quadrature of the same climb, frozen
+        value = ascent(earth, 100.0, 10.0).dtau_v
+        assert value == pytest.approx(9.999999993038743319, rel=1e-13)
+        assert value == pytest.approx(
+            float(oracle_ascent(earth, 100.0, 10.0)), rel=1e-15, abs=0.0
         )
 
-    def test_rejects_interior_radius(self, earth):
-        with pytest.raises(ValueError):
-            proper_time(PathProfile((Hold(1e-3, 1.0),)), earth)
-
-    def test_rejects_nonpositive_duration(self):
-        with pytest.raises(ValueError):
-            PathProfile((Hold(EARTH_RADIUS, 0.0),))
-
-    def test_truncation(self, earth):
-        path = PathProfile(
-            (Hold(EARTH_RADIUS, 2.0), LinearAscent(EARTH_RADIUS, EARTH_RADIUS + 10, 4.0))
-        )
-        clipped = path.truncated(4.0)
-        assert clipped.total_duration == pytest.approx(4.0, rel=1e-15)
-        # half of the ascent keeps half the climb
-        assert clipped.segments[-1].r_end == pytest.approx(EARTH_RADIUS + 5.0, rel=1e-12)
-        with pytest.raises(ValueError):
-            path.truncated(7.0)
+    def test_no_ascent_no_proper_time(self, earth):
+        assert ascent(earth, 1.0, 0.0).dtau_v == 0.0
 
 
 class TestProperTimeDifference:
-    def test_identical_paths(self, earth):
-        path = PathProfile((Hold(EARTH_RADIUS + 2.0, 7.0),))
-        assert proper_time_difference(path, path, earth) == 0.0
-
-    def test_one_meter_hold_difference(self, earth):
-        hi = PathProfile((Hold(EARTH_RADIUS + 1.0, 1.0),))
-        lo = PathProfile((Hold(EARTH_RADIUS, 1.0),))
-        value = proper_time_difference(hi, lo, earth)
-        assert value == pytest.approx(
-            dilation_difference(EARTH_RADIUS + 1.0, EARTH_RADIUS, earth), rel=1e-15
-        )
-        assert value == pytest.approx(1.0927e-16, rel=1e-3)
-        assert proper_time_difference(lo, hi, earth) == -value
-
-    def test_equal_height_paths_cancel(self, earth):
-        # static spherically symmetric field: same radius means same clock
-        # rate regardless of where the segments sit on the timeline
-        a = PathProfile((Hold(EARTH_RADIUS + 5.0, 2.0), Hold(EARTH_RADIUS + 5.0, 3.0)))
-        b = PathProfile((Hold(EARTH_RADIUS + 5.0, 5.0),))
-        assert proper_time_difference(a, b, earth) == 0.0
-
     def test_shared_ascent_cancels_exactly(self, earth):
-        climb = LinearAscent(EARTH_RADIUS, EARTH_RADIUS + 3.0, 2.0)
-        a = PathProfile((climb, Hold(EARTH_RADIUS + 3.0, 5.0)))
-        b = PathProfile((Hold(EARTH_RADIUS, 5.0), climb))
-        value = proper_time_difference(a, b, earth)
-        expected = dilation_difference(EARTH_RADIUS + 3.0, EARTH_RADIUS, earth) * 5.0
-        assert value == pytest.approx(expected, rel=1e-15)
-
-    def test_duration_mismatch_rejected(self, earth):
-        a = PathProfile((Hold(EARTH_RADIUS, 1.0),))
-        b = PathProfile((Hold(EARTH_RADIUS, 2.0),))
-        with pytest.raises(ValueError):
-            proper_time_difference(a, b, earth)
+        # both branches make the same climb, so the residual sees only the
+        # head start dt_r, however it splits into climb and wait
+        instant = ProtocolSchedule(earth, h=3.0, d=1e-6, dt_v=0.0, dt_s=5.0, dt_c=1e-15)
+        climbing = ProtocolSchedule(earth, h=3.0, d=1e-6, dt_v=2.0, dt_s=3.0, dt_c=1e-15)
+        assert climbing.matching_residual() == instant.matching_residual()
+        oracle = float(oracle_residual(climbing))
+        assert climbing.matching_residual() == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 class TestSolveMatching:
@@ -261,8 +267,7 @@ class TestSchedulesAndPaths:
     def test_path_residual_matches_schedule_residual(self, earth):
         for dt_v in (0.0, 2.0):
             schedule = solved_schedule(earth, 1.0, 0.3e-6, dt_v=dt_v)
-            residual = path_matching_residual(schedule)
-            assert abs(residual) < 1e-12 * schedule.tau_star
+            assert abs(oracle_residual(schedule)) < 1e-12 * schedule.tau_star
 
     def test_unsolved_schedule_residual_algebra(self, earth):
         # arbitrary head start: residual must equal the closed combination
@@ -272,26 +277,24 @@ class TestSchedulesAndPaths:
             dilation_difference(EARTH_RADIUS + 1.0, EARTH_RADIUS, earth) * 5.0
             - schedule.dtau_c
         )
-        assert schedule.matching_residual() == pytest.approx(expected, rel=1e-15)
-        assert path_matching_residual(schedule) == pytest.approx(expected, rel=1e-12)
+        assert schedule.matching_residual() == pytest.approx(expected, rel=1e-15, abs=0.0)
+        oracle = float(oracle_residual(schedule))
+        assert schedule.matching_residual() == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
     def test_degenerate_schedule_paths_identical(self, earth):
-        schedule = ProtocolSchedule(earth, h=0.0, d=1e-6, dt_v=0.0, dt_s=0.0, dt_c=1.0)
-        early, late = build_paths(schedule)
-        assert proper_time_difference(early, late, earth) == 0.0
-
-    def test_built_paths_align_on_total_duration(self, earth):
-        schedule = solved_schedule(earth, 1.0, 0.3e-6, dt_v=1.5)
-        early, late = build_paths(schedule)
-        assert early.total_duration == pytest.approx(schedule.dt_exp, rel=1e-12)
-        assert late.total_duration == pytest.approx(schedule.dt_exp, rel=1e-12)
+        # h = 0: the branches never separate, so only the crossing is left
+        # and the climb is a hold at R
+        schedule = ProtocolSchedule(earth, h=0.0, d=1e-6, dt_v=2.0, dt_s=0.0, dt_c=1.0)
+        assert schedule.matching_residual() == -schedule.dtau_c
+        hold = dilation_factor(EARTH_RADIUS, earth) * 2.0
+        assert schedule.dtau_v == pytest.approx(hold, rel=1e-15, abs=0.0)
 
     def test_branch_proper_times_reach_tau_star(self, earth):
         # end to end: both branches accumulate tau_star at their crossing
         schedule = solved_schedule(earth, 1.0, 0.3e-6, dt_v=1.0)
-        early, late = build_paths(schedule)
-        tau_early = proper_time(early.truncated(schedule.t3), earth)
-        tau_late = proper_time(late.truncated(schedule.t4), earth)
+        _, t3, t4 = exact_events(schedule)
+        tau_early = float(oracle_branch_tau(schedule, "early", t3))
+        tau_late = float(oracle_branch_tau(schedule, "late", t4))
         assert tau_early == pytest.approx(schedule.tau_star, rel=1e-12)
         assert tau_late == pytest.approx(schedule.tau_star, rel=1e-12)
 
