@@ -12,14 +12,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from .config import (
     PRESET_NAMES,
+    SWEEPABLE,
     ConfigError,
     ScenarioConfig,
     apply_preset,
@@ -29,11 +32,15 @@ from .config import (
     with_sweep_value,
 )
 from .hilbert import state_csv_rows
-from .spacetime import CODATA2018
+from .spacetime import CODATA2018, point_message, value_at
 from .switch_model import (
+    AMPLITUDES,
     AmplitudeModel,
     DiagonalResult,
     build_input,
+    check_amplitudes,
+    coefficient_rows,
+    complement,
     diagonal_measure,
     run_switch,
     switch_summaries,
@@ -42,7 +49,6 @@ from .timing import (
     ProtocolSchedule,
     small_mass_duration,
     solve_matching,
-    solved_schedule,
     static_agent_tau,
     validate_windows,
 )
@@ -61,29 +67,133 @@ CONSTANTS_ENV = "QSWITCH_CONSTANTS"
 # ---------------------------------------------------------------------------
 # table formatting
 
+#: rows computed, formatted and written at a time; a sweep's memory is
+#: bounded by this, not by its grid
+CHUNK_ROWS = 10_000
+
+
 def _cell(value):
+    if isinstance(value, float):
+        return f"{value:.17g}"
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.17g}"
     return str(value)
 
 
+def _json_cell(value):
+    """A value as json.dumps writes it."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
+def _cells(column, n, cell, float_cell):
+    """The n cells of a column: a tuple of values, or a numpy column whose
+    values are each formatted once however often they repeat (floats by
+    float_cell)."""
+    if isinstance(column, tuple):
+        return list(map(cell, column))
+    if column is None:
+        return [cell(None)] * n
+    if column.strides == (0,):
+        return [cell(column[:1].tolist()[0])] * n
+    if column.dtype == float:
+        # distinct by bit pattern, so that 0.0 and -0.0 stay apart
+        distinct, where = np.unique(column.view(np.int64), return_inverse=True)
+        distinct, cell = distinct.view(float), float_cell
+    elif column.dtype.kind in "bU":
+        distinct, where = np.unique(column, return_inverse=True)
+    else:
+        return list(map(cell, column.tolist()))
+    return np.array(list(map(cell, distinct.tolist())), dtype=object)[where].tolist()
+
+
+def _chunks(columns, rows):
+    """(row count, {column: values}) for each chunk of at most CHUNK_ROWS rows;
+    a plain list of row dicts is transposed into its columns."""
+    if isinstance(rows, SweepTable):
+        yield from rows.chunks()
+        return
+    for lo in range(0, len(rows), CHUNK_ROWS):
+        part = rows[lo:lo + CHUNK_ROWS]
+        yield len(part), dict(zip(columns, zip(*([row.get(col) for col in columns] for row in part))))
+
+
+def _csv_pieces(columns, rows):
+    yield ",".join(columns) + "\n"
+    for n, chunk in _chunks(columns, rows):
+        cells = [_cells(chunk.get(col), n, _cell, "%.17g".__mod__) for col in columns]
+        yield "".join(",".join(row) + "\n" for row in zip(*cells))
+
+
+def _json_pieces(columns, rows):
+    """The pieces of json.dumps(rows as dicts, indent=2) + newline."""
+    keys = list(dict.fromkeys(columns))
+    template = "  {\n" + ",\n".join(
+        f"    {json.dumps(key).replace('%', '%%')}: %s" for key in keys
+    ) + "\n  }"
+    opening = "[\n"
+    for n, chunk in _chunks(columns, rows):
+        cells = [_cells(chunk.get(key), n, _json_cell, _json_cell) for key in keys]
+        yield opening + ",\n".join(map(template.__mod__, zip(*cells)))
+        opening = ",\n"
+    yield "[]\n" if opening == "[\n" else "\n]\n"
+
+
+WRITERS = {"csv": _csv_pieces, "json": _json_pieces}
+
+
 def format_csv(columns, rows):
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_cell(row.get(col)) for col in columns))
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_pieces(columns, rows))
 
 
 def format_json(columns, rows):
-    payload = [{col: row.get(col) for col in columns} for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    return "".join(_json_pieces(columns, rows))
 
 
-FORMATTERS = {"csv": format_csv, "json": format_json}
+class SweepTable:
+    """A sweep's rows, computed a chunk of CHUNK_ROWS at a time.
+
+    Indexing, slicing and iteration give rows as dicts of Python values.
+    Only the last chunk computed is kept, so memory stays bounded by the
+    chunk whatever the grid.
+    """
+
+    def __init__(self, n, compute):
+        self._n = n
+        self._compute = compute  # (lo, hi) -> {column: numpy column of hi - lo points}
+        self._kept = (None, None)
+
+    def __len__(self):
+        return self._n
+
+    def _chunk(self, k):
+        if self._kept[0] != k:
+            lo = k * CHUNK_ROWS
+            self._kept = (k, self._compute(lo, min(lo + CHUNK_ROWS, self._n)))
+        return self._kept[1]
+
+    def chunks(self):
+        for k in range(-(-self._n // CHUNK_ROWS)):
+            yield min(CHUNK_ROWS, self._n - k * CHUNK_ROWS), self._chunk(k)
+
+    def __iter__(self):
+        for _, chunk in self.chunks():
+            names = list(chunk)
+            for values in zip(*(chunk[name].tolist() for name in names)):
+                yield dict(zip(names, values))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._n))]
+        if i < 0:
+            i += self._n
+        if not 0 <= i < self._n:
+            raise IndexError("sweep row index out of range")
+        k, j = divmod(i, CHUNK_ROWS)
+        return {name: column[j:j + 1].tolist()[0] for name, column in self._chunk(k).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -101,28 +211,29 @@ TIMING_COLUMNS = [
 ]
 
 
-def compute_timing(config, constants):
+def _timing_columns(config, constants):
+    """TIMING_COLUMNS but warnings, for a config whose body and protocol
+    values may be sweep columns, and each point's warning checks, as
+    (bad, template, *values) like check_domain's."""
     body = config.central_body(constants)
     p = config.protocol
     if p.h is None or p.d is None:
         raise ConfigError("protocol h and d are required for timing")
-    warnings = []
     solution = solve_matching(body, p.h, p.d, p.dt_c)
     if p.dt_s is None:
-        schedule = solved_schedule(body, p.h, p.d, p.dt_c, p.dt_v)
+        schedule = solution.schedule(p.dt_v)
     else:
         schedule = ProtocolSchedule(
             body=body, h=p.h, d=p.d, dt_v=p.dt_v, dt_s=p.dt_s, dt_c=solution.dt_c
         )
     residual = schedule.matching_residual()
-    residual_rel = residual / schedule.tau_star
-    if p.dt_s is not None and abs(residual_rel) > 1e-9:
-        warnings.append(
-            f"explicit dt_s leaves matching residual {residual_rel:.3g} of tau_star"
-        )
-    weak_gap = abs(solution.ratio_weak_field / solution.ratio_exact - 1.0)
-
-    row = {
+    tau_star = schedule.tau_star
+    residual_rel = residual / tau_star
+    checks = []
+    if p.dt_s is not None:
+        checks.append((abs(residual_rel) > 1e-9,
+                       "explicit dt_s leaves matching residual {:.3g} of tau_star", residual_rel))
+    columns = {
         "scenario": config.scenario,
         "mass": body.mass,
         "radius": body.radius,
@@ -136,10 +247,10 @@ def compute_timing(config, constants):
         "ratio_exact": solution.ratio_exact,
         "ratio_weak_field": solution.ratio_weak_field,
         "ratio_curvature_form": solution.ratio_curvature_form,
-        "weak_field_gap": weak_gap,
+        "weak_field_gap": abs(solution.ratio_weak_field / solution.ratio_exact - 1.0),
         "dt_r": schedule.dt_r,
         "dt_exp": schedule.dt_exp,
-        "tau_star": schedule.tau_star,
+        "tau_star": tau_star,
         "dtau_v": schedule.dtau_v,
         "dtau_c": schedule.dtau_c,
         "matching_residual": residual,
@@ -149,25 +260,39 @@ def compute_timing(config, constants):
     }
     if p.dtau_1 is not None and p.eps is not None:
         report = validate_windows(schedule, p.dtau_1, p.eps)
-        row["margin_flight"] = report.margin_flight
-        row["margin_decay"] = report.margin_decay
-        row["margin_crossing"] = report.margin_crossing
-        row["windows_passed"] = report.all_passed
-        if not report.passed_flight:
-            warnings.append(
-                f"decay window does not resolve the photon flight "
-                f"(margin {report.margin_flight:.3g})"
-            )
-        if not report.passed_decay:
-            warnings.append(
-                f"trigger sharpness insufficient (margin {report.margin_decay:.3g})"
-            )
-        if not report.passed_crossing:
-            warnings.append(
-                f"crossing time not negligible (margin {report.margin_crossing:.3g})"
-            )
+        columns["margin_flight"] = report.margin_flight
+        columns["margin_decay"] = report.margin_decay
+        columns["margin_crossing"] = report.margin_crossing
+        columns["windows_passed"] = report.all_passed
+        checks += [
+            (np.logical_not(report.passed_flight),
+             "decay window does not resolve the photon flight (margin {:.3g})",
+             report.margin_flight),
+            (np.logical_not(report.passed_decay),
+             "trigger sharpness insufficient (margin {:.3g})", report.margin_decay),
+            (np.logical_not(report.passed_crossing),
+             "crossing time not negligible (margin {:.3g})", report.margin_crossing),
+        ]
     else:
-        warnings.append("interaction windows unchecked (set dtau_1 and eps)")
+        checks.append((True, "interaction windows unchecked (set dtau_1 and eps)"))
+    return columns, checks
+
+
+def _point_warnings(checks, n):
+    """(point, its warning messages) for each of n points that has any."""
+    hit = np.zeros(n, dtype=bool)
+    for check in checks:
+        hit |= check[0]
+    return [(i, [point_message(check, i) for check in checks if value_at(check[0], i)])
+            for i in np.flatnonzero(hit).tolist()]
+
+
+def compute_timing(config, constants):
+    """One point's row and warnings: a batch of one through the sweep's columns."""
+    columns, checks = _timing_columns(config, constants)
+    row = {name: value.item() if isinstance(value, (np.ndarray, np.generic)) else value
+           for name, value in columns.items()}
+    warnings = [message for _, messages in _point_warnings(checks, 1) for message in messages]
     row["warnings"] = "; ".join(warnings)
     return row, warnings
 
@@ -263,7 +388,7 @@ def switch_report_text(config, outcome):
 def switch_rows(config, models):
     """Sweep digests of `config`'s input under each model, as one batch:
     class probabilities and the no-witness class's order readout."""
-    table = switch_summaries(build_input(config.switch.alpha), models)
+    table = switch_summaries(build_input(config.switch.alpha), [m.coefficients() for m in models])
     return [dict(zip(SWITCH_SUMMARY_COLUMNS, row)) for row in table.tolist()]
 
 
@@ -399,7 +524,33 @@ def _at(prefix):
     return ", ".join(f"{k}={v:.17g}" for k, v in prefix.items())
 
 
+def _checked(compute, lo, hi, name_of):
+    """compute(lo, hi), or a ConfigError naming the first of the points lo..hi
+    that fails, with the first check that point fails.
+
+    A check raises at the first point it rejects among those that passed
+    the checks before it, so an earlier point may still fail a later check:
+    the points before the one found are computed again until none fails.
+    """
+    end = hi
+    while True:
+        try:
+            result = compute(lo, end)
+        except ValueError as exc:
+            error, end = exc, lo + getattr(exc, "index", 0)
+            if end > lo:
+                continue
+        if end == hi:
+            return result
+        raise ConfigError(f"{name_of(end)}: {error}") from None
+
+
 def compute_sweep(config, constants):
+    """(columns, rows, warnings) of a sweep; rows is a SweepTable.
+
+    Every point is checked, and a timing sweep's warnings gathered, before
+    this returns, so a bad point stops the run before any row is written.
+    """
     ranges = config.sweep.ranges
     if not 1 <= len(ranges) <= 2:
         raise ConfigError("sweep needs one or two parameter ranges")
@@ -409,41 +560,106 @@ def compute_sweep(config, constants):
     if total > MAX_SWEEP_POINTS:
         raise ConfigError(f"sweep grid of {total} points exceeds {MAX_SWEEP_POINTS}")
 
-    grids = [sorted(rng.values()) for rng in ranges]
+    grids = [np.array(sorted(rng.values()), dtype=float) for rng in ranges]
     names = [rng.parameter for rng in ranges]
+    for name in names:
+        with_sweep_value(config, name, 0.0)  # rejects a parameter that is not sweepable
     target = config.sweep.target
+    columns = [f"sweep_{n}" for n in names]
+    columns += TIMING_COLUMNS if target == "timing" else SWITCH_SUMMARY_COLUMNS
 
-    if len(grids) == 1:
-        points = [(v,) for v in grids[0]]
-    else:
-        points = [(v1, v2) for v1 in grids[0] for v2 in grids[1]]
+    def swept(lo, hi):
+        """[(parameter, grid, index of points lo..hi in its grid)] of each axis."""
+        points = np.arange(lo, hi)
+        if len(grids) == 1:
+            return [(names[0], grids[0], points)]
+        n2 = len(grids[1])
+        return [(names[0], grids[0], points // n2), (names[1], grids[1], points % n2)]
 
-    rows, warnings, models = [], [], []
-    for values in points:
-        pt_config = config
-        for name, value in zip(names, values):
-            pt_config = with_sweep_value(pt_config, name, value)
-        prefix = {f"sweep_{n}": float(v) for n, v in zip(names, values)}
-        try:
-            if target == "timing":
-                row, point_warnings = compute_timing(pt_config, constants)
-                if point_warnings:
-                    warnings.extend(f"{_at(prefix)}: {message}" for message in point_warnings)
-                rows.append({**prefix, **row})
-            else:
-                models.append(build_model(pt_config.switch))
-                rows.append(prefix)
-        except ValueError as exc:
-            raise ConfigError(f"{_at(prefix)}: {exc}") from None
-    if target == "switch":
-        # every point's model is valid before any point is evaluated
-        rows = [{**prefix, **row} for prefix, row in zip(rows, switch_rows(config, models))]
-    param_cols = [f"sweep_{n}" for n in names]
+    def point_name(axes, i):
+        """Point i of swept(...) as warnings and errors name it; a later axis
+        over the same parameter wins, as it does in the point's config."""
+        return _at({f"sweep_{name}": grid[at[i]].item() for name, grid, at in axes})
+
+    def name_of(i):
+        return point_name(swept(i, i + 1), 0)
+
     if target == "timing":
-        columns = param_cols + TIMING_COLUMNS
-    else:
-        columns = param_cols + SWITCH_SUMMARY_COLUMNS
-    return columns, rows, warnings
+        compute, warnings = _timing_sweep(config, constants, swept), []
+        for lo in range(0, total, CHUNK_ROWS):
+            hi = min(lo + CHUNK_ROWS, total)
+            _, point_warnings = _checked(compute, lo, hi, name_of)
+            axes = swept(lo, hi)
+            warnings += [f"{point_name(axes, i)}: {message}"
+                         for i, messages in point_warnings for message in messages]
+        return columns, SweepTable(total, lambda lo, hi: compute(lo, hi)[0]), warnings
+
+    compute = _switch_sweep(config, swept, grids, names)
+    for lo in range(0, total, CHUNK_ROWS):
+        _checked(compute, lo, min(lo + CHUNK_ROWS, total), name_of)
+    state = build_input(config.switch.alpha)
+    return columns, SweepTable(total, lambda lo, hi: compute(lo, hi, state)), []
+
+
+def _timing_sweep(config, constants, swept):
+    """compute(lo, hi) -> (the table's columns, point warnings) of points lo..hi."""
+    def compute(lo, hi):
+        chunk, point = {}, config
+        for name, grid, at in swept(lo, hi):
+            chunk[f"sweep_{name}"] = grid[at]
+            if SWEEPABLE[name] != "switch":
+                point = with_sweep_value(point, name, grid[at])
+        table, checks = _timing_columns(point, constants)
+        n = hi - lo
+        point_warnings = _point_warnings(checks, n)
+        texts = [""] * n
+        for i, messages in point_warnings:
+            texts[i] = "; ".join(messages)
+        chunk.update((name, np.broadcast_to(value, (n,))) for name, value in table.items())
+        chunk["warnings"] = np.array(texts)
+        return chunk, point_warnings
+
+    return compute
+
+
+def _switch_sweep(config, swept, grids, names):
+    """compute(lo, hi, state=None) -> the table's columns of points lo..hi for
+    an input state; with no state it only checks the points' models.
+
+    Each point's coefficients are the config's, with each swept amplitude
+    and its complement in their columns; a complement is computed once per
+    grid value.
+    """
+    sw = config.switch
+    fixed = [getattr(sw, name) for name, _ in AMPLITUDES]
+    phases = [getattr(sw, phase) for _, phase in AMPLITUDES]
+    position = {name: k for k, (name, _) in enumerate(AMPLITUDES)}
+
+    @cache
+    def grid_complements(axis):
+        k = position[names[axis]]
+        return np.array([complement(complex(v), phases[k]) for v in grids[axis].tolist()])
+
+    def compute(lo, hi, state=None):
+        chunk, amplitudes = {}, list(fixed)
+        axes = swept(lo, hi)
+        for name, grid, at in axes:
+            chunk[f"sweep_{name}"] = grid[at]
+            if name in position:
+                amplitudes[position[name]] = grid[at].astype(complex)
+        check_amplitudes(amplitudes, phases)
+        if state is None:
+            return chunk
+        partners = list(map(complement, fixed, phases))
+        for axis, (name, _, at) in enumerate(axes):
+            if name in position:
+                partners[position[name]] = grid_complements(axis)[at]
+        coefficients = coefficient_rows(amplitudes, partners)
+        table = switch_summaries(state, np.broadcast_to(coefficients, (hi - lo, 13)))
+        chunk.update(zip(SWITCH_SUMMARY_COLUMNS, table.T))
+        return chunk
+
+    return compute
 
 
 # ---------------------------------------------------------------------------
@@ -474,15 +690,21 @@ def _resolve_config(args, constants):
 
 
 def _emit(args, config, command, columns, rows, extras=()):
-    text = FORMATTERS[args.format](columns, rows)
-    sys.stdout.write(text)
+    """Write the table to stdout, and with --out to its file, a chunk at a time."""
+    sinks = [sys.stdout]
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        ext = args.format
-        (out_dir / f"{config.scenario}_{command}.{ext}").write_text(text)
-        for filename, content in extras:
-            (out_dir / filename).write_text(content)
+        sinks.append(open(out_dir / f"{config.scenario}_{command}.{args.format}", "w"))
+    try:
+        for piece in WRITERS[args.format](columns, rows):
+            for sink in sinks:
+                sink.write(piece)
+    finally:
+        for sink in sinks[1:]:
+            sink.close()
+    for filename, content in extras if args.out else ():
+        (out_dir / filename).write_text(content)
 
 
 def main(argv=None):

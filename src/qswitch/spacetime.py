@@ -6,12 +6,20 @@ the surface of a planet the two dilation factors agree to ~10 decimal
 digits, so the textbook two-square-root subtraction loses essentially all
 significant bits.  The conjugate rearrangement used here is exact algebra
 and keeps full double precision.
+
+Radii, masses and the body's fields may be numbers or equal-length numpy
+columns (one entry per point of a sweep); a column gives the same bits at
+each point as that point's number would.  Domain checks name the first bad
+point through :class:`DomainError`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 # CODATA 2018
 C_LIGHT = 299792458.0        # speed of light (m/s, exact)
@@ -35,10 +43,70 @@ class PhysicalConstants:
 CODATA2018 = PhysicalConstants()
 
 
+class DomainError(ValueError):
+    """An input outside a formula's domain; `index` is its point in a column."""
+
+    def __init__(self, message, index=0):
+        super().__init__(message)
+        self.index = index
+
+
+def value_at(x, i):
+    """Point i of a number or column, as a Python number."""
+    x = np.asarray(x)
+    return x.item(i if x.ndim else 0)
+
+
+def point_message(check, i):
+    """The message of a check (bad, template, *values) at point i."""
+    _, template, *values = check
+    return template.format(*(value_at(v, i) for v in values))
+
+
+def check_domain(*checks):
+    """Raise DomainError at the first point that fails any check.
+
+    Each check is (bad, template, *values): `bad` a truth value or a column
+    of them, the error the template filled with the point's values.  Checks
+    are listed in the order one point meets them, so a point failing
+    several gets the first message.
+    """
+    for bad, *_ in checks:
+        if isinstance(bad, np.ndarray) and bad.ndim:
+            break
+    else:
+        for check in checks:
+            if check[0]:
+                raise DomainError(point_message(check, 0))
+        return
+    bads = np.broadcast_arrays(*(np.asarray(check[0]) for check in checks))
+    hit = np.logical_or.reduce(bads)
+    if hit.any():
+        i = int(np.argmax(hit))
+        raise DomainError(next(point_message(c, i) for bad, c in zip(bads, checks) if bad[i]), i)
+
+
+def libm(fn, x):
+    """fn (a function of one double) at each point of x.
+
+    numpy's vectorized power and inverse hyperbolic functions round the last
+    bit differently from the C library for a few inputs in a thousand, so a
+    column would not reproduce its points' single results.
+    """
+    if np.ndim(x) == 0:
+        return fn(float(x))
+    return np.fromiter(map(fn, x.tolist()), float, count=x.size)
+
+
+def sqrt(x):
+    """Square root of a number (math.sqrt, which keeps it a Python float) or
+    of a column (np.sqrt); both are correctly rounded."""
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+
+
 def schwarzschild_radius(mass, constants=CODATA2018):
     """Schwarzschild radius 2GM/c^2 in meters."""
-    if mass <= 0:
-        raise ValueError(f"mass must be positive, got {mass}")
+    check_domain((mass <= 0, "mass must be positive, got {}", mass))
     return 2.0 * constants.G * mass / (constants.c * constants.c)
 
 
@@ -64,17 +132,17 @@ class CentralBody:
     constants: PhysicalConstants = field(default=CODATA2018)
 
     def __post_init__(self):
-        if not (math.isfinite(self.mass) and self.mass > 0):
-            raise ValueError(f"mass must be finite and positive, got {self.mass}")
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError(f"radius must be finite and positive, got {self.radius}")
-        if self.schwarzschild_radius >= self.radius:
-            raise ValueError(
-                "body is not in the weak-field regime: "
-                f"R_S={self.schwarzschild_radius:g} m >= R={self.radius:g} m"
-            )
+        mass, radius = self.mass, self.radius
+        check_domain(
+            (~(np.isfinite(mass) & (mass > 0)), "mass must be finite and positive, got {}", mass),
+            (~(np.isfinite(radius) & (radius > 0)),
+             "radius must be finite and positive, got {}", radius),
+        )
+        r_s = self.schwarzschild_radius
+        check_domain((r_s >= radius, "body is not in the weak-field regime: "
+                      "R_S={:g} m >= R={:g} m", r_s, radius))
 
-    @property
+    @cached_property
     def schwarzschild_radius(self):
         """R_S = 2GM/c^2 (m)."""
         return schwarzschild_radius(self.mass, self.constants)
@@ -88,7 +156,7 @@ class CentralBody:
     def curvature_r0101(self):
         """R_0101 = -c^2 R_S / R^3, the tidal curvature component (1/s^2)."""
         c = self.constants.c
-        return -c * c * self.schwarzschild_radius / self.radius**3
+        return -c * c * self.schwarzschild_radius / libm(lambda r: r**3, self.radius)
 
 
 def dilation_factor(r, body):
@@ -98,9 +166,8 @@ def dilation_factor(r, body):
     Raises ValueError for r <= R_S (outside the protocol's exterior regime).
     """
     r_s = body.schwarzschild_radius
-    if r <= r_s:
-        raise ValueError(f"radius {r:g} m is not outside R_S={r_s:g} m")
-    return math.sqrt(1.0 - r_s / r)
+    check_domain((r <= r_s, "radius {:g} m is not outside R_S={:g} m", r, r_s))
+    return sqrt(1.0 - r_s / r)
 
 
 def dilation_difference(r_hi, r_lo, body):
@@ -120,14 +187,12 @@ def dilation_difference(r_hi, r_lo, body):
     strictly positive.
     """
     r_s = body.schwarzschild_radius
-    if r_lo <= r_s:
-        raise ValueError(f"lower radius {r_lo:g} m is not outside R_S={r_s:g} m")
-    if r_hi < r_lo:
-        raise ValueError(f"radius ordering violated: r_hi={r_hi:g} < r_lo={r_lo:g}")
-    if r_hi == r_lo:
-        return 0.0
-    s_hi = math.sqrt(1.0 - r_s / r_hi)
-    s_lo = math.sqrt(1.0 - r_s / r_lo)
+    check_domain(
+        (r_lo <= r_s, "lower radius {:g} m is not outside R_S={:g} m", r_lo, r_s),
+        (r_hi < r_lo, "radius ordering violated: r_hi={:g} < r_lo={:g}", r_hi, r_lo),
+    )
+    s_hi = sqrt(1.0 - r_s / r_hi)
+    s_lo = sqrt(1.0 - r_s / r_lo)
     return r_s * (r_hi - r_lo) / (r_lo * r_hi) / (s_hi + s_lo)
 
 

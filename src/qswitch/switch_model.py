@@ -34,6 +34,7 @@ from .hilbert import (
     factor_dims,
     measure_in_basis,
 )
+from .spacetime import check_domain
 
 # target indices (photon energies e1..e5)
 E1, E2, E3, E4, E5 = range(5)
@@ -108,12 +109,36 @@ ORDERS = {PATH_EARLY: (("a", "first"), ("b", "after_a")),
           PATH_LATE: (("b", "first"), ("a", "after_b"))}
 
 
-def _check_unit_disk(name, value):
-    if not abs(value) <= 1.0 + 1e-12:
-        raise ValueError(f"|{name}| must be <= 1, got {abs(value):g}")
+#: each scattering amplitude with the phase of its no-absorption complement,
+#: in the order COEFFICIENTS lists both
+AMPLITUDES = (("c1a", "delta_1a"), ("c4a", "delta_4a"), ("c1b", "delta_1b"),
+              ("c2b", "delta_2b"), ("f_ba", "gamma_ba"), ("f_ab", "gamma_ab"))
 
 
-def _complement(c, phase):
+def check_amplitudes(amplitudes, phases):
+    """Raise at the first model, of one or of a column of them, that leaves
+    the unit disk or has a non-finite phase.
+
+    `amplitudes` and `phases` hold a value or a column for each name in
+    AMPLITUDES, in that order; a column is one model per entry.
+    """
+    check_domain(
+        *((np.logical_not(abs(c) <= 1.0 + 1e-12), "|{}| must be <= 1, got {:g}", name, abs(c))
+          for (name, _), c in zip(AMPLITUDES, amplitudes)),
+        *((~np.isfinite(phase), "{} must be finite, got {}", name, phase)
+          for (_, name), phase in zip(AMPLITUDES, phases)),
+    )
+
+
+def coefficient_rows(amplitudes, complements):
+    """(batch, 13) model coefficients laid out as AmplitudeModel.coefficients,
+    from the AMPLITUDES and their complements: values, or columns of one
+    model per entry."""
+    return np.column_stack(np.broadcast_arrays(1.0, *amplitudes, *complements)).astype(complex)
+
+
+def complement(c, phase):
+    """d = exp(i phase) sqrt(1 - |c|^2), the no-absorption partner of amplitude c."""
     return cmath.exp(1j * phase) * math.sqrt(max(0.0, 1.0 - abs(c) ** 2))
 
 
@@ -144,18 +169,16 @@ class AmplitudeModel:
     gamma_ab: float = 0.0
 
     def __post_init__(self):
-        for name in ("c1a", "c4a", "c1b", "c2b", "f_ba", "f_ab"):
-            _check_unit_disk(name, getattr(self, name))
-        for name in ("delta_1a", "delta_4a", "delta_1b", "delta_2b", "gamma_ba", "gamma_ab"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        check_amplitudes(*self._fields())
+
+    def _fields(self):
+        return ([getattr(self, c) for c, _ in AMPLITUDES],
+                [getattr(self, phase) for _, phase in AMPLITUDES])
 
     def coefficients(self):
         """The model's value of each name in COEFFICIENTS, in that order."""
-        return (1.0, self.c1a, self.c4a, self.c1b, self.c2b, self.f_ba, self.f_ab,
-                *(_complement(getattr(self, c), getattr(self, phase)) for c, phase in (
-                    ("c1a", "delta_1a"), ("c4a", "delta_4a"), ("c1b", "delta_1b"),
-                    ("c2b", "delta_2b"), ("f_ba", "gamma_ba"), ("f_ab", "gamma_ab"))))
+        amplitudes, phases = self._fields()
+        return (1.0, *amplitudes, *map(complement, amplitudes, phases))
 
     def d_a(self, photon):
         """Agent A's no-absorption complement for an incoming photon index."""
@@ -289,20 +312,22 @@ def _reachable(input_state, coefficients):
     return keep, amps
 
 
-def switch_summaries(input_state, models):
+def switch_summaries(input_state, coefficients):
     """Postselection classes and the zeta=3 readout of a batch of models.
 
-    Returns a (len(models), 6) array: the zeta=0..3 probabilities, then the
-    + and - probabilities of the "agents" diagonal measurement of the zeta=3
-    class (0.0 where it is empty).  Only amplitudes reachable from the
-    input's support are computed; sums run in a fixed order, so a row does
-    not depend on the rest of the batch.
+    `coefficients` holds one model per row, as AmplitudeModel.coefficients
+    gives it.  Returns a (batch, 6) array: the zeta=0..3 probabilities, then
+    the + and - probabilities of the "agents" diagonal measurement of the
+    zeta=3 class (0.0 where it is empty).  Only amplitudes reachable from
+    the input's support are computed; sums run in a fixed order, so a row
+    does not depend on the rest of the batch.
     """
-    coefficients = np.array([m.coefficients() for m in models], dtype=complex)
+    coefficients = np.asarray(coefficients, dtype=complex)
     keep, amps = _reachable(input_state, coefficients)
     n_target = FACTOR_DIMS["target"]
-    table = np.zeros((len(models), 6))
-    block = np.zeros((len(models), 2 * n_target + 1), dtype=complex)
+    batch = len(coefficients)
+    table = np.zeros((batch, 6))
+    block = np.zeros((batch, 2 * n_target + 1), dtype=complex)
     for r, zeta in enumerate(_ZETA[keep]):
         table[:, zeta] += abs(amps[:, r]) ** 2
     block[:, _SLOT[keep]] = amps  # histories off the block land in the last column

@@ -11,14 +11,21 @@ branches at the same elapsed proper time tau_star only when
 with dt_r the head start of the early path.  Solving this fixes the
 duration of the whole experiment; everything else here is supporting
 machinery (the closed-form ascent proper time, feasibility margins).
+
+Every input may be a number or a numpy column (one entry per sweep
+point, with a body whose mass and radius may be columns too): a single
+run is a batch of one through the same expressions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .spacetime import CentralBody, dilation_difference, dilation_factor
+import numpy as np
+
+from .spacetime import CentralBody, check_domain, dilation_difference, dilation_factor, libm, sqrt
 
 #: Taylor coefficients of (z - asinh z)/z in z^2, highest order first; 15
 #: terms reach double precision for z < _GAP_SERIES_LIMIT.
@@ -45,22 +52,25 @@ def _ascent_proper_time(radius, r_s, h, dt_v):
     rate sqrt(1 - R_S/R) dt_v.
     """
     u0 = radius - r_s
-    a = math.sqrt((u0 + h) / r_s)
-    b = math.sqrt(u0 / r_s)
-    cosh_a = math.sqrt(1.0 + a * a)
-    cosh_b = math.sqrt(1.0 + b * b)
+    a = sqrt((u0 + h) / r_s)
+    b = sqrt(u0 / r_s)
+    cosh_a = sqrt(1.0 + a * a)
+    cosh_b = sqrt(1.0 + b * b)
     w = 1.0 / (a * cosh_b + b * cosh_a)
-    cosh_sum_m1 = (a + b) ** 2 / (1.0 + (1.0 + a * a + b * b) / (cosh_a * cosh_b + a * b))
-    z = w * h / r_s
-    if z < _GAP_SERIES_LIMIT:
-        z2 = z * z
-        gap = 0.0
-        for coefficient in _GAP_SERIES:
-            gap = gap * z2 + coefficient
-        gap *= z2
-    else:
-        gap = (z - math.asinh(z)) / z
-    return dt_v * w * (cosh_sum_m1 + gap)
+    cosh_sum_m1 = libm(lambda x: x**2, a + b) / (
+        1.0 + (1.0 + a * a + b * b) / (cosh_a * cosh_b + a * b)
+    )
+    z = np.asarray(w * h / r_s)
+    z2 = z * z
+    series = 0.0
+    for coefficient in _GAP_SERIES:
+        series = series * z2 + coefficient
+    gap = np.array(series * z2)
+    far = z >= _GAP_SERIES_LIMIT
+    if far.any():
+        z_far = z[far]
+        gap[far] = (z_far - libm(math.asinh, z_far)) / z_far
+    return dt_v * w * (cosh_sum_m1 + gap[()])
 
 
 @dataclass(frozen=True)
@@ -81,16 +91,16 @@ class ProtocolSchedule:
     dt_c: float
 
     def __post_init__(self):
-        values = (self.h, self.d, self.dt_v, self.dt_s, self.dt_c)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"require finite h, d, dt_v, dt_s, dt_c, got {values}")
-        if self.h < 0 or self.d <= 0:
-            raise ValueError(f"require h >= 0 and d > 0, got h={self.h}, d={self.d}")
-        if self.dt_v < 0 or self.dt_s < 0 or self.dt_c <= 0:
-            raise ValueError(
-                "require dt_v >= 0, dt_s >= 0, dt_c > 0, got "
-                f"dt_v={self.dt_v}, dt_s={self.dt_s}, dt_c={self.dt_c}"
-            )
+        h, d, dt_v, dt_s, dt_c = values = (self.h, self.d, self.dt_v, self.dt_s, self.dt_c)
+        check_domain(
+            (~(np.isfinite(h) & np.isfinite(d) & np.isfinite(dt_v) & np.isfinite(dt_s)
+               & np.isfinite(dt_c)),
+             "require finite h, d, dt_v, dt_s, dt_c, got ({}, {}, {}, {}, {})", *values),
+            ((h < 0) | (d <= 0), "require h >= 0 and d > 0, got h={}, d={}", h, d),
+            ((dt_v < 0) | (dt_s < 0) | (dt_c <= 0),
+             "require dt_v >= 0, dt_s >= 0, dt_c > 0, got dt_v={}, dt_s={}, dt_c={}",
+             dt_v, dt_s, dt_c),
+        )
 
     @property
     def dt_r(self):
@@ -131,7 +141,7 @@ class ProtocolSchedule:
         """Total coordinate duration t4 - t0 of the experiment."""
         return self.t4
 
-    @property
+    @cached_property
     def dtau_v(self):
         """Proper time accumulated during one ascent (identical for both paths)."""
         body = self.body
@@ -184,13 +194,20 @@ class MatchingSolution:
         """Total duration for the canonical dt_v = 0 schedule."""
         return self.dt_r + self.dt_c
 
+    def schedule(self, dt_v=0.0):
+        """The solved schedule whose head start dt_r splits as dt_v + dt_s."""
+        dt_r = self.dt_r
+        check_domain(((dt_v < 0) | (dt_v > dt_r), "dt_v must lie in [0, dt_r={:g}], got {}",
+                      dt_r, dt_v))
+        return ProtocolSchedule(
+            body=self.body, h=self.h, d=self.d, dt_v=dt_v, dt_s=dt_r - dt_v, dt_c=self.dt_c
+        )
+
 
 def _regime_tag(h, radius):
-    if h <= 0.1 * radius:
-        return "near-surface"
-    if h >= 10.0 * radius:
-        return "small-mass"
-    return "general"
+    return np.where(
+        h <= 0.1 * radius, "near-surface", np.where(h >= 10.0 * radius, "small-mass", "general")
+    )[()]
 
 
 def solve_matching(body, h, d, dt_c=None):
@@ -206,12 +223,11 @@ def solve_matching(body, h, d, dt_c=None):
     reported alongside: (R/R_S)(2R/h + 2) and the surface-gravity/curvature
     split c^2/(g h) - (c^2/2) R_0101/g^2.
     """
-    if h <= 0 or d <= 0:
-        raise ValueError(f"require h > 0 and d > 0, got h={h}, d={d}")
+    check_domain(((h <= 0) | (d <= 0), "require h > 0 and d > 0, got h={}, d={}", h, d))
     if dt_c is None:
         dt_c = d / body.constants.c
-    elif dt_c <= 0:
-        raise ValueError(f"require dt_c > 0, got {dt_c}")
+    else:
+        check_domain((dt_c <= 0, "require dt_c > 0, got {}", dt_c))
 
     radius = body.radius
     r_s = body.schwarzschild_radius
@@ -243,19 +259,12 @@ def solved_schedule(body, h, d, dt_c=None, dt_v=0.0):
     The solved head start dt_r is split as dt_v + dt_s for the requested
     ascent duration (dt_v must not exceed dt_r).
     """
-    solution = solve_matching(body, h, d, dt_c)
-    dt_r = solution.dt_r
-    if dt_v < 0 or dt_v > dt_r:
-        raise ValueError(f"dt_v must lie in [0, dt_r={dt_r:g}], got {dt_v}")
-    return ProtocolSchedule(
-        body=body, h=h, d=d, dt_v=dt_v, dt_s=dt_r - dt_v, dt_c=solution.dt_c
-    )
+    return solve_matching(body, h, d, dt_c).schedule(dt_v)
 
 
 def small_mass_duration(body, d):
     """Limit h >> R of the solved head start: dt_r = c R d / (G M)."""
-    if d <= 0:
-        raise ValueError(f"require d > 0, got {d}")
+    check_domain((d <= 0, "require d > 0, got {}", d))
     k = body.constants
     return k.c * body.radius * d / (k.G * body.mass)
 
@@ -266,10 +275,8 @@ def static_agent_tau(r_b, body):
     Baseline for comparison: agents held at fixed radius r_b instead of
     following the moving-path schedule.
     """
-    if r_b <= body.schwarzschild_radius:
-        raise ValueError(
-            f"r_b={r_b:g} m is not outside R_S={body.schwarzschild_radius:g} m"
-        )
+    r_s = body.schwarzschild_radius
+    check_domain((r_b <= r_s, "r_b={:g} m is not outside R_S={:g} m", r_b, r_s))
     k = body.constants
     return 2.0 * r_b * r_b * k.c / (k.G * body.mass)
 
@@ -300,7 +307,7 @@ class WindowReport:
 
     @property
     def all_passed(self):
-        return self.passed_flight and self.passed_decay and self.passed_crossing
+        return self.passed_flight & self.passed_decay & self.passed_crossing
 
 
 def validate_windows(schedule, dtau_1, eps, threshold=10.0):
@@ -309,10 +316,8 @@ def validate_windows(schedule, dtau_1, eps, threshold=10.0):
     "Much less" is operationalized as a configurable factor (default 10).
     Failures are reported, never raised.
     """
-    if dtau_1 <= 0 or eps <= 0:
-        raise ValueError(
-            f"require dtau_1 > 0 and eps > 0, got dtau_1={dtau_1}, eps={eps}"
-        )
+    check_domain(((dtau_1 <= 0) | (eps <= 0),
+                  "require dtau_1 > 0 and eps > 0, got dtau_1={}, eps={}", dtau_1, eps))
     flight = schedule.d / schedule.body.constants.c
     return WindowReport(
         margin_flight=flight / dtau_1,

@@ -1,8 +1,18 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qswitch.spacetime import CentralBody
 from qswitch.switch_model import AmplitudeModel
+
+# tests that start `python -m qswitch.cli` run this checkout's sources,
+# as pyproject's pytest pythonpath does for the tests themselves
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+)
 
 EARTH_MASS = 5.9722e24
 EARTH_RADIUS = 6.371e6

@@ -400,7 +400,7 @@ class TestSweep:
         def evaluated(*args):
             raise AssertionError("a switch point was evaluated before all were checked")
 
-        monkeypatch.setattr(cli, "switch_rows", evaluated)
+        monkeypatch.setattr(cli, "switch_summaries", evaluated)
         assert main(["sweep", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

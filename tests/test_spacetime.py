@@ -101,8 +101,8 @@ class TestDilationDifference:
     def test_one_meter_against_oracle(self, earth):
         value = dilation_difference(EARTH_RADIUS + 1.0, EARTH_RADIUS, earth)
         oracle = float(oracle_difference(EARTH_RADIUS + 1.0, EARTH_RADIUS, earth))
-        assert value == pytest.approx(oracle, rel=1e-12)
-        assert value == pytest.approx(1.0927e-16, rel=1e-3)
+        assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
+        assert value == pytest.approx(1.0927e-16, rel=1e-3, abs=0.0)
 
     def test_degenerate_input_returns_zero(self, earth):
         assert dilation_difference(EARTH_RADIUS, EARTH_RADIUS, earth) == 0.0
@@ -128,7 +128,7 @@ class TestDilationDifference:
         for h in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3):
             value = dilation_difference(EARTH_RADIUS + h, EARTH_RADIUS, earth)
             oracle = float(oracle_difference(EARTH_RADIUS + h, EARTH_RADIUS, earth))
-            assert value == pytest.approx(oracle, rel=1e-12)
+            assert value == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
     def test_naive_subtraction_fails_below_one_meter(self, earth):
         # at sub-meter separations the true difference is below one ulp of

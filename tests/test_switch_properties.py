@@ -61,13 +61,13 @@ def test_run_switch_conserves_norm(model, alpha):
     outcome = run_switch(build_input(alpha), model)
     assert abs(outcome.pre_measurement.norm - 1.0) <= 1e-12
     assert abs(sum(outcome.zeta_probabilities) - 1.0) <= 1e-12
-    assert abs(switch_summaries(build_input(alpha), [model])[0, :4].sum() - 1.0) <= 1e-12
+    assert abs(switch_summaries(build_input(alpha), [model.coefficients()])[0, :4].sum() - 1.0) <= 1e-12
 
 
 @settings(max_examples=100, **PROPERTY)
 @given(models, alphas)
 def test_zeta3_readout_matches_diagonal_measure(model, alpha):
-    row = switch_summaries(build_input(alpha), [model])[0]
+    row = switch_summaries(build_input(alpha), [model.coefficients()])[0]
     state3 = run_switch(build_input(alpha), model).postselection(3).state
     expected = [0.0, 0.0]
     if state3 is not None:
@@ -88,7 +88,7 @@ def test_batch_rows_equal_single_summaries(batch, alpha):
 @given(models, alphas)
 def test_zeta_probabilities_match_dense_product(model, alpha):
     dense = dense_product_pre_measurement(alpha, model).reshape(DIMS)
-    batch = switch_summaries(build_input(alpha), [model])[0]
+    batch = switch_summaries(build_input(alpha), [model.coefficients()])[0]
     single = run_switch(build_input(alpha), model).zeta_probabilities
     for zeta, (det_a, det_b) in DETECTOR_PATTERNS.items():
         expected = float(np.sum(np.abs(dense[..., det_a, det_b]) ** 2))
