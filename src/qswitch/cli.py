@@ -32,7 +32,7 @@ from .config import (
     with_sweep_value,
 )
 from .hilbert import state_csv_rows
-from .spacetime import CODATA2018, point_message, value_at
+from .spacetime import CODATA2018, check_domain, point_message, value_at
 from .switch_model import (
     AMPLITUDES,
     AmplitudeModel,
@@ -54,7 +54,7 @@ from .timing import (
 )
 from .trigger import (
     TriggerParams,
-    analytic_evolve,
+    analytic_columns,
     check_trigger_condition,
     condition_from_trajectory,
     numeric_evolve,
@@ -226,6 +226,8 @@ def _timing_columns(config, constants):
         schedule = ProtocolSchedule(
             body=body, h=p.h, d=p.d, dt_v=p.dt_v, dt_s=p.dt_s, dt_c=solution.dt_c
         )
+        check_domain((schedule.dt_r <= 0, "explicit dt_s requires dt_v + dt_s > 0, "
+                      "got dt_v={}, dt_s={}", p.dt_v, p.dt_s))
     residual = schedule.matching_residual()
     tau_star = schedule.tau_star
     residual_rel = residual / tau_star
@@ -414,7 +416,7 @@ TRIGGER_COLUMNS = [
     "analytic_ready", "analytic_fired", "analytic_passed",
     "numeric_ready", "numeric_fired", "numeric_norm_drift", "numeric_passed",
     "agreement_max_dev", "free_motion_max_dev",
-    "warnings",
+    "warnings", "n_points", "n_steps", "dt_max",
 ]
 
 
@@ -444,11 +446,8 @@ def compute_trigger(config, constants):
     trajectory = numeric_evolve(params, sample_times=(probe, params.tau_star))
     numeric = condition_from_trajectory(params, trajectory)
 
-    deviations = [
-        abs(analytic_evolve(params, tau).p_off - p_off)
-        for tau, p_off in zip(trajectory.taus, trajectory.p_off)
-    ]
-    agreement = max(deviations)
+    agreement = float(np.max(np.abs(analytic_columns(params, trajectory.taus)[0]
+                                    - trajectory.p_off)))
 
     free_dev = None
     if params.v0 == 0.0:
@@ -485,6 +484,9 @@ def compute_trigger(config, constants):
         "agreement_max_dev": agreement,
         "free_motion_max_dev": free_dev,
         "warnings": "; ".join(warnings),
+        "n_points": trajectory.grid.n_points,
+        "n_steps": trajectory.n_steps,
+        "dt_max": trajectory.grid.dt_max,
     }
     return row, trajectory, params, warnings
 
@@ -496,21 +498,10 @@ TRAJECTORY_COLUMNS = [
 
 
 def trajectory_rows(trajectory, params):
-    rows = []
-    for i, tau in enumerate(trajectory.taus):
-        ana = analytic_evolve(params, min(float(tau), params.tau_star))
-        rows.append({
-            "tau": float(tau),
-            "x_mean": float(trajectory.x_mean[i]),
-            "p_mean": float(trajectory.p_mean[i]),
-            "p_off": float(trajectory.p_off[i]),
-            "p_on": float(trajectory.p_on[i]),
-            "norm": float(trajectory.norm[i]),
-            "analytic_x_mean": ana.x_mean,
-            "analytic_p_off": ana.p_off,
-            "analytic_p_on": ana.p_on,
-        })
-    return rows
+    p_off, p_on, x_mean = analytic_columns(params, np.minimum(trajectory.taus, params.tau_star))
+    t = trajectory
+    columns = (t.taus, t.x_mean, t.p_mean, t.p_off, t.p_on, t.norm, x_mean, p_off, p_on)
+    return [dict(zip(TRAJECTORY_COLUMNS, row)) for row in zip(*(c.tolist() for c in columns))]
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,19 @@ def analytic_evolve(params, tau):
     )
 
 
+def analytic_columns(params, taus):
+    """(p_off, p_on, x_mean) of analytic_evolve over a column of times in
+    [0, tau_star], each value bit-identical to its single-time result:
+    p_off is 1 before zone entry and cos^2(v0 (tau - entry) / hbar) after."""
+    entry = params.tau_star - params.epsilon
+    phi = params.v0 * (taus - entry) / params.hbar
+    fired = taus >= entry
+    cos, sin = np.cos(phi), np.sin(phi)
+    alpha = params.alpha0 * np.exp(-1j * params.omega * taus)
+    return (np.where(fired, cos * cos, 1.0), np.where(fired, sin * sin, 0.0),
+            math.sqrt(2.0) * params.sigma * alpha.real)
+
+
 def reflection_bound(params):
     """Plane-wave estimate of one-edge reflection at the potential step.
 
@@ -238,7 +251,9 @@ class GridSpec:
     """Grid and step ceiling for the split-step integration.
 
     x_min and x_max bound the co-moving coordinate y = x - x_cl(t), not the
-    lab position: the packet sits near y = 0 for the whole run.
+    lab position: the packet sits near y = 0 for the whole run.  dt_max
+    bounds the step while the zone can reach the grid; elsewhere the bound
+    is dt_max * period / min(period, pi hbar / v0), scaled alike.
     """
 
     x_min: float
@@ -337,6 +352,7 @@ class TriggerTrajectory:
     p_on: np.ndarray
     norm: np.ndarray
     final: ChannelState
+    n_steps: int  # Strang steps the run took
 
     def at(self, tau):
         """Sampled values at the stored time closest to tau."""
@@ -357,7 +373,10 @@ def numeric_evolve(params, grid=None, tau_end=None, sample_times=(), n_samples=2
     Runs in the co-moving frame of the module docstring: the |+> channel
     sees the harmonic potential plus the barrier, the |-> channel plus the
     well, both at y = x - x_cl(t), with the zone sampled at each step's
-    grid times.  Splitting is unitary, so the norm is conserved to FFT
+    grid times.  Between two samples the step is at most grid.dt_max if x_cl
+    can bring the zone onto the grid, else dt_max * period / min(period,
+    pi hbar / v0) (T/200 on the default grid); n_steps counts the steps.
+    Splitting is unitary, so the norm is conserved to FFT
     roundoff.  The wave reflected at the zone edges (moving at 2 omega A
     relative to the packet) is not resolved; its population is at most
     reflection_bound(params), inside the closed-form agreement budget
@@ -393,13 +412,25 @@ def numeric_evolve(params, grid=None, tau_end=None, sample_times=(), n_samples=2
         events.update(tau_end * i / n_samples for i in range(n_samples + 1))
     events = sorted(t for t in events if 0.0 <= t <= tau_end)
 
-    states = [psi]
+    # the zone term reaches the grid only while x_cl is inside (near, far);
+    # a segment that x_cl never enters steps at the period's scale instead
+    near, far = -(y[-1] + 0.5 * dx), params.delta - (y[0] - 0.5 * dx)
+    coarse = grid.dt_max * params.period / _time_scale(params)
+    factors = {}  # (half, full, kick) of each step size
+    states, n_steps = [psi], 0
     for start, end in zip(events, events[1:]):
-        steps = max(1, math.ceil((end - start) / grid.dt_max))
+        # x_cl over the segment: its ends and any turning point t = j pi/omega
+        turns = range(math.ceil(omega * start / math.pi), math.floor(omega * end / math.pi) + 1)
+        x_range = [amp * math.cos(omega * t) for t in (start, end)]
+        x_range += [amp * (-1.0) ** j for j in turns[:2]]
+        touches = max(x_range) > near and min(x_range) < far
+        steps = max(1, math.ceil((end - start) / (grid.dt_max if touches else coarse)))
         dt = (end - start) / steps
-        half = np.exp(-0.5j * harmonic * dt / hbar)
-        full = half * half
-        kick = np.exp(-1j * kinetic * dt)
+        if dt not in factors:
+            half = np.exp(-0.5j * harmonic * dt / hbar)
+            factors[dt] = (half, half * half, np.exp(-1j * kinetic * dt))
+        half, full, kick = factors[dt]
+        n_steps += steps
         # merged Strang sweep on a copy, so recorded states stay intact:
         # half V(t_0), (kick, full V(t_i)) for 0 < i < steps, kick, half V(t_steps)
         work = psi.copy()
@@ -411,7 +442,7 @@ def numeric_evolve(params, grid=None, tau_end=None, sample_times=(), n_samples=2
             edge = i in (0, steps)
             work *= half if edge else full
             x_cl = amp * math.cos(omega * (start + i * dt))
-            if -x_cl < y[-1] + 0.5 * dx and params.delta - x_cl > y[0] - 0.5 * dx:
+            if near < x_cl < far:
                 # each cell [y - dx/2, y + dx/2] gets the zone term times the
                 # fraction of it inside [-x_cl, delta - x_cl], so the phase
                 # follows the moving edges smoothly rather than cell by cell
@@ -439,6 +470,7 @@ def numeric_evolve(params, grid=None, tau_end=None, sample_times=(), n_samples=2
         p_on=np.sum(np.abs(states[:, 0] - states[:, 1]) ** 2, axis=-1) * dx / 2.0,
         norm=np.sqrt(total * dx),
         final=ChannelState(psi=psi, dx=dx),
+        n_steps=n_steps,
     )
 
 

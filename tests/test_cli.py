@@ -283,6 +283,18 @@ class TestCliCommands:
         assert float(cells["numeric_fired"]) >= 0.95
         trajectory = (tmp_path / "o" / "run_trigger_trajectory.csv").read_text()
         assert trajectory.startswith("tau,x_mean,p_mean,p_off,p_on,norm")
+        # the clock grid closes the row
+        assert header.split(",")[-3:] == ["n_points", "n_steps", "dt_max"]
+        assert (cells["n_points"], cells["n_steps"], cells["dt_max"]) == ("256", "383", "0.001")
+
+    def test_explicit_schedule_with_zero_tau_star_rejected(self, tmp_path):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("[body]\npreset = earth\n[protocol]\ndt_v = 0\ndt_s = 0\n")
+        result = run_cli("timing", "--config", str(cfg))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == ("error: explicit dt_s requires dt_v + dt_s > 0, "
+                                 "got dt_v=0.0, dt_s=0.0\n")
 
 
 class TestSweep:
@@ -416,6 +428,20 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: sweep_h=-1: require h > 0")
+
+    def test_zero_tau_star_point_named(self, tmp_path):
+        # dt_v = dt_s = 0 leaves no proper time to divide the residual by
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(
+            "[body]\npreset = earth\n[protocol]\ndt_s = 0\n"
+            "[sweep]\ntarget = timing\nparameter = dt_v\nmin = 0\nmax = 1\ncount = 5\n"
+        )
+        result = run_cli("sweep", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == ("error: sweep_dt_v=0: explicit dt_s requires "
+                                 "dt_v + dt_s > 0, got dt_v=0.0, dt_s=0.0\n")
+        assert not (tmp_path / "o").exists()
 
 
 def _sweep_matches_switch_summary(text):

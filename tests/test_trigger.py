@@ -7,6 +7,7 @@ import scipy.fft
 from qswitch.trigger import (
     GridSpec,
     TriggerParams,
+    analytic_columns,
     analytic_evolve,
     check_trigger_condition,
     condition_from_trajectory,
@@ -331,3 +332,113 @@ class TestNumeric:
         probe = FAST.tau_star - 2.0 * FAST.epsilon
         assert np.min(np.abs(fast_trajectory.taus - probe)) < 1e-15
         assert np.min(np.abs(fast_trajectory.taus - FAST.tau_star)) < 1e-15
+
+
+# the clock benchmark's configuration: A = 196, zone 14 wide
+CLOCK = TriggerParams(m=1.0, omega=1.0, delta=14.0, v0=7.0 * math.pi, hbar=1.0)
+GATE_11 = TriggerParams(m=1.0, omega=1.0, delta=20.0, v0=10.0 * math.pi, hbar=1.0)
+
+
+def clock_run(params, **kwargs):
+    """numeric_evolve as `qswitch trigger` calls it."""
+    probe = params.tau_star - 2.0 * params.epsilon
+    return numeric_evolve(params, sample_times=(probe, params.tau_star), **kwargs)
+
+
+class TestStepRule:
+    """The coupling's fine step only where the zone can reach the grid."""
+
+    def test_clock_steps_coarse_away_from_zone(self, monkeypatch):
+        ffts = []
+        fft = scipy.fft.fft
+
+        def counted(x, *args, **kwargs):
+            ffts.append(np.ndim(x))
+            return fft(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "fft", counted)
+        traj = clock_run(CLOCK)
+        grid = traj.grid
+        # x_cl = A cos t falls monotonically on [0, tau_star], so a segment's
+        # range is its ends; the zone term reaches the grid for x_cl in
+        # (-(y_max + dx/2), delta - (y_min - dx/2))
+        y_max = grid.x_min + grid.dx * (grid.n_points - 1)
+        near, far = -(y_max + 0.5 * grid.dx), CLOCK.delta - (grid.x_min - 0.5 * grid.dx)
+        taus = traj.taus.tolist()
+        fine = sum(math.ceil((b - a) / grid.dt_max) for a, b in zip(taus, taus[1:]))
+        expected = sum(
+            math.ceil((b - a) / (grid.dt_max if CLOCK.amp * math.cos(b) < far
+                                 and CLOCK.amp * math.cos(a) > near else CLOCK.period / 200.0))
+            for a, b in zip(taus, taus[1:])
+        )
+        assert fine == 2201  # every step at the coupling's scale
+        assert traj.n_steps == expected <= 400
+        assert ffts.count(2) == traj.n_steps  # one forward FFT per step
+
+    def test_ceiling_unchanged_without_coupling(self):
+        # v0 = 0: the period is the only scale, and both ceilings are dt_max
+        p = TriggerParams(m=1.0, omega=1.0, delta=8.0, v0=0.0, hbar=1.0, amplitude=30.0)
+        traj = numeric_evolve(p, tau_end=p.period, n_samples=20)
+        taus = traj.taus.tolist()
+        assert traj.n_steps == sum(math.ceil((b - a) / traj.grid.dt_max)
+                                   for a, b in zip(taus, taus[1:]))
+
+    @pytest.mark.parametrize("params, n_samples, fired, ready", [
+        # frozen from runs with every step at the coupling's scale
+        (GATE_11, 200, 0.9984752893986446, 1.0000000000001035),
+        (GATE_11, 50, 0.9984691016710715, 0.9999999999998783),
+        (CLOCK, 200, 0.9969163530018738, 1.0000000000000042),
+    ])
+    def test_matches_uniform_fine_steps(self, params, n_samples, fired, ready):
+        # measured |dfired| 2.3e-8, 2.2e-7 and 4.6e-8; |dready| <= 1.3e-13
+        report = condition_from_trajectory(params, clock_run(params, n_samples=n_samples))
+        assert abs(report.p_fired_at_star - fired) < 1e-6
+        assert abs(report.p_ready_before - ready) < 1e-6
+        assert report.norm_drift < 1e-12
+
+    def test_two_passages_match_uniform_fine_steps(self):
+        # the packet crosses the zone twice by 0.9 T; samples frozen from a
+        # run with every step at the coupling's scale; measured max
+        # |dp_off| 8.9e-7, |dx|/A 1.9e-9, |dp|/(m omega A) 2.6e-9
+        traj = numeric_evolve(FAST, tau_end=0.9 * FAST.period, n_samples=12)
+        assert np.array_equal(traj.taus, 0.9 * FAST.period * np.arange(13) / 12)
+        p_off = [0.9999999999999999, 1.0000000000000189, 1.0000000000000409,
+                 1.0000000000000624, 6.948567933086889e-05, 6.948567933087103e-05,
+                 6.948567933087023e-05, 6.948567933086949e-05, 6.948567933086862e-05,
+                 6.948567933086945e-05, 0.004450386177232011, 0.999734353812235,
+                 0.9997343538122547]
+        x_mean = [144.0, 128.30493948312497, 84.6410763301161, 22.52656296579321,
+                  -44.498452644164026, -101.82334360977447, -136.95212086952958,
+                  -142.22715274535705, -116.49843579188246, -65.37464788832142,
+                  -1.577677847753533e-05, 65.37460895424968, 116.49841544335672]
+        p_mean = [-2.924971107246771e-17, -65.37463196249475, -116.49844718999245,
+                  -142.22712104569987, -136.95206437177328, -101.8233084507764,
+                  -44.49837804062443, 22.52662710924287, 84.64114177938907,
+                  128.30501493268224, 144.000833577981, 128.3049483453871,
+                  84.64109674175488]
+        scale = FAST.m * FAST.omega * FAST.amp
+        assert np.max(np.abs(traj.p_off - p_off)) < 1e-5
+        assert np.max(np.abs(traj.x_mean - x_mean)) / FAST.amp < 2e-8
+        assert np.max(np.abs(traj.p_mean - p_mean)) / scale < 3e-8
+        assert np.max(np.abs(traj.norm - 1.0)) < 1e-12
+        # one segment over both passages, [0.1 T, 0.9 T]: x_cl = 0.81 A at
+        # both ends, so only its turning point at t = pi (x_cl = -A) puts the
+        # zone in its range; measured |dp_off| 6.8e-7, |dx|/A 4.1e-8,
+        # |dp|/(m omega A) 3.8e-8 (4.0e-2, 6.4e-6 and 9.2e-6 if it is missed)
+        whole = numeric_evolve(FAST, tau_end=0.9 * FAST.period, n_samples=0,
+                               sample_times=(0.1 * FAST.period,))
+        assert abs(whole.p_off[-1] - p_off[-1]) < 1e-5
+        assert abs(whole.x_mean[-1] - x_mean[-1]) / FAST.amp < 4e-7
+        assert abs(whole.p_mean[-1] - p_mean[-1]) / scale < 4e-7
+
+
+class TestAnalyticColumns:
+    def test_bit_identical_to_single_times(self):
+        taus = np.concatenate([
+            clock_run(CLOCK).taus,
+            np.random.default_rng(3).uniform(0.0, CLOCK.tau_star, 2000),
+        ])
+        p_off, p_on, x_mean = analytic_columns(CLOCK, taus)
+        for i, tau in enumerate(taus.tolist()):
+            state = analytic_evolve(CLOCK, tau)
+            assert (p_off[i], p_on[i], x_mean[i]) == (state.p_off, state.p_on, state.x_mean)
