@@ -539,8 +539,10 @@ def _checked(compute, lo, hi, name_of):
 def compute_sweep(config, constants):
     """(columns, rows, warnings) of a sweep; rows is a SweepTable.
 
-    Every point is checked, and a timing sweep's warnings gathered, before
+    Every point is checked, and a timing sweep's warnings counted, before
     this returns, so a bad point stops the run before any row is written.
+    warnings is an empty list, or an iterator that makes the warnings again
+    a chunk at a time, so that none are held.
     """
     ranges = config.sweep.ranges
     if not 1 <= len(ranges) <= 2:
@@ -575,19 +577,24 @@ def compute_sweep(config, constants):
     def name_of(i):
         return point_name(swept(i, i + 1), 0)
 
+    spans = [(lo, min(lo + CHUNK_ROWS, total)) for lo in range(0, total, CHUNK_ROWS)]
     if target == "timing":
-        compute, warnings = _timing_sweep(config, constants, swept), []
-        for lo in range(0, total, CHUNK_ROWS):
-            hi = min(lo + CHUNK_ROWS, total)
-            _, point_warnings = _checked(compute, lo, hi, name_of)
-            axes = swept(lo, hi)
-            warnings += [f"{point_name(axes, i)}: {message}"
-                         for i, messages in point_warnings for message in messages]
-        return columns, SweepTable(total, lambda lo, hi: compute(lo, hi)[0]), warnings
+        compute = _timing_sweep(config, constants, swept)
+        count = sum(len(messages) for lo, hi in spans
+                    for _, messages in _checked(compute, lo, hi, name_of)[1])
+
+        def warnings():
+            for lo, hi in spans:
+                axes = swept(lo, hi)
+                for i, messages in compute(lo, hi)[1]:
+                    yield from (f"{point_name(axes, i)}: {message}" for message in messages)
+
+        table = SweepTable(total, lambda lo, hi: compute(lo, hi)[0])
+        return columns, table, warnings() if count else []
 
     compute = _switch_sweep(config, swept, grids, names)
-    for lo in range(0, total, CHUNK_ROWS):
-        _checked(compute, lo, min(lo + CHUNK_ROWS, total), name_of)
+    for lo, hi in spans:
+        _checked(compute, lo, hi, name_of)
     state = build_input(config.switch.alpha)
     return columns, SweepTable(total, lambda lo, hi: compute(lo, hi, state)), []
 
@@ -694,11 +701,12 @@ def _emit(args, config, command, columns, rows, extras=()):
     finally:
         for sink in sinks[1:]:
             sink.close()
-    for filename, content in extras if args.out else ():
+    for filename, content in extras:
         (out_dir / filename).write_text(content)
 
 
-def main(argv=None):
+@cache  # built on the first call, not at import, and kept for the process
+def _parser():
     parser = argparse.ArgumentParser(
         prog="qswitch",
         description=(
@@ -721,7 +729,11 @@ def main(argv=None):
         p.add_argument("--strict", action="store_true",
                        help="exit nonzero when warnings are raised")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     try:
         constants = _load_constants()
@@ -736,7 +748,7 @@ def main(argv=None):
                  switch_report_text(config, outcome)),
                 (f"{config.scenario}_switch_state.csv",
                  state_csv_rows(outcome.pre_measurement)),
-            ]
+            ] if args.out else ()
             warnings = []
             _emit(args, config, "switch", SWITCH_COLUMNS, rows, extras)
         elif args.command == "trigger":
@@ -744,7 +756,7 @@ def main(argv=None):
             extras = [
                 (f"{config.scenario}_trigger_trajectory.csv",
                  format_csv(TRAJECTORY_COLUMNS, trajectory_rows(trajectory, params))),
-            ]
+            ] if args.out else ()
             _emit(args, config, "trigger", TRIGGER_COLUMNS, [row], extras)
         else:
             columns, rows, warnings = compute_sweep(config, constants)

@@ -131,6 +131,11 @@ def zero_state(factors=SWITCH_FACTORS):
     return StateVector(tuple(factors), np.zeros(int(np.prod(dims)), dtype=complex))
 
 
+def _orthonormal(gram):
+    """max|gram - I| <= ORTHONORMALITY_ATOL; false where gram holds NaN or inf."""
+    return bool(np.abs(gram - np.eye(len(gram))).max(initial=0.0) <= ORTHONORMALITY_ATOL)
+
+
 class SparseOperator:
     """Operator on a subset of factors, stored as (in, out, amplitude) triples.
 
@@ -158,15 +163,10 @@ class SparseOperator:
             mat[fout, fin] += amp
         return mat
 
-    def is_isometry(self, atol=ORTHONORMALITY_ATOL):
-        """Columns with any entry are mutually orthonormal within atol."""
-        mat = self.as_matrix()
-        cols = sorted({fin for fin, _, _ in self._flat})
-        if not cols:
-            return True
-        sub = mat[:, cols]
-        gram = sub.conj().T @ sub
-        return bool(np.allclose(gram, np.eye(len(cols)), atol=atol, rtol=0.0))
+    def is_isometry(self):
+        """Columns with any entry are mutually orthonormal within ORTHONORMALITY_ATOL."""
+        sub = self.as_matrix()[:, sorted({fin for fin, _, _ in self._flat})]
+        return _orthonormal(sub.conj().T @ sub)
 
 
 def _moved_block(state, op_factors):
@@ -248,7 +248,7 @@ def measure_in_basis(state, basis):
         if vec.factors != sub_factors:
             raise ValueError("basis vectors must share one factor subset")
     gram = np.array([[b1.overlap(b2) for b2 in basis] for b1 in basis])
-    if not np.allclose(gram, np.eye(len(basis)), atol=ORTHONORMALITY_ATOL, rtol=0.0):
+    if not _orthonormal(gram):
         raise ValueError("basis vectors are not orthonormal")
 
     block, _, _ = _moved_block(state, sub_factors)

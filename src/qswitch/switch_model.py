@@ -300,6 +300,10 @@ def _compile_histories():
 
 _END, _START, _COEFFICIENT, _ZETA, _SLOT = _compile_histories()
 
+#: the one-vector basis of each detector pattern, in DETECTOR_PATTERNS' order
+DETECTOR_BASES = tuple((basis_state({"detA": a, "detB": b}, factors=("detA", "detB")),)
+                       for a, b in DETECTOR_PATTERNS.values())
+
 
 def _reachable(input_state, coefficients):
     """Histories whose start the input holds, and their (batch, history) amplitudes."""
@@ -398,9 +402,8 @@ def run_switch(input_state, model):
     pre[_END[keep]] = amps[0]
     pre = StateVector(SWITCH_FACTORS, pre)
     selections = []
-    for zeta, (det_a, det_b) in DETECTOR_PATTERNS.items():
-        pattern = basis_state({"detA": det_a, "detB": det_b}, factors=("detA", "detB"))
-        outcome = measure_in_basis(pre, [pattern])[0]
+    for zeta, basis in zip(DETECTOR_PATTERNS, DETECTOR_BASES):
+        outcome = measure_in_basis(pre, basis)[0]
         selections.append(Postselection(zeta, outcome.probability, outcome.collapsed))
     return SwitchOutcome(model=model, pre_measurement=pre, postselections=tuple(selections))
 
@@ -420,17 +423,15 @@ class DiagonalResult:
     residual: StateVector | None
 
 
-_DIAGONAL_MODES = {"agents": (("path", "agentA", "agentB"), DIAGONAL_BRANCHES),
-                   "path": (("path",), ((PATH_EARLY,), (PATH_LATE,)))}
-
-
-def _diagonal_basis(mode):
-    if mode not in _DIAGONAL_MODES:
-        raise ValueError(f"unknown diagonal-measurement mode {mode!r}")
-    factors, branches = _DIAGONAL_MODES[mode]
+def _diagonal_basis(factors, branches):
     early, late = (basis_state(dict(zip(factors, b)), factors=factors) for b in branches)
     inv = 1.0 / math.sqrt(2.0)
-    return [inv * (early + late), inv * (early - late)]
+    return inv * (early + late), inv * (early - late)
+
+
+#: the (+, -) basis of each diagonal-measurement mode
+DIAGONAL_BASES = {"agents": _diagonal_basis(("path", "agentA", "agentB"), DIAGONAL_BRANCHES),
+                  "path": _diagonal_basis(("path",), ((PATH_EARLY,), (PATH_LATE,)))}
 
 
 def diagonal_measure(state, mode="agents"):
@@ -442,7 +443,9 @@ def diagonal_measure(state, mode="agents"):
     Returns the two DiagonalResults followed by the probability left in
     the unspanned complement.
     """
-    plus, minus = measure_in_basis(state, _diagonal_basis(mode))
+    if mode not in DIAGONAL_BASES:
+        raise ValueError(f"unknown diagonal-measurement mode {mode!r}")
+    plus, minus = measure_in_basis(state, DIAGONAL_BASES[mode])
     results = [
         DiagonalResult("+", plus.probability, plus.collapsed),
         DiagonalResult("-", minus.probability, minus.collapsed),

@@ -16,7 +16,14 @@ from qswitch.config import (
 )
 from qswitch import cli
 from qswitch.cli import main
+from qswitch.hilbert import PATH_EARLY, PATH_LATE, basis_state
 from qswitch.spacetime import CODATA2018, CentralBody, schwarzschild_radius
+from qswitch.switch_model import (
+    DETECTOR_BASES,
+    DETECTOR_PATTERNS,
+    DIAGONAL_BASES,
+    DIAGONAL_BRANCHES,
+)
 
 from test_timing import oracle_ascent
 
@@ -488,3 +495,115 @@ class TestSwitchSweepSupport:
             assert row["zeta3_probability"] > 0.0
             readout = row["zeta3_plus_probability"] + row["zeta3_minus_probability"]
             assert readout == pytest.approx(1.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# structures that depend on no input are built once per process
+
+TIGHT_TIMING = "[body]\npreset = earth\n[protocol]\ndtau_1 = 1.0006922855944561e-15\n"
+# explicit body without dtau_1 and eps: every point warns
+WARNING_SWEEP = (
+    "[body]\nmass = 5.9722e24\nradius = 6.371e6\n[protocol]\nh = 2.0\nd = 1e-6\n"
+    "[sweep]\ntarget = timing\nparameter = h\nmin = 0.5\nmax = 5\ncount = 3\nscale = log\n"
+    "parameter2 = dt_v\nmin2 = 0\nmax2 = 0.5\ncount2 = 2\n"
+)
+
+
+class TestOneTimeStructures:
+    def _typed_commands(self, tmp_path):
+        configs = {"tight": TIGHT_TIMING, "trigger": FAST_TRIGGER, "sweep": WARNING_SWEEP}
+        for name, text in configs.items():
+            (tmp_path / f"{name}.cfg").write_text(text)
+        commands = [
+            ["timing", "--preset", "earth"],
+            ["timing", "--config", str(tmp_path / "tight.cfg")],
+            ["switch"],
+            ["trigger", "--config", str(tmp_path / "trigger.cfg")],
+            ["sweep", "--config", str(tmp_path / "sweep.cfg")],
+        ]
+        # each command in both formats and both strictness settings, in turn
+        return [command + ["--format", fmt] + strict
+                for command in commands
+                for fmt, strict in (("csv", []), ("json", ["--strict"]),
+                                    ("json", []), ("csv", ["--strict"]))]
+
+    def test_repeated_calls_match_fresh_processes(self, tmp_path, capsys):
+        argvs = self._typed_commands(tmp_path)
+        fresh = {}
+        for argv in argvs:
+            done = run_cli(*argv)
+            fresh[tuple(argv)] = (done.returncode, done.stdout, done.stderr)
+        assert any(code == 1 for code, _, _ in fresh.values())  # --strict bites
+        # three passes, in turn, backwards and interleaved
+        for argv in argvs + argvs[::-1] + argvs[::2] + argvs[1::2]:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == fresh[tuple(argv)], argv
+        assert cli._parser.cache_info().misses == 1
+
+    def test_parser_built_once(self, capsys):
+        for _ in range(50):
+            assert main(["timing", "--preset", "earth"]) == 0
+        capsys.readouterr()
+        info = cli._parser.cache_info()
+        assert info.misses == 1
+        assert info.hits >= 49
+
+    def test_out_texts_built_only_for_out(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("--out text built without --out")
+
+        trigger = tmp_path / "trigger.cfg"
+        trigger.write_text(FAST_TRIGGER)
+        argvs = [["switch"], ["trigger", "--config", str(trigger)]]
+        expected = [run_cli(*argv).stdout for argv in argvs]
+        for name in ("switch_report_text", "state_csv_rows", "trajectory_rows"):
+            monkeypatch.setattr(cli, name, refuse)
+        for argv, out in zip(argvs, expected):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == out
+
+    def test_switch_out_writes_three_files(self, tmp_path, capsys):
+        fresh = run_cli("switch", "--out", str(tmp_path / "fresh"))
+        assert main(["switch", "--out", str(tmp_path / "here")]) == 0
+        assert capsys.readouterr().out == fresh.stdout
+        files = {p.name: p.read_text() for p in (tmp_path / "here").iterdir()}
+        assert files == {p.name: p.read_text() for p in (tmp_path / "fresh").iterdir()}
+        config = ScenarioConfig()
+        outcome, _ = cli.compute_switch(config)
+        assert files == {
+            "run_switch.csv": fresh.stdout,
+            "run_switch_report.txt": cli.switch_report_text(config, outcome),
+            "run_switch_state.csv": cli.state_csv_rows(outcome.pre_measurement),
+        }
+
+    def test_shared_bases_are_fresh_and_read_only(self, capsys):
+        for _ in range(3):
+            main(["switch"])  # the bases must come out of runs unchanged
+        capsys.readouterr()
+        inv = 1.0 / np.sqrt(2.0)
+
+        def path_level(factors, branch):
+            return basis_state(dict(zip(factors, branch)), factors=factors)
+
+        expected = [(path_level(("detA", "detB"), pattern),)
+                    for pattern in DETECTOR_PATTERNS.values()]
+        for factors, branches in (
+            (("path", "agentA", "agentB"), DIAGONAL_BRANCHES),
+            (("path",), ((PATH_EARLY,), (PATH_LATE,))),
+        ):
+            early, late = (path_level(factors, branch) for branch in branches)
+            expected.append((inv * (early + late), inv * (early - late)))
+        shared = list(DETECTOR_BASES) + [DIAGONAL_BASES["agents"], DIAGONAL_BASES["path"]]
+        assert isinstance(DETECTOR_BASES, tuple)
+        assert len(shared) == len(expected) == 6
+        for basis, fresh in zip(shared, expected):
+            assert isinstance(basis, tuple)
+            assert [vec.factors for vec in basis] == [vec.factors for vec in fresh]
+            for vec, new in zip(basis, fresh):
+                assert np.array_equal(vec.amps, new.amps)
+                assert not vec.amps.flags.writeable
+                with pytest.raises(ValueError):
+                    vec.amps[0] = 0.0
+                with pytest.raises(AttributeError):
+                    vec.amps = new.amps

@@ -253,6 +253,48 @@ class TestMeasureInBasis:
         )
 
 
+#: columns of 2x2 bases on the path factor, and whether they are orthonormal
+#: within ORTHONORMALITY_ATOL = 1e-12
+GRAM_CASES = {
+    "identity": (np.eye(2), True),
+    "rotation": (np.array([[math.cos(0.3), -math.sin(0.3)],
+                           [math.sin(0.3), math.cos(0.3)]]), True),
+    "5e-13 off the diagonal": (np.array([[1.0, 5e-13], [0.0, 1.0]]), True),
+    "2e-12 off the diagonal": (np.array([[1.0, 2e-12], [0.0, 1.0]]), False),
+    "diagonal 1 + 2e-12": (np.array([[math.sqrt(1.0 + 2e-12), 0.0], [0.0, 1.0]]), False),
+    "NaN": (np.array([[math.nan, 0.0], [0.0, 1.0]]), False),
+    "inf": (np.array([[1e200, 0.0], [0.0, 1.0]]), False),  # |1e200|^2 overflows
+}
+
+
+class TestOrthonormalityCheck:
+    """measure_in_basis and is_isometry share one check, max|gram - I| <= atol,
+    which must give the verdict np.allclose(gram, I, atol, rtol=0) gives."""
+
+    @pytest.mark.parametrize("case", sorted(GRAM_CASES))
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_verdicts(self, case):
+        columns, orthonormal = GRAM_CASES[case]
+        basis = [StateVector(("path",), column) for column in columns.T]
+        op = SparseOperator(("path",), [((i,), (o,), columns[o, i])
+                                        for i in range(2) for o in range(2)])
+        gram = np.array([[b1.overlap(b2) for b2 in basis] for b1 in basis])
+        assert np.isnan(gram).any() == (case == "NaN")
+        assert np.isinf(gram).any() == (case == "inf")
+        # the form both used before
+        assert np.allclose(gram, np.eye(2), atol=1e-12, rtol=0.0) == orthonormal
+        assert op.is_isometry() == orthonormal
+        if orthonormal:
+            outcomes = measure_in_basis(zero_state(), basis)
+            assert [o.probability for o in outcomes] == [0.0, 0.0]
+        else:
+            with pytest.raises(ValueError, match="not orthonormal"):
+                measure_in_basis(zero_state(), basis)
+
+    def test_empty_operator_is_an_isometry(self):
+        assert SparseOperator(("path",), []).is_isometry()
+
+
 class TestDensityAndDumps:
     def test_product_state_entropy_zero(self):
         state = basis_state(

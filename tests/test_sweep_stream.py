@@ -106,7 +106,7 @@ def assert_matches_oracle(text):
     assert not isinstance(found, str), found
     columns, rows, warnings = found
     assert columns == expected[0]
-    assert warnings == expected[2]
+    assert list(warnings) == expected[2]
     assert cli.format_csv(columns, rows) == oracle_csv(*expected[:2])
     assert cli.format_json(columns, rows) == oracle_json(*expected[:2])
     assert list(rows) == expected[1]
@@ -310,25 +310,47 @@ print(code, peak_kb, file=sys.stderr)
 """
 
 
+GRID_200K = ("parameter = h\nmin = 0.1\nmax = 10\ncount = 400\nscale = log\n"
+             "parameter2 = dt_v\nmin2 = 0\nmax2 = 0.5\ncount2 = 500\n")
+
+
+def run_child(tmp_path, text, fmt, name="big"):
+    """(exit code, peak RSS in MB, table path, stderr path) of a sweep run in
+    a child process."""
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(text)
+    table, errors = tmp_path / f"{name}.{fmt}", tmp_path / f"{name}.err"
+    with open(table, "w") as stdout, open(errors, "w") as stderr:
+        subprocess.run(
+            [sys.executable, "-c", CHILD, "sweep", "--config", str(cfg), "--format", fmt],
+            stdout=stdout, stderr=stderr,
+        )
+    with open(errors) as lines:
+        *_, last = lines
+    code, peak_kb = last.split()
+    return code, int(peak_kb) / 1024, table, errors
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_sweep_memory_bounded(tmp_path, fmt):
     # 400 x 500 = 200,000 earth points; the run reports its own peak RSS
-    cfg = tmp_path / "big.cfg"
-    cfg.write_text(
-        EARTH_SWEEP + "parameter = h\nmin = 0.1\nmax = 10\ncount = 400\nscale = log\n"
-        "parameter2 = dt_v\nmin2 = 0\nmax2 = 0.5\ncount2 = 500\n"
-    )
-    table = tmp_path / f"table.{fmt}"
-    with open(table, "w") as stdout:
-        done = subprocess.run(
-            [sys.executable, "-c", CHILD, "sweep", "--config", str(cfg), "--format", fmt],
-            stdout=stdout, stderr=subprocess.PIPE, text=True,
-        )
-    code, peak_kb = done.stderr.split()
+    code, peak_mb, table, _ = run_child(tmp_path, EARTH_SWEEP + GRID_200K, fmt)
     assert code == "0"
-    assert int(peak_kb) / 1024 <= 150.0
+    assert peak_mb <= 150.0
     with open(table) as text:
         if fmt == "csv":
             assert sum(1 for _ in text) == 1 + 200_000
         else:
             assert sum(line == "  {\n" for line in text) == 200_000
+
+
+def test_sweep_warnings_memory_bounded(tmp_path):
+    # without dtau_1 and eps every point warns that its windows are unchecked;
+    # the 200,000 warnings must cost no more memory than the table's chunk
+    quiet = run_child(tmp_path, EARTH_SWEEP + GRID_200K, "csv", "quiet")
+    warned = run_child(tmp_path, BASES[3] + "[sweep]\ntarget = timing\n" + GRID_200K, "csv",
+                       "warned")
+    assert quiet[0] == warned[0] == "0"
+    with open(warned[3]) as lines:
+        assert sum(line.startswith("warning: sweep_h=") for line in lines) == 200_000
+    assert warned[1] <= quiet[1] + 10.0
