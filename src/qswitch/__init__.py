@@ -32,7 +32,7 @@ from .switch_model import (
 )
 from .trigger import (
     TriggerParams,
-    analytic_evolve,
+    analytic_columns,
     check_trigger_condition,
     numeric_evolve,
     reflection_bound,

@@ -31,7 +31,7 @@ from .config import (
     parse_constants,
     with_sweep_value,
 )
-from .hilbert import state_csv_rows
+from .hilbert import DUMP_CUTOFF, state_csv_rows
 from .spacetime import CODATA2018, check_domain, point_message, value_at
 from .switch_model import (
     AMPLITUDES,
@@ -58,7 +58,6 @@ from .trigger import (
     check_trigger_condition,
     condition_from_trajectory,
     numeric_evolve,
-    reflection_bound,
 )
 
 CONSTANTS_ENV = "QSWITCH_CONSTANTS"
@@ -280,13 +279,18 @@ def _timing_columns(config, constants):
     return columns, checks
 
 
-def _point_warnings(checks, n):
-    """(point, its warning messages) for each of n points that has any."""
+def _warned(checks, n):
+    """Which of n points fail any of the warning checks."""
     hit = np.zeros(n, dtype=bool)
     for check in checks:
         hit |= check[0]
+    return hit
+
+
+def _point_warnings(checks, n):
+    """(point, its warning messages) for each of n points that has any."""
     return [(i, [point_message(check, i) for check in checks if value_at(check[0], i)])
-            for i in np.flatnonzero(hit).tolist()]
+            for i in np.flatnonzero(_warned(checks, n)).tolist()]
 
 
 def compute_timing(config, constants):
@@ -321,11 +325,11 @@ def _state_label(factors, idx):
     return ".".join(_FACTOR_LABELS[f](k) for f, k in zip(factors, idx))
 
 
-def _serialize_state(state, cutoff=1e-14):
+def _serialize_state(state):
     if state is None:
         return ""
     parts = []
-    for idx, amp in state.nonzero_rows(cutoff):
+    for idx, amp in state.nonzero_rows():
         parts.append(
             f"{_state_label(state.factors, idx)}="
             f"{amp.real:.17g}{amp.imag:+.17g}j"
@@ -375,7 +379,7 @@ def switch_report_text(config, outcome):
         f"input target amplitudes: "
         + ", ".join(f"{complex(a):.6g}" for a in config.switch.alpha),
         "",
-        "pre-measurement register (amplitudes above 1e-14):",
+        f"pre-measurement register (amplitudes above {DUMP_CUTOFF:g}):",
     ]
     pre = outcome.pre_measurement
     for idx, amp in pre.nonzero_rows():
@@ -441,9 +445,8 @@ def compute_trigger(config, constants):
     params = trigger_params_from_config(config, constants)
     warnings = list(params.validity_failures())
 
-    analytic = check_trigger_condition(params, mode="analytic")
-    probe = max(0.0, params.tau_star - 2.0 * params.epsilon)
-    trajectory = numeric_evolve(params, sample_times=(probe, params.tau_star))
+    analytic = check_trigger_condition(params)
+    trajectory = numeric_evolve(params, sample_times=(params.probe_time, params.tau_star))
     numeric = condition_from_trajectory(params, trajectory)
 
     agreement = float(np.max(np.abs(analytic_columns(params, trajectory.taus)[0]
@@ -473,7 +476,7 @@ def compute_trigger(config, constants):
         "factor_amp_zone": params.validity_factors()[0],
         "factor_zone_packet": params.validity_factors()[1],
         "factor_energy": params.validity_factors()[2],
-        "reflection_bound": reflection_bound(params),
+        "reflection_bound": analytic.reflection,
         "analytic_ready": analytic.p_ready_before,
         "analytic_fired": analytic.p_fired_at_star,
         "analytic_passed": analytic.passed,
@@ -539,10 +542,11 @@ def _checked(compute, lo, hi, name_of):
 def compute_sweep(config, constants):
     """(columns, rows, warnings) of a sweep; rows is a SweepTable.
 
-    Every point is checked, and a timing sweep's warnings counted, before
-    this returns, so a bad point stops the run before any row is written.
-    warnings is an empty list, or an iterator that makes the warnings again
-    a chunk at a time, so that none are held.
+    Every point is checked before this returns, so a bad point stops the
+    run before any row is written; the check pass only finds whether any
+    timing point warns, and formats no message.  warnings is an empty list,
+    or an iterator that makes the warnings a chunk at a time, so that none
+    are held.
     """
     ranges = config.sweep.ranges
     if not 1 <= len(ranges) <= 2:
@@ -580,17 +584,25 @@ def compute_sweep(config, constants):
     spans = [(lo, min(lo + CHUNK_ROWS, total)) for lo in range(0, total, CHUNK_ROWS)]
     if target == "timing":
         compute = _timing_sweep(config, constants, swept)
-        count = sum(len(messages) for lo, hi in spans
-                    for _, messages in _checked(compute, lo, hi, name_of)[1])
+        warned = False
+        for lo, hi in spans:
+            warned |= _warned(_checked(compute, lo, hi, name_of)[1], hi - lo).any()
 
         def warnings():
             for lo, hi in spans:
                 axes = swept(lo, hi)
-                for i, messages in compute(lo, hi)[1]:
+                for i, messages in _point_warnings(compute(lo, hi)[1], hi - lo):
                     yield from (f"{point_name(axes, i)}: {message}" for message in messages)
 
-        table = SweepTable(total, lambda lo, hi: compute(lo, hi)[0])
-        return columns, table, warnings() if count else []
+        def rows(lo, hi):
+            chunk, checks = compute(lo, hi)
+            texts = [""] * (hi - lo)
+            for i, messages in _point_warnings(checks, hi - lo):
+                texts[i] = "; ".join(messages)
+            chunk["warnings"] = np.array(texts)
+            return chunk
+
+        return columns, SweepTable(total, rows), warnings() if warned else []
 
     compute = _switch_sweep(config, swept, grids, names)
     for lo, hi in spans:
@@ -600,7 +612,8 @@ def compute_sweep(config, constants):
 
 
 def _timing_sweep(config, constants, swept):
-    """compute(lo, hi) -> (the table's columns, point warnings) of points lo..hi."""
+    """compute(lo, hi) -> (the table's columns but warnings, the warning
+    checks) of points lo..hi."""
     def compute(lo, hi):
         chunk, point = {}, config
         for name, grid, at in swept(lo, hi):
@@ -608,14 +621,8 @@ def _timing_sweep(config, constants, swept):
             if SWEEPABLE[name] != "switch":
                 point = with_sweep_value(point, name, grid[at])
         table, checks = _timing_columns(point, constants)
-        n = hi - lo
-        point_warnings = _point_warnings(checks, n)
-        texts = [""] * n
-        for i, messages in point_warnings:
-            texts[i] = "; ".join(messages)
-        chunk.update((name, np.broadcast_to(value, (n,))) for name, value in table.items())
-        chunk["warnings"] = np.array(texts)
-        return chunk, point_warnings
+        chunk.update((name, np.broadcast_to(value, (hi - lo,))) for name, value in table.items())
+        return chunk, checks
 
     return compute
 

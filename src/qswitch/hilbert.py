@@ -96,9 +96,9 @@ class StateVector:
 
     __rmul__ = __mul__
 
-    def nonzero_rows(self, cutoff=DUMP_CUTOFF):
-        """(index tuple, amplitude) pairs with |amplitude| above the cutoff."""
-        keep = np.flatnonzero(np.abs(self.amps) > cutoff)
+    def nonzero_rows(self):
+        """(index tuple, amplitude) pairs with |amplitude| above DUMP_CUTOFF."""
+        keep = np.flatnonzero(np.abs(self.amps) > DUMP_CUTOFF)
         return [(np.unravel_index(flat, self.dims), complex(self.amps[flat])) for flat in keep]
 
 
@@ -247,8 +247,8 @@ def measure_in_basis(state, basis):
     for vec in basis:
         if vec.factors != sub_factors:
             raise ValueError("basis vectors must share one factor subset")
-    gram = np.array([[b1.overlap(b2) for b2 in basis] for b1 in basis])
-    if not _orthonormal(gram):
+    vectors = np.array([vec.amps for vec in basis])
+    if not _orthonormal(vectors.conj() @ vectors.T):
         raise ValueError("basis vectors are not orthonormal")
 
     block, _, _ = _moved_block(state, sub_factors)
@@ -280,11 +280,11 @@ def entanglement_entropy(state, factors):
     return float(-np.sum(evals * np.log(evals)))
 
 
-def state_csv_rows(state, cutoff=DUMP_CUTOFF):
-    """CSV dump: one row per surviving amplitude, header included."""
+def state_csv_rows(state):
+    """CSV dump: one row per amplitude above DUMP_CUTOFF, header included."""
     header = ",".join(list(state.factors) + ["re", "im"])
     lines = [header]
-    for idx, amp in state.nonzero_rows(cutoff):
+    for idx, amp in state.nonzero_rows():
         cells = [str(k) for k in idx] + [f"{amp.real:.17g}", f"{amp.imag:.17g}"]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

@@ -281,6 +281,10 @@ def static_agent_tau(r_b, body):
     return 2.0 * r_b * r_b * k.c / (k.G * body.mass)
 
 
+#: smallest margin that counts as "much less" in validate_windows
+WINDOW_THRESHOLD = 10.0
+
+
 @dataclass(frozen=True)
 class WindowReport:
     """Feasibility margins for the interaction time windows.
@@ -293,28 +297,25 @@ class WindowReport:
     margin_flight: float
     margin_decay: float
     margin_crossing: float
-    threshold: float
     passed_flight: bool = field(init=False)
     passed_decay: bool = field(init=False)
     passed_crossing: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "passed_flight", self.margin_flight >= self.threshold)
-        object.__setattr__(self, "passed_decay", self.margin_decay >= self.threshold)
-        object.__setattr__(
-            self, "passed_crossing", self.margin_crossing >= self.threshold
-        )
+        object.__setattr__(self, "passed_flight", self.margin_flight >= WINDOW_THRESHOLD)
+        object.__setattr__(self, "passed_decay", self.margin_decay >= WINDOW_THRESHOLD)
+        object.__setattr__(self, "passed_crossing", self.margin_crossing >= WINDOW_THRESHOLD)
 
     @property
     def all_passed(self):
         return self.passed_flight & self.passed_decay & self.passed_crossing
 
 
-def validate_windows(schedule, dtau_1, eps, threshold=10.0):
+def validate_windows(schedule, dtau_1, eps):
     """Check the hierarchy eps << dtau_1 << d/c (and dt_c << t3 - t0).
 
-    "Much less" is operationalized as a configurable factor (default 10).
-    Failures are reported, never raised.
+    "Much less" means a margin of at least WINDOW_THRESHOLD.  Failures are
+    reported, never raised.
     """
     check_domain(((dtau_1 <= 0) | (eps <= 0),
                   "require dtau_1 > 0 and eps > 0, got dtau_1={}, eps={}", dtau_1, eps))
@@ -323,6 +324,5 @@ def validate_windows(schedule, dtau_1, eps, threshold=10.0):
         margin_flight=flight / dtau_1,
         margin_decay=dtau_1 / eps,
         margin_crossing=(schedule.t3 - schedule.t0) / schedule.dt_c,
-        threshold=threshold,
     )
 

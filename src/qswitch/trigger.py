@@ -26,18 +26,23 @@ factor is common to both channels and drops out of every population.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .spacetime import HBAR
 
-#: default "much greater than" factor for the parameter hierarchy
+#: "much greater than" factor for the parameter hierarchy
 VALIDITY_THRESHOLD = 10.0
 
-#: default trigger-condition fidelity thresholds (ready-state, fired-state)
+#: trigger-condition fidelity thresholds (ready-state, fired-state)
 READY_THRESHOLD = 0.99
 FIRED_THRESHOLD = 0.95
+
+#: clock resolution: grid spacing at most sigma / POINTS_PER_SIGMA, step at
+#: most min(2 pi/omega, pi hbar/v0) / STEPS_PER_SCALE
+POINTS_PER_SIGMA = 8.0
+STEPS_PER_SCALE = 200.0
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,12 @@ class TriggerParams:
         return self.delta / self.speed
 
     @property
+    def probe_time(self):
+        """Where the firing condition reads the armed state: tau_star - 2 epsilon,
+        one crossing time before zone entry, floored at 0."""
+        return max(0.0, self.tau_star - 2.0 * self.epsilon)
+
+    @property
     def rotation_angle(self):
         """Accumulated sigma_x angle v0 * epsilon / hbar."""
         return self.v0 * self.epsilon / self.hbar
@@ -119,50 +130,14 @@ class TriggerParams:
         energy = self.kinetic_energy / self.v0 if self.v0 > 0 else math.inf
         return (self.amp / self.delta, self.delta / self.sigma, energy)
 
-    def validity_failures(self, threshold=VALIDITY_THRESHOLD):
+    def validity_failures(self):
         names = ("amplitude/zone-width", "zone-width/packet-width",
                  "kinetic-energy/barrier")
         return [
-            f"{name} factor {value:.3g} below threshold {threshold:g}"
+            f"{name} factor {value:.3g} below threshold {VALIDITY_THRESHOLD:g}"
             for name, value in zip(names, self.validity_factors())
-            if value < threshold
+            if value < VALIDITY_THRESHOLD
         ]
-
-
-@dataclass(frozen=True)
-class TriggerState:
-    """Closed-form snapshot of the clock+internal system at proper time tau:
-    the coherent parameter alpha and the internal 2-vector (ready-off, ready-on)."""
-
-    tau: float
-    internal: np.ndarray
-    alpha: complex
-    packet_width: float
-    hbar: float
-
-    @property
-    def p_off(self):
-        """Population of the not-yet-fired internal state."""
-        return float(abs(self.internal[0]) ** 2)
-
-    @property
-    def p_on(self):
-        """Population of the fired internal state."""
-        return float(abs(self.internal[1]) ** 2)
-
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.internal))
-
-    @property
-    def x_mean(self):
-        """Oscillator position expectation."""
-        return math.sqrt(2.0) * self.packet_width * self.alpha.real
-
-    @property
-    def p_mean(self):
-        """Oscillator momentum expectation."""
-        return math.sqrt(2.0) * self.hbar / self.packet_width * self.alpha.imag
 
 
 @dataclass(frozen=True)
@@ -185,38 +160,20 @@ class ChannelState:
         return self.psi[1]
 
 
-def analytic_evolve(params, tau):
-    """Closed-form state under perfect transmission, for 0 <= tau <= tau_star.
+def analytic_columns(params, taus):
+    """Closed form under perfect transmission: (p_off, p_on, x_mean) over a
+    column of times in [0, tau_star].
 
     Free coherent motion until the packet reaches the zone at
-    tau_star - epsilon, then a uniform sigma_x rotation while it crosses;
-    at tau_star the internal state is fully fired (up to the -i phase of
-    exp(-i sigma_x pi/2)).
+    tau_star - epsilon, then a uniform sigma_x rotation while it crosses:
+    p_off is 1 before entry and cos^2(v0 (tau - entry) / hbar) after, so
+    at tau_star the internal state is fully fired.
     """
     tau_star = params.tau_star
-    if tau < 0 or tau > tau_star * (1 + 1e-12):
-        raise ValueError(f"tau={tau:g} outside [0, tau_star={tau_star:g}]")
-    alpha = params.alpha0 * np.exp(-1j * params.omega * tau)
+    outside = (taus < 0) | (taus > tau_star * (1 + 1e-12))
+    if outside.any():
+        raise ValueError(f"tau={taus[outside][0]:g} outside [0, tau_star={tau_star:g}]")
     entry = tau_star - params.epsilon
-    if tau < entry:
-        internal = np.array([1.0, 0.0], dtype=complex)
-    else:
-        phi = params.v0 * (tau - entry) / params.hbar
-        internal = np.array([math.cos(phi), -1j * math.sin(phi)], dtype=complex)
-    return TriggerState(
-        tau=tau,
-        internal=internal,
-        alpha=complex(alpha),
-        packet_width=params.sigma,
-        hbar=params.hbar,
-    )
-
-
-def analytic_columns(params, taus):
-    """(p_off, p_on, x_mean) of analytic_evolve over a column of times in
-    [0, tau_star], each value bit-identical to its single-time result:
-    p_off is 1 before zone entry and cos^2(v0 (tau - entry) / hbar) after."""
-    entry = params.tau_star - params.epsilon
     phi = params.v0 * (taus - entry) / params.hbar
     fired = taus >= entry
     cos, sin = np.cos(phi), np.sin(phi)
@@ -301,16 +258,16 @@ def _reach(params, tau_end):
     return 10.0 * params.sigma + min(passages * lag, 2.0 * params.amp)
 
 
-def default_grid(params, points_per_sigma=8.0, steps_per_scale=200.0, tau_end=None):
+def default_grid(params, tau_end=None):
     """Co-moving grid [-r, r], r the packet's reach up to tau_end (default
     tau_star), resolving both width and momentum: spacing the stricter of
-    sigma/points_per_sigma and pi/(6/sigma + k - k'), a 5-smooth point
-    count, and a step ceiling min(2 pi/omega, pi hbar/v0) / steps_per_scale.
+    sigma / POINTS_PER_SIGMA and pi/(6/sigma + k - k'), a 5-smooth point
+    count, and a step ceiling min(2 pi/omega, pi hbar/v0) / STEPS_PER_SCALE.
     """
     reach = _reach(params, params.tau_star if tau_end is None else tau_end)
-    dx_req = min(params.sigma / points_per_sigma, math.pi / _max_wavenumber(params))
+    dx_req = min(params.sigma / POINTS_PER_SIGMA, math.pi / _max_wavenumber(params))
     n_points = _fft_friendly(max(256, math.ceil(2.0 * reach / dx_req)))
-    return GridSpec(-reach, reach, n_points, _time_scale(params) / steps_per_scale)
+    return GridSpec(-reach, reach, n_points, _time_scale(params) / STEPS_PER_SCALE)
 
 
 def _validate_grid(params, grid, tau_end):
@@ -320,9 +277,10 @@ def _validate_grid(params, grid, tau_end):
             f"grid [{grid.x_min:g}, {grid.x_max:g}] does not cover the packet's "
             f"co-moving reach [{-reach:g}, {reach:g}]"
         )
-    if grid.dx > params.sigma / 8.0 * (1 + 1e-12):
+    dx_max = params.sigma / POINTS_PER_SIGMA
+    if grid.dx > dx_max * (1 + 1e-12):
         raise ValueError(
-            f"grid spacing {grid.dx:g} exceeds sigma/8 = {params.sigma / 8.0:g}"
+            f"grid spacing {grid.dx:g} exceeds sigma/{POINTS_PER_SIGMA:g} = {dx_max:g}"
         )
     k_nyquist = math.pi / grid.dx
     k_needed = _max_wavenumber(params)
@@ -332,10 +290,10 @@ def _validate_grid(params, grid, tau_end):
             f"Nyquist {k_nyquist:g} < required {k_needed:g} rad/m"
         )
     scale = _time_scale(params)
-    if grid.dt_max > scale / 200.0 * (1 + 1e-12):
+    if grid.dt_max > scale / STEPS_PER_SCALE * (1 + 1e-12):
         raise ValueError(
             f"time step {grid.dt_max:g} does not resolve the fastest scale "
-            f"{scale:g}/200"
+            f"{scale:g}/{STEPS_PER_SCALE:g}"
         )
 
 
@@ -375,7 +333,7 @@ def numeric_evolve(params, grid=None, tau_end=None, sample_times=(), n_samples=2
     well, both at y = x - x_cl(t), with the zone sampled at each step's
     grid times.  Between two samples the step is at most grid.dt_max if x_cl
     can bring the zone onto the grid, else dt_max * period / min(period,
-    pi hbar / v0) (T/200 on the default grid); n_steps counts the steps.
+    pi hbar / v0); n_steps counts the steps.
     Splitting is unitary, so the norm is conserved to FFT
     roundoff.  The wave reflected at the zone edges (moving at 2 omega A
     relative to the packet) is not resolved; its population is at most
@@ -478,108 +436,46 @@ def numeric_evolve(params, grid=None, tau_end=None, sample_times=(), n_samples=2
 class TriggerConditionReport:
     """Both clauses of the firing condition, with diagnostics."""
 
-    mode: str
-    p_ready_before: float   # not-fired population at tau_star - 2 epsilon
+    p_ready_before: float   # not-fired population at params.probe_time
     p_fired_at_star: float  # fired population at tau_star
-    epsilon: float
-    rotation: float
     reflection: float
     norm_drift: float
-    ready_threshold: float
-    fired_threshold: float
-    validity_failures: tuple = field(default_factory=tuple)
+    validity_failures: tuple
 
     @property
     def passed(self):
         return (
             not self.validity_failures
-            and self.p_ready_before >= self.ready_threshold
-            and self.p_fired_at_star >= self.fired_threshold
+            and self.p_ready_before >= READY_THRESHOLD
+            and self.p_fired_at_star >= FIRED_THRESHOLD
         )
 
 
-def check_trigger_condition(
-    params,
-    mode="analytic",
-    ready_threshold=READY_THRESHOLD,
-    fired_threshold=FIRED_THRESHOLD,
-    validity_threshold=VALIDITY_THRESHOLD,
-    grid=None,
-):
-    """Evaluate the two firing clauses: armed until just before, fired at tau_star.
+def _report(params, p_ready_before, p_fired_at_star, norm_drift):
+    """The report of both clauses; a violated parameter hierarchy, or a
+    crossing time too long to leave room for the probe, fails it whatever
+    the populations."""
+    failures = tuple(params.validity_failures())
+    if params.probe_time == 0.0:
+        failures += (f"crossing time epsilon={params.epsilon:g} too close to "
+                     f"tau_star={params.tau_star:g}",)
+    return TriggerConditionReport(p_ready_before, p_fired_at_star,
+                                  reflection_bound(params), norm_drift, failures)
 
-    The "before" sample is taken at tau_star - 2 epsilon (one crossing time
-    outside the zone).  Analytic mode passes by construction; numeric mode
-    integrates the channels and also reports the norm drift.  Violated
-    parameter hierarchies are surfaced as failures regardless of the
-    fidelities.
+
+def check_trigger_condition(params):
+    """The firing condition in closed form: armed at params.probe_time,
+    fired at tau_star.  Passes by construction unless the hierarchy fails."""
+    p_off, p_on, _ = analytic_columns(params, np.array([params.probe_time, params.tau_star]))
+    return _report(params, float(p_off[0]), float(p_on[1]), 0.0)
+
+
+def condition_from_trajectory(params, trajectory):
+    """The firing condition read from a numeric run, with its norm drift.
+
+    The trajectory must contain samples at (or near) params.probe_time and
+    tau_star; :func:`numeric_evolve` lands exactly on requested sample_times.
     """
-    probe, failures = _probe_time(params, validity_threshold)
-
-    if mode == "analytic":
-        before = analytic_evolve(params, probe)
-        at_star = analytic_evolve(params, params.tau_star)
-        p_before, p_star = before.p_off, at_star.p_on
-        drift = 0.0
-    elif mode == "numeric":
-        traj = numeric_evolve(
-            params, grid=grid, sample_times=(probe, params.tau_star), n_samples=50
-        )
-        return condition_from_trajectory(
-            params, traj, ready_threshold, fired_threshold, validity_threshold
-        )
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    return TriggerConditionReport(
-        mode=mode,
-        p_ready_before=p_before,
-        p_fired_at_star=p_star,
-        epsilon=params.epsilon,
-        rotation=params.rotation_angle,
-        reflection=reflection_bound(params),
-        norm_drift=drift,
-        ready_threshold=ready_threshold,
-        fired_threshold=fired_threshold,
-        validity_failures=failures,
-    )
-
-
-def _probe_time(params, validity_threshold):
-    probe = params.tau_star - 2.0 * params.epsilon
-    failures = tuple(params.validity_failures(validity_threshold))
-    if probe <= 0:
-        failures = failures + (
-            f"crossing time epsilon={params.epsilon:g} too close to "
-            f"tau_star={params.tau_star:g}",
-        )
-        probe = 0.0
-    return probe, failures
-
-
-def condition_from_trajectory(
-    params,
-    trajectory,
-    ready_threshold=READY_THRESHOLD,
-    fired_threshold=FIRED_THRESHOLD,
-    validity_threshold=VALIDITY_THRESHOLD,
-):
-    """Numeric-mode condition report reusing an existing trajectory.
-
-    The trajectory must contain samples at (or near) tau_star - 2 epsilon
-    and tau_star; :func:`numeric_evolve` lands exactly on requested
-    sample_times.
-    """
-    probe, failures = _probe_time(params, validity_threshold)
-    return TriggerConditionReport(
-        mode="numeric",
-        p_ready_before=trajectory.at(probe)["p_off"],
-        p_fired_at_star=trajectory.at(params.tau_star)["p_on"],
-        epsilon=params.epsilon,
-        rotation=params.rotation_angle,
-        reflection=reflection_bound(params),
-        norm_drift=float(np.max(np.abs(trajectory.norm - 1.0))),
-        ready_threshold=ready_threshold,
-        fired_threshold=fired_threshold,
-        validity_failures=failures,
-    )
+    return _report(params, trajectory.at(params.probe_time)["p_off"],
+                   trajectory.at(params.tau_star)["p_on"],
+                   float(np.max(np.abs(trajectory.norm - 1.0))))

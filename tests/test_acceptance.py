@@ -37,7 +37,7 @@ from qswitch.timing import solve_matching, solved_schedule, static_agent_tau
 from qswitch.trigger import (
     GridSpec,
     TriggerParams,
-    analytic_evolve,
+    analytic_columns,
     condition_from_trajectory,
     default_grid,
     numeric_evolve,
@@ -270,10 +270,9 @@ def test_criterion_11_trigger():
 
     rotation_exact = abs(params.rotation_angle - math.pi / 2.0) <= 2.0 * math.ulp(math.pi / 2.0)
 
-    probe = params.tau_star - 2.0 * params.epsilon
     start = time.perf_counter()
     trajectory = numeric_evolve(
-        params, sample_times=(probe, params.tau_star), n_samples=50
+        params, sample_times=(params.probe_time, params.tau_star), n_samples=50
     )
     elapsed = time.perf_counter() - start
     condition = condition_from_trajectory(params, trajectory)
@@ -281,10 +280,8 @@ def test_criterion_11_trigger():
     ready_ok = condition.p_ready_before >= 0.99
     drift_ok = condition.norm_drift < 1e-8
     runtime_ok = elapsed < 60.0
-    agreement = max(
-        abs(analytic_evolve(params, min(float(t), params.tau_star)).p_off - q)
-        for t, q in zip(trajectory.taus, trajectory.p_off)
-    )
+    closed_form = analytic_columns(params, np.minimum(trajectory.taus, params.tau_star))[0]
+    agreement = float(np.max(np.abs(closed_form - trajectory.p_off)))
     agreement_ok = agreement <= max(0.05, 3.0 * condition.reflection)
 
     free = TriggerParams(m=1.0, omega=1.0, delta=8.0, v0=0.0, hbar=1.0, amplitude=30.0)

@@ -226,6 +226,26 @@ def test_sweep_table_rows_are_python_values():
         assert all(type(value) in (float, bool, str) for value in row.values())
 
 
+def test_check_pass_formats_no_warning(monkeypatch):
+    # every point warns; its messages are made only when rows or warnings are read
+    calls = []
+
+    def counted(check, i):
+        calls.append(i)
+        return message(check, i)
+
+    message = cli.point_message
+    monkeypatch.setattr(cli, "point_message", counted)
+    text = sweep_text(BASES[3], "timing", [("h", 0.5, 5.0, 4, "log"), ("dt_v", 0.0, 0.5, 3, "linear")])
+    with chunk_rows(5):
+        _, rows, warnings = cli.compute_sweep(parse_config(text, CODATA2018), CODATA2018)
+        assert calls == []
+        assert all(row["warnings"] for row in rows)
+        assert len(calls) == 12
+        assert len(list(warnings)) == 12
+        assert len(calls) == 24
+
+
 # ---------------------------------------------------------------------------
 # bad points at the domain's boundaries
 

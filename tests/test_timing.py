@@ -1,8 +1,11 @@
+import math
+
 import mpmath as mp
 import pytest
 
 from qswitch.spacetime import CODATA2018, CentralBody, dilation_difference, dilation_factor
 from qswitch.timing import (
+    WINDOW_THRESHOLD,
     ProtocolSchedule,
     small_mass_duration,
     solve_matching,
@@ -232,10 +235,15 @@ class TestWindows:
         report = validate_windows(schedule, 1e-17, 1e-17)
         assert not report.passed_decay
 
-    def test_threshold_configurable(self, earth):
+    def test_decay_margin_at_threshold_passes(self, earth):
+        # powers of two scale the margin exactly: dtau_1 / eps is the factor
         schedule = solved_schedule(earth, 1.0, 0.3e-6)
-        report = validate_windows(schedule, 1e-17, 5e-18, threshold=2.0)
-        assert report.passed_decay
+        eps = 2.0**-60
+        at = validate_windows(schedule, WINDOW_THRESHOLD * eps, eps)
+        below = validate_windows(schedule, math.nextafter(WINDOW_THRESHOLD, 0.0) * eps, eps)
+        assert at.margin_decay == WINDOW_THRESHOLD
+        assert below.margin_decay < WINDOW_THRESHOLD
+        assert at.passed_decay and not below.passed_decay
 
 
 class TestSchedulesAndPaths:

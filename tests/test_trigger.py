@@ -8,7 +8,6 @@ from qswitch.trigger import (
     GridSpec,
     TriggerParams,
     analytic_columns,
-    analytic_evolve,
     check_trigger_condition,
     condition_from_trajectory,
     default_grid,
@@ -143,34 +142,39 @@ class TestParams:
         assert p.rotation_angle == 0.0
 
 
+def analytic_at(params, tau):
+    """(p_off, p_on, x_mean) of the closed form at one time."""
+    return tuple(float(c[0]) for c in analytic_columns(params, np.array([tau])))
+
+
 class TestAnalytic:
     def test_initial_condition(self):
-        state = analytic_evolve(FAST, 0.0)
-        assert state.alpha == pytest.approx(FAST.alpha0)
-        assert state.p_off == pytest.approx(1.0)
-        assert state.x_mean == pytest.approx(FAST.amp, rel=1e-15)
-        assert state.p_mean == pytest.approx(0.0, abs=1e-12)
+        p_off, p_on, x_mean = analytic_at(FAST, 0.0)
+        assert (p_off, p_on) == (1.0, 0.0)
+        assert x_mean == pytest.approx(FAST.amp, rel=1e-15)
 
     def test_fired_at_quarter_period(self):
-        state = analytic_evolve(FAST, FAST.tau_star)
-        assert state.p_on == pytest.approx(1.0, abs=1e-15)
-        # quarter turn in phase space, -i phase on the coherent parameter
-        assert state.alpha == pytest.approx(-1j * FAST.alpha0, abs=1e-9)
-        assert state.p_mean == pytest.approx(-FAST.m * FAST.omega * FAST.amp, rel=1e-9)
+        p_off, p_on, x_mean = analytic_at(FAST, FAST.tau_star)
+        assert p_on == pytest.approx(1.0, abs=1e-15)
+        assert p_off == pytest.approx(0.0, abs=1e-15)
+        # a quarter turn in phase space brings the packet to the origin
+        assert x_mean == pytest.approx(0.0, abs=1e-12 * FAST.amp)
 
     def test_half_rotation_midway_through_zone(self):
-        state = analytic_evolve(FAST, FAST.tau_star - FAST.epsilon / 2.0)
-        assert state.p_off == pytest.approx(0.5, abs=1e-12)
+        p_off, p_on, _ = analytic_at(FAST, FAST.tau_star - FAST.epsilon / 2.0)
+        assert p_off == pytest.approx(0.5, abs=1e-12)
+        assert p_on == pytest.approx(0.5, abs=1e-12)
 
     def test_armed_before_zone(self):
-        state = analytic_evolve(FAST, FAST.tau_star - 3.0 * FAST.epsilon)
-        assert state.p_off == 1.0
+        assert analytic_at(FAST, FAST.tau_star - 3.0 * FAST.epsilon)[:2] == (1.0, 0.0)
 
     def test_rejects_out_of_range_tau(self):
-        with pytest.raises(ValueError):
-            analytic_evolve(FAST, -0.1)
-        with pytest.raises(ValueError):
-            analytic_evolve(FAST, FAST.tau_star * 1.1)
+        with pytest.raises(ValueError, match="outside"):
+            analytic_columns(FAST, np.array([0.0, -0.1]))
+        with pytest.raises(ValueError, match="outside"):
+            analytic_columns(FAST, np.array([FAST.tau_star * 1.1]))
+        # the end point survives a rounding of tau_star
+        analytic_columns(FAST, np.array([FAST.tau_star * (1 + 1e-13)]))
 
 
 class TestReflectionBound:
@@ -247,7 +251,8 @@ class TestGridValidation:
         # E = m omega^2 A^2 / 2 = 0.5 < v0 = 10: the barrier channel reflects
         p = TriggerParams(m=1.0, omega=1.0, delta=1.0, v0=10.0, hbar=1.0,
                           amplitude=1.0)
-        report = check_trigger_condition(p, mode="numeric")
+        report = condition_from_trajectory(
+            p, numeric_evolve(p, sample_times=(p.probe_time, p.tau_star), n_samples=50))
         assert not report.passed
         assert report.reflection == 1.0
         assert any("kinetic-energy/barrier" in f for f in report.validity_failures)
@@ -256,8 +261,7 @@ class TestGridValidation:
 
 @pytest.fixture(scope="module")
 def fast_trajectory():
-    probe = FAST.tau_star - 2.0 * FAST.epsilon
-    return numeric_evolve(FAST, sample_times=(probe, FAST.tau_star), n_samples=60)
+    return numeric_evolve(FAST, sample_times=(FAST.probe_time, FAST.tau_star), n_samples=60)
 
 
 class TestNumeric:
@@ -273,13 +277,12 @@ class TestNumeric:
 
     def test_agreement_with_analytic(self, fast_trajectory):
         tolerance = max(0.05, 3.0 * reflection_bound(FAST))
-        for tau, p_off in zip(fast_trajectory.taus, fast_trajectory.p_off):
-            ana = analytic_evolve(FAST, min(float(tau), FAST.tau_star))
-            assert abs(ana.p_off - p_off) <= tolerance
+        closed_form = analytic_columns(FAST, np.minimum(fast_trajectory.taus, FAST.tau_star))[0]
+        assert np.max(np.abs(closed_form - fast_trajectory.p_off)) <= tolerance
 
     def test_armed_two_crossing_times_early(self, fast_trajectory):
-        probe = FAST.tau_star - 2.0 * FAST.epsilon
-        assert fast_trajectory.at(probe)["p_off"] >= 0.99
+        assert FAST.probe_time == FAST.tau_star - 2.0 * FAST.epsilon
+        assert fast_trajectory.at(FAST.probe_time)["p_off"] >= 0.99
 
     def test_free_evolution_matches_coherent_motion(self):
         # the lab-frame oracle with no coupling: <x> and <p> must follow the
@@ -303,9 +306,8 @@ class TestNumeric:
         # |dp_off| 7.9e-4 (the lab grid's own edge error: halving its
         # spacing moves p_off by 5.0e-4), |dx|/A 1.1e-6, |dp|/(m omega A)
         # 1.9e-5, |dnorm| 2e-13
-        probe = FAST.tau_star - 2.0 * FAST.epsilon
         lab = lab_frame_evolve(FAST, lab_grid(FAST),
-                               sample_times=(probe, FAST.tau_star), n_samples=60)
+                               sample_times=(FAST.probe_time, FAST.tau_star), n_samples=60)
         assert np.array_equal(lab["taus"], fast_trajectory.taus)
         assert np.max(np.abs(fast_trajectory.p_off - lab["p_off"])) < 2e-3
         x_dev = np.max(np.abs(fast_trajectory.x_mean - lab["x_mean"])) / FAST.amp
@@ -314,23 +316,35 @@ class TestNumeric:
         assert np.max(np.abs(fast_trajectory.p_mean - lab["p_mean"])) / p_scale < 1e-4
         assert np.max(np.abs(fast_trajectory.norm - lab["norm"])) < 1e-10
 
-    def test_check_trigger_condition_modes(self):
-        analytic = check_trigger_condition(FAST, mode="analytic")
+    def test_closed_form_report(self):
+        analytic = check_trigger_condition(FAST)
         assert analytic.p_ready_before == 1.0
         assert analytic.p_fired_at_star == pytest.approx(1.0, abs=1e-15)
+        assert analytic.norm_drift == 0.0
+        assert analytic.reflection == reflection_bound(FAST)
         assert analytic.passed
-        with pytest.raises(ValueError):
-            check_trigger_condition(FAST, mode="magic")
+
+    def test_crossing_time_too_long_fails_with_diagnostic(self):
+        # epsilon = delta / (omega A) = 2 leaves no room before the zone: the
+        # probe is floored at 0, and both reports say why they fail
+        p = TriggerParams(m=1.0, omega=1.0, delta=10.0, v0=1.0, hbar=1.0, amplitude=5.0)
+        assert p.probe_time == 0.0
+        analytic = check_trigger_condition(p)
+        numeric = condition_from_trajectory(
+            p, numeric_evolve(p, sample_times=(p.probe_time, p.tau_star), n_samples=10))
+        for report in (analytic, numeric):
+            assert not report.passed
+            assert report.validity_failures[-1] == (
+                "crossing time epsilon=2 too close to tau_star=1.5708")
 
     def test_violated_hierarchy_fails_with_diagnostic(self):
         p = params_with_factors(12.0, 3.0)
-        report = check_trigger_condition(p, mode="analytic")
+        report = check_trigger_condition(p)
         assert not report.passed
         assert any("zone-width/packet-width" in f for f in report.validity_failures)
 
     def test_sample_times_landed_exactly(self, fast_trajectory):
-        probe = FAST.tau_star - 2.0 * FAST.epsilon
-        assert np.min(np.abs(fast_trajectory.taus - probe)) < 1e-15
+        assert np.min(np.abs(fast_trajectory.taus - FAST.probe_time)) < 1e-15
         assert np.min(np.abs(fast_trajectory.taus - FAST.tau_star)) < 1e-15
 
 
@@ -341,8 +355,7 @@ GATE_11 = TriggerParams(m=1.0, omega=1.0, delta=20.0, v0=10.0 * math.pi, hbar=1.
 
 def clock_run(params, **kwargs):
     """numeric_evolve as `qswitch trigger` calls it."""
-    probe = params.tau_star - 2.0 * params.epsilon
-    return numeric_evolve(params, sample_times=(probe, params.tau_star), **kwargs)
+    return numeric_evolve(params, sample_times=(params.probe_time, params.tau_star), **kwargs)
 
 
 class TestStepRule:
@@ -430,15 +443,3 @@ class TestStepRule:
         assert abs(whole.p_off[-1] - p_off[-1]) < 1e-5
         assert abs(whole.x_mean[-1] - x_mean[-1]) / FAST.amp < 4e-7
         assert abs(whole.p_mean[-1] - p_mean[-1]) / scale < 4e-7
-
-
-class TestAnalyticColumns:
-    def test_bit_identical_to_single_times(self):
-        taus = np.concatenate([
-            clock_run(CLOCK).taus,
-            np.random.default_rng(3).uniform(0.0, CLOCK.tau_star, 2000),
-        ])
-        p_off, p_on, x_mean = analytic_columns(CLOCK, taus)
-        for i, tau in enumerate(taus.tolist()):
-            state = analytic_evolve(CLOCK, tau)
-            assert (p_off[i], p_on[i], x_mean[i]) == (state.p_off, state.p_on, state.x_mean)
