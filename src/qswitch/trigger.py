@@ -325,38 +325,51 @@ class TriggerTrajectory:
         }
 
 
+def _zone_phase(work, y, dx, delta, x_cl, rate, full):
+    """work *= exp(rate * chi), chi the part of each cell [y -+ dx/2] in [-x_cl, delta - x_cl]:
+    the fraction on the 3 cells at each edge (once each), full = exp(rate) between, none outside."""
+    n = len(y)
+    a, b = (math.floor((e - y[0]) / dx + 0.5) for e in (-x_cl, delta - x_cl))
+    work[:, min(max(a + 2, 0), n):min(max(b - 1, 0), n)] *= full
+    for lo, hi in ((max(a - 1, 0), min(a + 2, n)), (max(b - 1, a + 2, 0), min(b + 2, n))):
+        if lo < hi:
+            chi = [min(max((min(delta - x_cl, c + 0.5 * dx) - max(-x_cl, c - 0.5 * dx)) / dx,
+                           0.0), 1.0) for c in y[lo:hi].tolist()]
+            work[:, lo:hi] *= np.exp(rate * np.array(chi))
+
+
 def numeric_evolve(params, grid=None, tau_end=None, sample_times=(), n_samples=200):
     """Integrate the two sigma_x channels with Strang-split Fourier steps.
 
     Runs in the co-moving frame of the module docstring: the |+> channel
     sees the harmonic potential plus the barrier, the |-> channel plus the
     well, both at y = x - x_cl(t), with the zone sampled at each step's
-    grid times.  Between two samples the step is at most grid.dt_max if x_cl
-    can bring the zone onto the grid, else dt_max * period / min(period,
-    pi hbar / v0); n_steps counts the steps.
-    Splitting is unitary, so the norm is conserved to FFT
-    roundoff.  The wave reflected at the zone edges (moving at 2 omega A
-    relative to the packet) is not resolved; its population is at most
-    reflection_bound(params), inside the closed-form agreement budget
-    max(0.05, 3 * reflection).  `sample_times` are landed on exactly (the
-    step is shortened as needed); n_samples regular samples cover
+    grid times.  Both channels keep the initial Gaussian, unstepped, until
+    the first segment between two samples in which x_cl can bring the zone
+    onto the grid; from it on the step is at most grid.dt_max where x_cl
+    can, else dt_max * period / min(period, pi hbar / v0).  n_steps counts
+    the steps taken.  Splitting is unitary, so the norm is conserved to FFT
+    roundoff.  The wave reflected at the zone edges is not resolved; its
+    population is at most reflection_bound(params), inside the closed-form
+    agreement budget max(0.05, 3 * reflection).  `sample_times`, in
+    [0, tau_end], are landed on exactly; n_samples regular samples cover
     [0, tau_end] in addition.  x_mean and p_mean are lab-frame values.
     """
     if tau_end is None:
         tau_end = params.tau_star
-    if tau_end <= 0:
-        raise ValueError(f"require tau_end > 0, got {tau_end}")
+    if not (math.isfinite(tau_end) and tau_end > 0):
+        raise ValueError(f"require finite tau_end > 0, got {tau_end}")
+    for t in sample_times:
+        if not 0.0 <= float(t) <= tau_end:
+            raise ValueError(f"sample time {float(t)} outside [0, tau_end={tau_end}]")
     if grid is None:
         grid = default_grid(params, tau_end=tau_end)
     _validate_grid(params, grid, tau_end)
 
-    import scipy.fft  # here, not at the top, so importing qswitch skips scipy
-
     m, omega, hbar, amp = params.m, params.omega, params.hbar, params.amp
-    n = grid.n_points
-    dx = grid.dx
+    n, dx = grid.n_points, grid.dx
     y = grid.x_min + dx * np.arange(n)
-    k = 2.0 * math.pi * scipy.fft.fftfreq(n, d=dx)
+    k = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
     harmonic = 0.5 * m * omega**2 * y**2
     kinetic = hbar * k**2 / (2.0 * m)
     zone = np.array([[params.v0], [-params.v0]])  # barrier for |+>, well for |->
@@ -366,15 +379,14 @@ def numeric_evolve(params, grid=None, tau_end=None, sample_times=(), n_samples=2
     psi = np.tile(packet.astype(complex) / math.sqrt(2.0), (2, 1))
 
     events = {0.0, float(tau_end), *(float(t) for t in sample_times)}
-    if n_samples:
-        events.update(tau_end * i / n_samples for i in range(n_samples + 1))
+    events.update(tau_end * i / max(n_samples, 1) for i in range(n_samples + 1))
     events = sorted(t for t in events if 0.0 <= t <= tau_end)
 
     # the zone term reaches the grid only while x_cl is inside (near, far);
     # a segment that x_cl never enters steps at the period's scale instead
     near, far = -(y[-1] + 0.5 * dx), params.delta - (y[0] - 0.5 * dx)
     coarse = grid.dt_max * params.period / _time_scale(params)
-    factors = {}  # (half, full, kick) of each step size
+    factors = {}  # (half, full, kick, zone (rate, phase) per full/half) of each step size
     states, n_steps = [psi], 0
     for start, end in zip(events, events[1:]):
         # x_cl over the segment: its ends and any turning point t = j pi/omega
@@ -382,51 +394,49 @@ def numeric_evolve(params, grid=None, tau_end=None, sample_times=(), n_samples=2
         x_range = [amp * math.cos(omega * t) for t in (start, end)]
         x_range += [amp * (-1.0) ** j for j in turns[:2]]
         touches = max(x_range) > near and min(x_range) < far
+        if not (touches or n_steps):
+            continue  # before the first contact psi stays the initial Gaussian
         steps = max(1, math.ceil((end - start) / (grid.dt_max if touches else coarse)))
         dt = (end - start) / steps
         if dt not in factors:
-            half = np.exp(-0.5j * harmonic * dt / hbar)
-            factors[dt] = (half, half * half, np.exp(-1j * kinetic * dt))
-        half, full, kick = factors[dt]
+            half, kick = np.exp(-0.5j * harmonic * dt / hbar), np.exp(-1j * kinetic * dt)
+            rates = [-1j * (s * dt / hbar) * zone for s in (1.0, 0.5)]
+            factors[dt] = (half, half * half, kick, [(r, np.exp(r)) for r in rates])
+        half, full, kick, zone_phase = factors[dt]
         n_steps += steps
         # merged Strang sweep on a copy, so recorded states stay intact:
         # half V(t_0), (kick, full V(t_i)) for 0 < i < steps, kick, half V(t_steps)
         work = psi.copy()
         for i in range(steps + 1):
             if i:
-                work = scipy.fft.fft(work, axis=-1, overwrite_x=True)
+                np.fft.fft(work, axis=-1, out=work)
                 work *= kick
-                work = scipy.fft.ifft(work, axis=-1, overwrite_x=True)
+                np.fft.ifft(work, axis=-1, out=work)
             edge = i in (0, steps)
             work *= half if edge else full
             x_cl = amp * math.cos(omega * (start + i * dt))
             if near < x_cl < far:
-                # each cell [y - dx/2, y + dx/2] gets the zone term times the
-                # fraction of it inside [-x_cl, delta - x_cl], so the phase
-                # follows the moving edges smoothly rather than cell by cell
-                inside = (np.minimum(params.delta - x_cl, y + 0.5 * dx)
-                          - np.maximum(-x_cl, y - 0.5 * dx))
-                tau = (0.5 if edge else 1.0) * dt / hbar
-                work *= np.exp(-1j * tau * zone * np.clip(inside / dx, 0.0, 1.0))
+                _zone_phase(work, y, dx, params.delta, x_cl, *zone_phase[edge])
         psi = work
         states.append(psi)
 
-    # lab-frame observables of all samples: <x> = x_cl + <y>, <p> = p_cl + hbar <k>
+    # lab-frame <x> = x_cl + <y> and <p> = p_cl + hbar <k>; samples before contact share psi_0
     taus = np.asarray(events)
+    rows = np.maximum(np.arange(len(taus)) - (len(taus) - len(states)), 0)
     states = np.asarray(states)
     density = np.sum(np.abs(states) ** 2, axis=1)
     total = np.sum(density, axis=-1)
-    spectrum = np.sum(np.abs(scipy.fft.fft(states, axis=-1)) ** 2, axis=1)
+    spectrum = np.sum(np.abs(np.fft.fft(states, axis=-1)) ** 2, axis=1)
     return TriggerTrajectory(
         params=params,
         grid=grid,
         taus=taus,
-        x_mean=amp * np.cos(omega * taus) + density @ y / total,
+        x_mean=amp * np.cos(omega * taus) + (density @ y / total)[rows],
         p_mean=(-m * omega * amp * np.sin(omega * taus)
-                + hbar * (spectrum @ k) / np.sum(spectrum, axis=-1)),
-        p_off=np.sum(np.abs(states[:, 0] + states[:, 1]) ** 2, axis=-1) * dx / 2.0,
-        p_on=np.sum(np.abs(states[:, 0] - states[:, 1]) ** 2, axis=-1) * dx / 2.0,
-        norm=np.sqrt(total * dx),
+                + (hbar * (spectrum @ k) / np.sum(spectrum, axis=-1))[rows]),
+        p_off=(np.sum(np.abs(states[:, 0] + states[:, 1]) ** 2, axis=-1) * dx / 2.0)[rows],
+        p_on=(np.sum(np.abs(states[:, 0] - states[:, 1]) ** 2, axis=-1) * dx / 2.0)[rows],
+        norm=np.sqrt(total * dx)[rows],
         final=ChannelState(psi=psi, dx=dx),
         n_steps=n_steps,
     )

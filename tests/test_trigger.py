@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.fft
 from qswitch.trigger import (
     GridSpec,
     TriggerParams,
+    _zone_phase,
     analytic_columns,
     check_trigger_condition,
     condition_from_trajectory,
@@ -247,6 +249,18 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="time step"):
             numeric_evolve(FAST, grid=bad)
 
+    @pytest.mark.parametrize("kwargs, text", [
+        ({"tau_end": math.nan}, "tau_end > 0, got nan"),
+        ({"tau_end": math.inf}, "tau_end > 0, got inf"),
+        ({"sample_times": (math.nan,)}, "sample time nan outside"),
+        ({"sample_times": (-0.5,)}, "sample time -0.5 outside"),
+        ({"sample_times": (2.0,)}, "sample time 2.0 outside [0, tau_end=1.5707963267948966]"),
+    ])
+    def test_bad_clock_inputs_rejected(self, kwargs, text):
+        # a bad sample time was once dropped, so `at` read a neighbour
+        with pytest.raises(ValueError, match=re.escape(text)):
+            numeric_evolve(FAST, **kwargs)
+
     def test_below_barrier_reports_failure(self):
         # E = m omega^2 A^2 / 2 = 0.5 < v0 = 10: the barrier channel reflects
         p = TriggerParams(m=1.0, omega=1.0, delta=1.0, v0=10.0, hbar=1.0,
@@ -363,38 +377,102 @@ class TestStepRule:
 
     def test_clock_steps_coarse_away_from_zone(self, monkeypatch):
         ffts = []
-        fft = scipy.fft.fft
+        fft = np.fft.fft
 
         def counted(x, *args, **kwargs):
             ffts.append(np.ndim(x))
             return fft(x, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.fft, "fft", counted)
+        monkeypatch.setattr(np.fft, "fft", counted)
         traj = clock_run(CLOCK)
         grid = traj.grid
         # x_cl = A cos t falls monotonically on [0, tau_star], so a segment's
         # range is its ends; the zone term reaches the grid for x_cl in
-        # (-(y_max + dx/2), delta - (y_min - dx/2))
+        # (-(y_max + dx/2), delta - (y_min - dx/2)), and stepping starts at
+        # the first segment that reaches it
         y_max = grid.x_min + grid.dx * (grid.n_points - 1)
         near, far = -(y_max + 0.5 * grid.dx), CLOCK.delta - (grid.x_min - 0.5 * grid.dx)
         taus = traj.taus.tolist()
         fine = sum(math.ceil((b - a) / grid.dt_max) for a, b in zip(taus, taus[1:]))
+        first = next(i for i, b in enumerate(taus[1:]) if CLOCK.amp * math.cos(b) < far)
         expected = sum(
             math.ceil((b - a) / (grid.dt_max if CLOCK.amp * math.cos(b) < far
                                  and CLOCK.amp * math.cos(a) > near else CLOCK.period / 200.0))
-            for a, b in zip(taus, taus[1:])
+            for a, b in zip(taus[first:], taus[first + 1:])
         )
         assert fine == 2201  # every step at the coupling's scale
-        assert traj.n_steps == expected <= 400
+        assert traj.n_steps == expected == 176  # 361 when stepped from t = 0
         assert ffts.count(2) == traj.n_steps  # one forward FFT per step
 
     def test_ceiling_unchanged_without_coupling(self):
-        # v0 = 0: the period is the only scale, and both ceilings are dt_max
+        # v0 = 0: the period is the only scale, and both ceilings are dt_max;
+        # x_cl = A cos t falls until the first contact
         p = TriggerParams(m=1.0, omega=1.0, delta=8.0, v0=0.0, hbar=1.0, amplitude=30.0)
         traj = numeric_evolve(p, tau_end=p.period, n_samples=20)
         taus = traj.taus.tolist()
-        assert traj.n_steps == sum(math.ceil((b - a) / traj.grid.dt_max)
+        far = p.delta - (traj.grid.x_min - 0.5 * traj.grid.dx)
+        first = next(i for i, b in enumerate(taus[1:]) if p.amp * math.cos(b) < far)
+        assert traj.n_steps == 181 == sum(math.ceil((b - a) / traj.grid.dt_max)
+                                          for a, b in zip(taus[first:], taus[first + 1:]))
+
+    def test_unstepped_before_first_contact(self):
+        # up to tau = 1 x_cl >= 105 keeps the 14-wide zone off the 20-wide grid
+        traj = numeric_evolve(CLOCK, tau_end=1.0, n_samples=10)
+        grid = traj.grid
+        assert traj.n_steps == 0
+        y = grid.x_min + grid.dx * np.arange(grid.n_points)
+        packet = np.exp(-(y**2) / (2.0 * CLOCK.sigma**2))
+        packet = packet / math.sqrt(float(np.sum(packet**2)) * grid.dx)
+        assert np.array_equal(traj.final.psi, np.tile(packet.astype(complex) / math.sqrt(2.0),
+                                                      (2, 1)))
+        # in the full run the same samples read the initial packet bit for bit
+        whole = clock_run(CLOCK)
+        before = whole.taus < 1.0
+        assert before.sum() > 100
+        for name in ("p_off", "p_on", "norm"):
+            column = getattr(whole, name)[before]
+            assert np.array_equal(column, np.full_like(column, getattr(traj, name)[0]))
+
+    def test_within_reach_from_start_steps_uniformly(self):
+        # A = 5 < delta: the zone stays on the grid for the whole run
+        p = TriggerParams(m=1.0, omega=1.0, delta=10.0, v0=1.0, hbar=1.0, amplitude=5.0)
+        traj = numeric_evolve(p, sample_times=(p.probe_time,), n_samples=30)
+        taus = traj.taus.tolist()
+        assert traj.n_steps == sum(max(1, math.ceil((b - a) / traj.grid.dt_max))
                                    for a, b in zip(taus, taus[1:]))
+
+    @pytest.mark.parametrize("delta, n_points", [
+        (CLOCK.delta, None),  # the clock config
+        (50.0, None),         # a zone wider than the grid
+        (0.03, None),         # a zone narrower than one cell
+        (0.2, None),          # two to three cells, so the edge cells are near
+        (CLOCK.delta, 320),   # a 5-smooth grid that is not a power of two
+    ])
+    def test_zone_phase_matches_all_cells(self, delta, n_points):
+        grid = default_grid(CLOCK)
+        n = n_points or grid.n_points
+        dx = (grid.x_max - grid.x_min) / n
+        y = grid.x_min + dx * np.arange(n)
+        zone = np.array([[CLOCK.v0], [-CLOCK.v0]])
+        near, far = -(y[-1] + 0.5 * dx), delta - (y[0] - 0.5 * dx)
+        rng = np.random.default_rng(7)
+        work = np.exp(2j * math.pi * rng.random((2, n))) * (0.5 + rng.random((2, n)))
+        # random positions across (near, far), the ends of that range, and
+        # edges on cell boundaries and off either grid end
+        x_cls = np.concatenate([
+            rng.uniform(near, far, 400),
+            [np.nextafter(near, far), np.nextafter(far, near), -y[0] + 0.5 * dx,
+             delta - y[-1] - 0.5 * dx, -y[n // 2] - 0.5 * dx, 0.5 * delta, -y[0] + 3 * dx],
+        ])
+        for x_cl in x_cls:
+            for tau in (0.5 * grid.dt_max, grid.dt_max):
+                # every cell times the phase of the fraction of it inside
+                inside = np.minimum(delta - x_cl, y + 0.5 * dx) - np.maximum(-x_cl, y - 0.5 * dx)
+                expected = work * np.exp(-1j * tau * zone * np.clip(inside / dx, 0.0, 1.0))
+                got = work.copy()
+                rate = -1j * tau * zone
+                _zone_phase(got, y, dx, delta, x_cl, rate, np.exp(rate))
+                assert np.max(np.abs(got - expected)) <= 1e-15
 
     @pytest.mark.parametrize("params, n_samples, fired, ready", [
         # frozen from runs with every step at the coupling's scale
@@ -403,7 +481,7 @@ class TestStepRule:
         (CLOCK, 200, 0.9969163530018738, 1.0000000000000042),
     ])
     def test_matches_uniform_fine_steps(self, params, n_samples, fired, ready):
-        # measured |dfired| 2.3e-8, 2.2e-7 and 4.6e-8; |dready| <= 1.3e-13
+        # measured |dfired| 9.1e-11, 9.4e-11 and 3.9e-10; |dready| <= 1.3e-13
         report = condition_from_trajectory(params, clock_run(params, n_samples=n_samples))
         assert abs(report.p_fired_at_star - fired) < 1e-6
         assert abs(report.p_ready_before - ready) < 1e-6
@@ -412,7 +490,7 @@ class TestStepRule:
     def test_two_passages_match_uniform_fine_steps(self):
         # the packet crosses the zone twice by 0.9 T; samples frozen from a
         # run with every step at the coupling's scale; measured max
-        # |dp_off| 8.9e-7, |dx|/A 1.9e-9, |dp|/(m omega A) 2.6e-9
+        # |dp_off| 1.5e-7, |dx|/A 1.9e-9, |dp|/(m omega A) 1.9e-9
         traj = numeric_evolve(FAST, tau_end=0.9 * FAST.period, n_samples=12)
         assert np.array_equal(traj.taus, 0.9 * FAST.period * np.arange(13) / 12)
         p_off = [0.9999999999999999, 1.0000000000000189, 1.0000000000000409,
@@ -436,7 +514,7 @@ class TestStepRule:
         assert np.max(np.abs(traj.norm - 1.0)) < 1e-12
         # one segment over both passages, [0.1 T, 0.9 T]: x_cl = 0.81 A at
         # both ends, so only its turning point at t = pi (x_cl = -A) puts the
-        # zone in its range; measured |dp_off| 6.8e-7, |dx|/A 4.1e-8,
+        # zone in its range; measured |dp_off| 6.6e-7, |dx|/A 4.1e-8,
         # |dp|/(m omega A) 3.8e-8 (4.0e-2, 6.4e-6 and 9.2e-6 if it is missed)
         whole = numeric_evolve(FAST, tau_end=0.9 * FAST.period, n_samples=0,
                                sample_times=(0.1 * FAST.period,))
