@@ -36,12 +36,10 @@ from .spacetime import CODATA2018, check_domain, point_message, value_at
 from .switch_model import (
     AMPLITUDES,
     AmplitudeModel,
-    DiagonalResult,
     build_input,
     check_amplitudes,
     coefficient_rows,
     complement,
-    diagonal_measure,
     run_switch,
     switch_summaries,
 )
@@ -328,48 +326,25 @@ def _state_label(factors, idx):
 def _serialize_state(state):
     if state is None:
         return ""
-    parts = []
-    for idx, amp in state.nonzero_rows():
-        parts.append(
-            f"{_state_label(state.factors, idx)}="
-            f"{amp.real:.17g}{amp.imag:+.17g}j"
-        )
-    return ";".join(parts)
+    return ";".join(f"{_state_label(state.factors, idx)}={amp.real:.17g}{amp.imag:+.17g}j"
+                    for idx, amp in state.nonzero_rows())
 
 
 def build_model(sw):
-    return AmplitudeModel(
-        c1a=sw.c1a, c4a=sw.c4a, c1b=sw.c1b, c2b=sw.c2b,
-        f_ba=sw.f_ba, f_ab=sw.f_ab,
-        delta_1a=sw.delta_1a, delta_4a=sw.delta_4a,
-        delta_1b=sw.delta_1b, delta_2b=sw.delta_2b,
-        gamma_ba=sw.gamma_ba, gamma_ab=sw.gamma_ab,
-    )
+    return AmplitudeModel(**{name: getattr(sw, name) for pair in AMPLITUDES for name in pair})
 
 
 def compute_switch(config):
-    model = build_model(config.switch)
-    state = build_input(config.switch.alpha)
-    outcome = run_switch(state, model)
+    outcome = run_switch(build_input(config.switch.alpha), build_model(config.switch))
+    modes = ("agents", "path")
+    readouts = [outcome.readout(mode) for mode in modes]
     rows = []
-    for zeta in range(4):
-        sel = outcome.postselection(zeta)
-        for mode in ("agents", "path"):
-            if sel.state is None:
-                results, remainder = [DiagonalResult(sign, 0.0, None) for sign in "+-"], 0.0
-            else:
-                results, remainder = diagonal_measure(sel.state, mode)
-            for res in results:
-                rows.append({
-                    "scenario": config.scenario,
-                    "zeta": zeta,
-                    "zeta_probability": sel.probability,
-                    "mode": mode,
-                    "outcome": res.sign,
-                    "outcome_probability": res.probability,
-                    "mode_remainder": remainder,
-                    "residual": _serialize_state(res.residual),
-                })
+    for sel in outcome.postselections:
+        for mode, readout in zip(modes, readouts):
+            results, remainder = readout[sel.zeta]
+            rows += [dict(zip(SWITCH_COLUMNS, (
+                config.scenario, sel.zeta, sel.probability, mode, res.sign, res.probability,
+                remainder, _serialize_state(res.residual)))) for res in results]
     return outcome, rows
 
 

@@ -30,9 +30,7 @@ from .hilbert import (
     SWITCH_FACTORS,
     SparseOperator,
     StateVector,
-    basis_state,
     factor_dims,
-    measure_in_basis,
 )
 from .spacetime import check_domain
 
@@ -180,21 +178,6 @@ class AmplitudeModel:
         amplitudes, phases = self._fields()
         return (1.0, *amplitudes, *map(complement, amplitudes, phases))
 
-    def d_a(self, photon):
-        """Agent A's no-absorption complement for an incoming photon index."""
-        return self.coefficients()[_index(f"d{photon + 1}a")]
-
-    def d_b(self, photon):
-        return self.coefficients()[_index(f"d{photon + 1}b")]
-
-    @property
-    def g_ba(self):
-        return self.coefficients()[_index("g_ba")]
-
-    @property
-    def g_ab(self):
-        return self.coefficients()[_index("g_ab")]
-
 
 def _index(name):
     """Position of a name in COEFFICIENTS; the complement of a photon outside
@@ -300,9 +283,15 @@ def _compile_histories():
 
 _END, _START, _COEFFICIENT, _ZETA, _SLOT = _compile_histories()
 
-#: the one-vector basis of each detector pattern, in DETECTOR_PATTERNS' order
-DETECTOR_BASES = tuple((basis_state({"detA": a, "detB": b}, factors=("detA", "detB")),)
-                       for a, b in DETECTOR_PATTERNS.values())
+#: factors of a postselected class: the detector factors come last
+CLASS_FACTORS = SWITCH_FACTORS[:-2]
+#: each class's flat index on the (detA, detB) axes, in zeta order
+_CLASS_COLUMNS = [2 * det_a + det_b for det_a, det_b in DETECTOR_PATTERNS.values()]
+
+#: the factors and the (early, late) indices of the two rows each
+#: diagonal-measurement mode reads
+_DIAGONAL_ROWS = {"agents": (("path", "agentA", "agentB"), DIAGONAL_BRANCHES),
+                  "path": (("path",), ((PATH_EARLY,), (PATH_LATE,)))}
 
 
 def _reachable(input_state, coefficients):
@@ -314,6 +303,30 @@ def _reachable(input_state, coefficients):
     for k in _COEFFICIENT[keep].T:  # one interaction after the other
         amps = coefficients[:, k] * amps
     return keep, amps
+
+
+def _class_probabilities(table, keep, amps):
+    """`table` with the zeta probabilities of the histories `keep` added to its
+    columns 0..3, summed history by history in the order of their end index."""
+    for r, zeta in enumerate(_ZETA[keep]):
+        table[:, zeta] += abs(amps[:, r]) ** 2
+    return table
+
+
+def _diagonal_outcomes(early, late, probability):
+    """The + and - outcomes of the diagonal measurement of rows early and late,
+    entries along axis 0 and a column per class of `probability`: for each
+    sign, the part early ± late, its squared norm summed entry by entry in
+    order (entries zero in every column add nothing and are skipped), and
+    the outcome probability ½‖early ± late‖²/p (0.0 where p = 0)."""
+    outcomes = []
+    for part in (early + late, early - late):
+        norm2 = np.zeros(part.shape[1:])
+        for entry in part[part.any(axis=1)]:
+            norm2 += abs(entry) ** 2
+        outcomes.append((part, norm2, np.divide(0.5 * norm2, probability, out=np.zeros_like(norm2),
+                                                where=probability > 0.0)))
+    return outcomes
 
 
 def switch_summaries(input_state, coefficients):
@@ -329,17 +342,11 @@ def switch_summaries(input_state, coefficients):
     coefficients = np.asarray(coefficients, dtype=complex)
     keep, amps = _reachable(input_state, coefficients)
     n_target = FACTOR_DIMS["target"]
-    batch = len(coefficients)
-    table = np.zeros((batch, 6))
-    block = np.zeros((batch, 2 * n_target + 1), dtype=complex)
-    for r, zeta in enumerate(_ZETA[keep]):
-        table[:, zeta] += abs(amps[:, r]) ** 2
-    block[:, _SLOT[keep]] = amps  # histories off the block land in the last column
-    for t in range(n_target):
-        table[:, 4] += abs(block[:, t] + block[:, n_target + t]) ** 2
-        table[:, 5] += abs(block[:, t] - block[:, n_target + t]) ** 2
-    zeta3 = table[:, 3:4]
-    np.divide(0.5 * table[:, 4:], zeta3, out=table[:, 4:], where=zeta3 > 0.0)
+    block = np.zeros((2 * n_target + 1, len(coefficients)), dtype=complex)
+    block[_SLOT[keep]] = amps.T  # histories off the block land in the last row
+    table = _class_probabilities(np.zeros((len(coefficients), 6)), keep, amps)
+    (_, _, table[:, 4]), (_, _, table[:, 5]) = _diagonal_outcomes(
+        block[:n_target], block[n_target:-1], table[:, 3])
     return table
 
 
@@ -370,7 +377,7 @@ class Postselection:
 
     zeta: int
     probability: float
-    state: StateVector | None  # normalized, on (path, agentA, agentB, target)
+    state: StateVector | None  # normalized, on CLASS_FACTORS
 
 
 @dataclass(frozen=True)
@@ -388,6 +395,18 @@ class SwitchOutcome:
     def zeta_probabilities(self):
         return tuple(p.probability for p in self.postselections)
 
+    def readout(self, mode="agents"):
+        """(results, remainder) of :func:`diagonal_measure` for each class, zeta
+        by zeta, read from its unnormalized amplitudes and probability as
+        :func:`switch_summaries` reads them; an empty class reads all 0.0."""
+        return _measure(_classes(self.pre_measurement), CLASS_FACTORS, mode,
+                        np.array(self.zeta_probabilities))
+
+
+def _classes(register):
+    """The register's amplitudes with its two detector axes made one zeta axis."""
+    return register.amps.reshape(factor_dims(CLASS_FACTORS) + (-1,))[..., _CLASS_COLUMNS]
+
 
 def run_switch(input_state, model):
     """Apply both orderings under path control and classify by detectors.
@@ -395,17 +414,18 @@ def run_switch(input_state, model):
     The early branch scatters off A then B, the late branch off B then A;
     the second interaction uses the double-scattering amplitudes where the
     first agent's level records a previous scattering (the histories of
-    :func:`switch_summaries`).
+    :func:`switch_summaries`, whose class probabilities these are).
     """
     keep, amps = _reachable(input_state, np.array([model.coefficients()], dtype=complex))
     pre = np.zeros_like(input_state.amps)
     pre[_END[keep]] = amps[0]
     pre = StateVector(SWITCH_FACTORS, pre)
-    selections = []
-    for zeta, basis in zip(DETECTOR_PATTERNS, DETECTOR_BASES):
-        outcome = measure_in_basis(pre, basis)[0]
-        selections.append(Postselection(zeta, outcome.probability, outcome.collapsed))
-    return SwitchOutcome(model=model, pre_measurement=pre, postselections=tuple(selections))
+    classes = _classes(pre)
+    selections = tuple(
+        Postselection(zeta, p, StateVector(CLASS_FACTORS, classes[..., zeta] / math.sqrt(p))
+                      if p > 0.0 else None)
+        for zeta, p in enumerate(_class_probabilities(np.zeros((1, 4)), keep, amps)[0].tolist()))
+    return SwitchOutcome(model=model, pre_measurement=pre, postselections=selections)
 
 
 def postselect(outcome, zeta):
@@ -423,32 +443,35 @@ class DiagonalResult:
     residual: StateVector | None
 
 
-def _diagonal_basis(factors, branches):
-    early, late = (basis_state(dict(zip(factors, b)), factors=factors) for b in branches)
-    inv = 1.0 / math.sqrt(2.0)
-    return inv * (early + late), inv * (early - late)
-
-
-#: the (+, -) basis of each diagonal-measurement mode
-DIAGONAL_BASES = {"agents": _diagonal_basis(("path", "agentA", "agentB"), DIAGONAL_BRANCHES),
-                  "path": _diagonal_basis(("path",), ((PATH_EARLY,), (PATH_LATE,)))}
+def _measure(tensor, factors, mode, probability):
+    """(results, remainder) of :func:`diagonal_measure` for each of a batch of
+    states: amplitudes `tensor` on `factors`, then an axis over the batch."""
+    if mode not in _DIAGONAL_ROWS or not set(_DIAGONAL_ROWS[mode][0]) <= set(factors):
+        raise ValueError(f"no diagonal-measurement mode {mode!r} on factors {factors}")
+    names, branches = _DIAGONAL_ROWS[mode]
+    early, late = (tensor[tuple(dict(zip(names, branch)).get(f, slice(None)) for f in factors)]
+                   .reshape(-1, len(probability)) for branch in branches)
+    outcomes = _diagonal_outcomes(early, late, probability)
+    rest = tuple(f for f in factors if f not in names)
+    readouts = []
+    for k, class_probability in enumerate(probability.tolist()):
+        results = []
+        for sign, (part, norm2, p) in zip("+-", outcomes):
+            residual = StateVector(rest, part[:, k] / math.sqrt(norm2[k])) if p[k] > 0.0 else None
+            results.append(DiagonalResult(sign, float(p[k]), residual))
+        remainder = 1.0 - results[0].probability - results[1].probability
+        readouts.append((results, max(0.0, remainder) if class_probability > 0.0 else 0.0))
+    return readouts
 
 
 def diagonal_measure(state, mode="agents"):
     """Measure in the balanced (+/-) basis that erases which-order information.
 
-    mode "agents" uses the joint path-and-final-levels basis appropriate to
-    a doubly scattered photon, leaving a residual on the target (and any
-    remaining factors); mode "path" measures the path factor alone.
-    Returns the two DiagonalResults followed by the probability left in
-    the unspanned complement.
+    Mode "agents" reads the rows of the doubly scattered branches,
+    DIAGONAL_BRANCHES, leaving a residual on the target and any remaining
+    factors; mode "path" reads the two rows of the path factor.  Outcome ±
+    has probability ½‖early ± late‖² and residual (early ± late)/‖early ± late‖,
+    None at probability 0.  Returns the two DiagonalResults followed by the
+    probability left in the unspanned complement.
     """
-    if mode not in DIAGONAL_BASES:
-        raise ValueError(f"unknown diagonal-measurement mode {mode!r}")
-    plus, minus = measure_in_basis(state, DIAGONAL_BASES[mode])
-    results = [
-        DiagonalResult("+", plus.probability, plus.collapsed),
-        DiagonalResult("-", minus.probability, minus.collapsed),
-    ]
-    remainder = 1.0 - plus.probability - minus.probability
-    return results, max(0.0, remainder)
+    return _measure(state.amps.reshape(state.dims + (1,)), state.factors, mode, np.ones(1))[0]

@@ -28,8 +28,6 @@ from qswitch.switch_model import (
     AmplitudeModel,
     build_input,
     diagonal_measure,
-    interaction_a,
-    interaction_b,
     postselect,
     run_switch,
 )
@@ -44,9 +42,8 @@ from qswitch.trigger import (
 )
 
 from conftest import EARTH_RADIUS, random_alphas, random_model
-from test_hilbert import dense_full_matrix
 from test_spacetime import naive_difference, oracle_difference
-from test_switch_model import DIMS
+from test_switch_model import DIMS, dense_oracle_state
 
 
 def report(number, passed, detail):
@@ -190,21 +187,6 @@ def test_criterion_08_switch_algebra():
         f"e4 target entropy {entropy:.1e}",
     )
     assert probs_ok and targets_ok and e4_ok
-
-
-def dense_oracle_state(alphas, model):
-    """Path-controlled product of dense operator embeddings (matrix-vector)."""
-    u_a1 = dense_full_matrix(interaction_a(model, "first"))
-    u_b2 = dense_full_matrix(interaction_b(model, "after_a"))
-    u_b1 = dense_full_matrix(interaction_b(model, "first"))
-    u_a2 = dense_full_matrix(interaction_a(model, "after_b"))
-    amps = build_input(alphas).amps
-    tensor = amps.reshape(DIMS)
-    early = np.zeros(DIMS, dtype=complex)
-    early[PATH_EARLY] = tensor[PATH_EARLY]
-    late = np.zeros(DIMS, dtype=complex)
-    late[PATH_LATE] = tensor[PATH_LATE]
-    return u_b2 @ (u_a1 @ early.reshape(-1)) + u_a2 @ (u_b1 @ late.reshape(-1))
 
 
 def test_criterion_09_generic_model_oracle():

@@ -1,9 +1,11 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from qswitch import switch_model
 from qswitch.hilbert import (
     FACTOR_DIMS,
     PATH_EARLY,
@@ -11,6 +13,7 @@ from qswitch.hilbert import (
     SWITCH_FACTORS,
     basis_state,
     entanglement_entropy,
+    measure_in_basis,
     project,
 )
 from qswitch.switch_model import (
@@ -18,6 +21,9 @@ from qswitch.switch_model import (
     A5,
     B3,
     B5,
+    COEFFICIENTS,
+    DETECTOR_PATTERNS,
+    DIAGONAL_BRANCHES,
     E1,
     E2,
     E3,
@@ -27,6 +33,7 @@ from qswitch.switch_model import (
     AmplitudeModel,
     build_input,
     diagonal_measure,
+    interaction,
     interaction_a,
     interaction_b,
     postselect,
@@ -34,7 +41,6 @@ from qswitch.switch_model import (
 )
 
 from conftest import random_alphas, random_model
-from test_hilbert import dense_full_matrix
 
 DIMS = tuple(FACTOR_DIMS[f] for f in SWITCH_FACTORS)
 
@@ -91,25 +97,63 @@ def oracle_pre_measurement(alphas, model):
     return amps.reshape(-1)
 
 
-def dense_product_pre_measurement(alphas, model):
-    """Second oracle: explicit dense matrix products with path control."""
-    u_a1 = dense_full_matrix(interaction_a(model, "first"))
-    u_b2 = dense_full_matrix(interaction_b(model, "after_a"))
-    u_b1 = dense_full_matrix(interaction_b(model, "first"))
-    u_a2 = dense_full_matrix(interaction_a(model, "after_b"))
-    path_axis = SWITCH_FACTORS.index("path")
-    proj = {}
-    for value in (PATH_EARLY, PATH_LATE):
-        mask = np.zeros(DIMS)
-        index = [slice(None)] * len(DIMS)
-        index[path_axis] = value
-        mask[tuple(index)] = 1.0
-        proj[value] = np.diag(mask.reshape(-1))
-    composite = (
-        proj[PATH_EARLY] @ (u_b2 @ u_a1) @ proj[PATH_EARLY]
-        + proj[PATH_LATE] @ (u_a2 @ u_b1) @ proj[PATH_LATE]
-    )
-    return composite @ build_input(alphas).amps
+def _stage_matrix(model, agent, second):
+    """Dense matrix of one agent's scattering on the whole register, built
+    from the level diagram and the model's per-channel amplitudes.
+
+    The agent acts on basis elements where it is ready and its detector
+    clear: a photon in its absorption table is absorbed with amplitude c,
+    and with the complement d it passes while the agent falls to rest and
+    its witness flips; any other photon passes with amplitude 1.  Acting
+    second, it meets the photon the other agent re-emitted from its e1
+    absorption with the double-scattering pair (f, g) instead.
+    """
+    lv = ENERGY_LEVELS
+    other = "b" if agent == "a" else "a"
+    fresh = {
+        "a": {E1: (model.c1a, _complement(model.c1a, model.delta_1a)),
+              E4: (model.c4a, _complement(model.c4a, model.delta_4a))},
+        "b": {E1: (model.c1b, _complement(model.c1b, model.delta_1b)),
+              E2: (model.c2b, _complement(model.c2b, model.delta_2b))},
+    }[agent]
+    double = {"a": (model.f_ab, _complement(model.f_ab, model.gamma_ab)),
+              "b": (model.f_ba, _complement(model.f_ba, model.gamma_ba))}[agent]
+    own, det, outside, target = (SWITCH_FACTORS.index(name) for name in (
+        f"agent{agent.upper()}", f"det{agent.upper()}", f"agent{other.upper()}", "target"))
+    ready, rest, absorb = (getattr(lv, f"{key}_{agent}") for key in ("ready", "rest", "absorb"))
+    marker = getattr(lv, f"absorb_{other}")[E1]
+    matrix = np.zeros((math.prod(DIMS),) * 2, dtype=complex)
+
+    def add(src, changes, amp):
+        dst = list(src)
+        for axis, value in changes.items():
+            dst[axis] = value
+        matrix[np.ravel_multi_index(dst, DIMS), np.ravel_multi_index(src, DIMS)] += amp
+
+    for src in np.ndindex(*DIMS):
+        if src[own] != ready or src[det] != 0:
+            continue
+        photon = src[target]
+        c, d = fresh.get(photon, (0.0, 1.0))
+        if second and (src[outside], photon) == (marker.level_out, marker.photon_out):
+            c, d = double
+        if photon in absorb:
+            add(src, {own: absorb[photon].level_out, target: absorb[photon].photon_out}, c)
+        add(src, {own: rest, det: 1}, d)
+    return matrix
+
+
+def dense_oracle_state(alphas, model):
+    """Independent dense-product oracle: the path-controlled product of the
+    agents' dense matrices, A then B on the early branch and B then A on the
+    late one, applied to the input register."""
+    amps = build_input(alphas).amps.reshape(DIMS)
+    early = np.zeros(DIMS, dtype=complex)
+    early[PATH_EARLY] = amps[PATH_EARLY]
+    late = np.zeros(DIMS, dtype=complex)
+    late[PATH_LATE] = amps[PATH_LATE]
+    return (_stage_matrix(model, "b", True) @ (_stage_matrix(model, "a", False) @ early.reshape(-1))
+            + _stage_matrix(model, "a", True) @ (_stage_matrix(model, "b", False) @ late.reshape(-1)))
 
 
 class TestEnergyLevelMap:
@@ -135,25 +179,20 @@ class TestEnergyLevelMap:
 class TestAmplitudeModel:
     def test_channel_unitarity(self):
         rng = np.random.default_rng(31)
+        amplitudes, complements = COEFFICIENTS[1:7], COEFFICIENTS[7:]
+        assert [name[1:] for name in amplitudes] == [name[1:] for name in complements]
         for _ in range(20):
-            model = random_model(rng)
-            for c, d in (
-                (model.c1a, model.d_a(E1)),
-                (model.c4a, model.d_a(E4)),
-                (model.c1b, model.d_b(E1)),
-                (model.c2b, model.d_b(E2)),
-                (model.f_ba, model.g_ba),
-                (model.f_ab, model.g_ab),
-            ):
+            values = random_model(rng).coefficients()
+            for c, d in zip(values[1:7], values[7:]):
                 assert abs(c) ** 2 + abs(d) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_off_channel_complements_are_unity(self):
-        rng = np.random.default_rng(32)
-        model = random_model(rng)
-        for photon in (E2, E3, E5):
-            assert model.d_a(photon) == 1.0
-        for photon in (E3, E4, E5):
-            assert model.d_b(photon) == 1.0
+        for agent, context in (("a", "first"), ("b", "first"), ("a", "after_b"), ("b", "after_a")):
+            absorb = getattr(ENERGY_LEVELS, f"absorb_{agent}")
+            _, triples = interaction(agent, context)
+            for src, dst, k in triples:
+                if src[-2] not in absorb:
+                    assert dst[-1] == 1 and COEFFICIENTS[k] == "1"
 
     def test_rejects_super_unit_modulus(self):
         with pytest.raises(ValueError):
@@ -310,12 +349,32 @@ class TestGenericModels:
 
     def test_dense_product_oracle(self):
         rng = np.random.default_rng(35)
-        for _ in range(10):  # dense embeddings are slow; acceptance runs 100
+        for _ in range(10):  # dense products are slow; acceptance runs 100
             model = random_model(rng)
             alphas = random_alphas(rng)
             outcome = run_switch(build_input(alphas), model)
-            expected = dense_product_pre_measurement(alphas, model)
+            expected = dense_oracle_state(alphas, model)
             assert np.allclose(outcome.pre_measurement.amps, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("key, name, wrong", [
+        (("b", "after_a"), "f_ba", "c2b"),
+        (("a", "after_b"), "g_ab", "d4a"),
+        (("a", "first"), "c1a", "c4a"),
+    ])
+    def test_dense_oracle_catches_a_corrupted_triple(self, monkeypatch, key, name, wrong):
+        factors, triples = switch_model._INTERACTIONS[key]
+        k, bad = COEFFICIENTS.index(name), COEFFICIENTS.index(wrong)
+        assert sum(t[2] == k for t in triples) == 1
+        corrupted = tuple((src, dst, bad if t == k else t) for src, dst, t in triples)
+        monkeypatch.setitem(switch_model._INTERACTIONS, key, (factors, corrupted))
+        for column, values in zip(("_END", "_START", "_COEFFICIENT", "_ZETA", "_SLOT"),
+                                  switch_model._compile_histories()):
+            monkeypatch.setattr(switch_model, column, values)
+        rng = np.random.default_rng(41)
+        model, alphas = random_model(rng), random_alphas(rng)
+        gap = np.abs(run_switch(build_input(alphas), model).pre_measurement.amps
+                     - dense_oracle_state(alphas, model))
+        assert gap.max() > 1e-3
 
     def test_postselection_completeness(self):
         rng = np.random.default_rng(36)
@@ -402,3 +461,74 @@ class TestGenericModels:
         outcome = run_switch(build_input([1, 0, 0, 0, 0]), AmplitudeModel())
         with pytest.raises(ValueError):
             postselect(outcome, 4)
+
+
+#: the factors and the (early, late) rows each diagonal-measurement mode reads
+MODE_ROWS = {"agents": (("path", "agentA", "agentB"), DIAGONAL_BRANCHES),
+             "path": (("path",), ((PATH_EARLY,), (PATH_LATE,)))}
+
+
+def _mp_outcome(early, late, sign, probability):
+    """40-digit outcome probability and residual of rows early ± late."""
+    part = [mpmath.mpc(e) + sign * mpmath.mpc(l) for e, l in zip(early.tolist(), late.tolist())]
+    norm2 = mpmath.fsum(abs(z) ** 2 for z in part)
+    if norm2 == 0:
+        return norm2, None
+    return norm2 / (2 * probability), [z / mpmath.sqrt(norm2) for z in part]
+
+
+class TestReadout:
+    def test_readout_matches_40_digit_oracle(self):
+        rng = np.random.default_rng(42)
+        with mpmath.workdps(40):
+            for _ in range(100):
+                outcome = run_switch(build_input(random_alphas(rng)), random_model(rng))
+                tensor = outcome.pre_measurement.amps.reshape(DIMS)
+                for zeta, pattern in DETECTOR_PATTERNS.items():
+                    block = tensor[(...,) + pattern]
+                    p = mpmath.fsum(abs(mpmath.mpc(x)) ** 2 for x in block.reshape(-1).tolist())
+                    assert outcome.postselection(zeta).probability == pytest.approx(
+                        float(p), rel=4e-15, abs=0.0)
+                    for mode, (_, branches) in MODE_ROWS.items():
+                        early, late = (block[branch].reshape(-1) for branch in branches)
+                        results, _ = outcome.readout(mode)[zeta]
+                        for res, sign in zip(results, (1, -1)):
+                            prob, residual = _mp_outcome(early, late, sign, p)
+                            assert abs(res.probability - prob) <= 4e-15 * prob
+                            if residual is None:
+                                assert res.residual is None
+                                continue
+                            for got, want in zip(res.residual.amps.tolist(), residual):
+                                assert abs(got - want) <= 4e-15 * abs(want)
+
+    def test_diagonal_measure_matches_measure_in_basis(self):
+        rng = np.random.default_rng(43)
+        inv = 1.0 / math.sqrt(2.0)
+        for _ in range(50):
+            outcome = run_switch(build_input(random_alphas(rng)), random_model(rng))
+            for sel in outcome.postselections:
+                for mode, (names, branches) in MODE_ROWS.items():
+                    early, late = (basis_state(dict(zip(names, b)), factors=names) for b in branches)
+                    plus, minus = measure_in_basis(sel.state, (inv * (early + late), inv * (early - late)))
+                    results, remainder = diagonal_measure(sel.state, mode)
+                    for res, expected in zip(results, (plus, minus)):
+                        assert abs(res.probability - expected.probability) <= 1e-12
+                        # the basis overlap's residual is off by about 1e-16/sqrt(p)
+                        if expected.probability < 1e-6:
+                            continue
+                        assert res.residual.factors == expected.collapsed.factors
+                        assert np.allclose(res.residual.amps, expected.collapsed.amps,
+                                           rtol=0.0, atol=1e-12)
+                    assert abs(remainder - max(0.0, 1.0 - plus.probability - minus.probability)) <= 1e-12
+
+    def test_empty_class_reads_zero(self):
+        outcome = run_switch(build_input([1, 0, 0, 0, 0]), AmplitudeModel())
+        for mode in MODE_ROWS:
+            results, remainder = outcome.readout(mode)[0]
+            assert [(r.sign, r.probability, r.residual) for r in results] == [("+", 0.0, None), ("-", 0.0, None)]
+            assert remainder == 0.0
+
+    def test_unknown_mode_rejected(self):
+        state, _ = postselect(run_switch(build_input([1, 0, 0, 0, 0]), AmplitudeModel()), 3)
+        with pytest.raises(ValueError, match="mode"):
+            diagonal_measure(state, "detectors")

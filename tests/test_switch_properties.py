@@ -20,7 +20,7 @@ from qswitch.switch_model import (
     switch_summaries,
 )
 
-from test_switch_model import dense_product_pre_measurement
+from test_switch_model import dense_oracle_state
 
 DIMS = tuple(FACTOR_DIMS[f] for f in SWITCH_FACTORS)
 AMPLITUDES = ("c1a", "c4a", "c1b", "c2b", "f_ba", "f_ab")
@@ -76,6 +76,17 @@ def test_zeta3_readout_matches_diagonal_measure(model, alpha):
     assert abs(row[5] - expected[1]) <= 1e-12
 
 
+@settings(max_examples=200, **PROPERTY)
+@given(models, alphas)
+def test_typed_run_reads_out_as_a_sweep(model, alpha):
+    config = _config(alpha, model)
+    rows = {(r["zeta"], r["mode"], r["outcome"]): r for r in cli.compute_switch(config)[1]}
+    typed = [rows[zeta, "agents", "+"]["zeta_probability"] for zeta in DETECTOR_PATTERNS]
+    typed += [rows[3, "agents", sign]["outcome_probability"] for sign in "+-"]
+    sweep = cli.switch_summary(config)
+    assert [value.hex() for value in typed] == [sweep[name].hex() for name in cli.SWITCH_SUMMARY_COLUMNS]
+
+
 @settings(max_examples=50, **PROPERTY)
 @given(st.lists(models, min_size=1, max_size=8), alphas)
 def test_batch_rows_equal_single_summaries(batch, alpha):
@@ -87,7 +98,7 @@ def test_batch_rows_equal_single_summaries(batch, alpha):
 @settings(max_examples=8, **PROPERTY)
 @given(models, alphas)
 def test_zeta_probabilities_match_dense_product(model, alpha):
-    dense = dense_product_pre_measurement(alpha, model).reshape(DIMS)
+    dense = dense_oracle_state(alpha, model).reshape(DIMS)
     batch = switch_summaries(build_input(alpha), [model.coefficients()])[0]
     single = run_switch(build_input(alpha), model).zeta_probabilities
     for zeta, (det_a, det_b) in DETECTOR_PATTERNS.items():
