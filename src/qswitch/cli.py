@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import (
     PRESET_NAMES,
-    SWEEPABLE,
+    SECTION_OF,
     ConfigError,
     ScenarioConfig,
     apply_preset,
@@ -400,20 +400,13 @@ TRIGGER_COLUMNS = [
 
 
 def trigger_params_from_config(config, constants):
-    t = config.trigger
-    if t.m is None and t.omega is None and t.delta is None and t.v0 is None:
+    t, required = config.trigger, ("m", "omega", "delta", "v0")
+    if all(getattr(t, k) is None for k in required):
         t = default_trigger_config(constants)
-    missing = [k for k in ("m", "omega", "delta", "v0") if getattr(t, k) is None]
+    missing = [k for k in required if getattr(t, k) is None]
     if missing:
         raise ConfigError(f"trigger configuration incomplete: missing {missing}")
-    return TriggerParams(
-        m=t.m,
-        omega=t.omega,
-        delta=t.delta,
-        v0=t.v0,
-        hbar=t.hbar if t.hbar is not None else constants.hbar,
-        amplitude=t.amplitude,
-    )
+    return TriggerParams(**{**vars(t), "hbar": constants.hbar if t.hbar is None else t.hbar})
 
 
 def compute_trigger(config, constants):
@@ -435,6 +428,7 @@ def compute_trigger(config, constants):
     if not numeric.passed:
         warnings.append("numeric trigger condition failed")
 
+    amp_zone, zone_packet, energy = params.validity_factors()
     row = {
         "scenario": config.scenario,
         "m": params.m,
@@ -448,9 +442,9 @@ def compute_trigger(config, constants):
         "epsilon": params.epsilon,
         "tau_star": params.tau_star,
         "rotation_angle": params.rotation_angle,
-        "factor_amp_zone": params.validity_factors()[0],
-        "factor_zone_packet": params.validity_factors()[1],
-        "factor_energy": params.validity_factors()[2],
+        "factor_amp_zone": amp_zone,
+        "factor_zone_packet": zone_packet,
+        "factor_energy": energy,
         "reflection_bound": analytic.reflection,
         "analytic_ready": analytic.p_ready_before,
         "analytic_fired": analytic.p_fired_at_star,
@@ -534,8 +528,6 @@ def compute_sweep(config, constants):
 
     grids = [np.array(sorted(rng.values()), dtype=float) for rng in ranges]
     names = [rng.parameter for rng in ranges]
-    for name in names:
-        with_sweep_value(config, name, 0.0)  # rejects a parameter that is not sweepable
     target = config.sweep.target
     columns = [f"sweep_{n}" for n in names]
     columns += TIMING_COLUMNS if target == "timing" else SWITCH_SUMMARY_COLUMNS
@@ -593,7 +585,7 @@ def _timing_sweep(config, constants, swept):
         chunk, point = {}, config
         for name, grid, at in swept(lo, hi):
             chunk[f"sweep_{name}"] = grid[at]
-            if SWEEPABLE[name] != "switch":
+            if SECTION_OF[name] != "switch":
                 point = with_sweep_value(point, name, grid[at])
         table, checks = _timing_columns(point, constants)
         chunk.update((name, np.broadcast_to(value, (hi - lo,))) for name, value in table.items())

@@ -1,7 +1,9 @@
 """Scenario configuration: line-oriented key = value files with [sections].
 
-Numbers accept scientific notation, comments run from '#' to end of line,
-unknown sections or keys are rejected with the offending line number.
+The keys of a section are the fields of its dataclass, each read as the
+finite float or complex number its field declares.  Numbers accept
+scientific notation, comments run from '#' to end of line, unknown
+sections or keys are rejected with the offending line number.
 Presets are constant sets shipped in code so the headline scenarios
 reproduce without external files.
 """
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .spacetime import CentralBody, PhysicalConstants
 
@@ -64,6 +66,16 @@ class TriggerConfig:
     amplitude: float | None = None
 
 
+#: parameters a sweep may vary; SECTION_OF names each one's section
+SWEEPABLE = ("h", "d", "dt_v", "dt_c", "dtau_1", "eps", "mass", "radius",
+             "c1a", "c4a", "c1b", "c2b", "f_ba", "f_ab")
+
+
+def _not_sweepable(parameter):
+    return (f"parameter {parameter!r} is not sweepable; "
+            f"choose from {', '.join(sorted(SWEEPABLE))}")
+
+
 @dataclass
 class SweepRange:
     parameter: str
@@ -72,20 +84,34 @@ class SweepRange:
     count: int
     scale: str = "linear"
 
+    def __post_init__(self):
+        fault = _range_fault(self.parameter, self.lo, self.hi, self.count, self.scale)
+        if fault is not None:
+            raise ConfigError(fault[1])
+
     def values(self):
-        if self.count < 1:
-            raise ConfigError(f"sweep count must be >= 1, got {self.count}")
         if self.count == 1:
             return [self.lo]
-        if self.scale == "linear":
-            step = (self.hi - self.lo) / (self.count - 1)
-            return [self.lo + step * i for i in range(self.count)]
         if self.scale == "log":
-            if self.lo <= 0 or self.hi <= 0:
-                raise ConfigError("log sweeps need positive bounds")
             ratio = math.log(self.hi / self.lo) / (self.count - 1)
             return [self.lo * math.exp(ratio * i) for i in range(self.count)]
-        raise ConfigError(f"unknown sweep scale {self.scale!r}")
+        step = (self.hi - self.lo) / (self.count - 1)
+        return [self.lo + step * i for i in range(self.count)]
+
+
+def _range_fault(parameter, lo, hi, count, scale):
+    """(sweep key, message) of the first thing wrong with a range, or None."""
+    if parameter not in SWEEPABLE:
+        return "parameter", _not_sweepable(parameter)
+    if scale not in ("linear", "log"):
+        return "scale", f"unknown sweep scale {scale!r}"
+    if count < 1:
+        return "count", f"sweep count must be >= 1, got {count}"
+    if scale == "log":
+        for key, bound in (("min", lo), ("max", hi)):
+            if bound <= 0:
+                return key, "log sweeps need positive bounds"
+    return None
 
 
 @dataclass
@@ -187,25 +213,36 @@ def _parse_alpha(text, where):
     return tuple(_parse_complex(p, where) for p in parts)
 
 
-_FLOAT_FIELDS = {
-    "protocol": {"h", "d", "dt_v", "dt_s", "dt_c", "dtau_1", "eps"},
-    "trigger": {"m", "omega", "delta", "v0", "hbar", "amplitude"},
+#: the sections whose keys are their dataclass's fields
+_SECTIONS = {"body": BodyConfig, "protocol": ProtocolConfig,
+             "switch": SwitchConfig, "trigger": TriggerConfig}
+
+#: reader of a field, by its declared type (a string under the
+#: annotations import)
+_READERS = {"float": _parse_float, "float | None": _parse_float,
+            "complex": _parse_complex, "tuple": _parse_alpha}
+
+#: section -> {key: reader} of every key a section's dataclass declares;
+#: [body] preset applies a preset rather than setting a value
+_KEYS = {
+    name: {f.name: _READERS[f.type] for f in fields(cls) if f.name != "preset"}
+    for name, cls in _SECTIONS.items()
 }
-_COMPLEX_FIELDS = {"switch": {"c1a", "c4a", "c1b", "c2b", "f_ba", "f_ab"}}
-_PHASE_FIELDS = {
-    "switch": {"delta_1a", "delta_4a", "delta_1b", "delta_2b", "gamma_ba", "gamma_ab"}
-}
+
+#: the section that declares each key; no key is declared by two sections
+SECTION_OF = {key: name for name, keys in _KEYS.items() for key in keys}
+
+_RANGE_KEYS = ("parameter", "min", "max", "count", "scale")
 
 
-def parse_config(text, constants, config=None):
-    """Parse scenario text onto `config` (a fresh ScenarioConfig by default).
+def _lines(text, sections, fold_case):
+    """(where, section, key, value) of each `key = value` line of `text`.
 
-    A `preset` key inside [body] is applied immediately, so later keys in
-    the file override preset values.
+    '#' starts a comment; section is the lower-cased name of the last
+    `[section]` header, which must be one of `sections`, or None before the
+    first header; keys are lower-cased when fold_case is true.
     """
-    config = config if config is not None else ScenarioConfig()
     section = None
-    sweep_parts = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -215,134 +252,79 @@ def parse_config(text, constants, config=None):
             if not line.endswith("]"):
                 raise ConfigError(f"{where}: malformed section header {line!r}")
             section = line[1:-1].strip().lower()
-            if section not in ("body", "protocol", "switch", "trigger", "sweep"):
+            if section not in sections:
                 raise ConfigError(f"{where}: unknown section [{section}]")
             continue
         if "=" not in line:
             raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
+        if fold_case:
+            key = key.lower()
         if not value:
             raise ConfigError(f"{where}: empty value for key {key!r}")
+        yield where, section, key, value
 
+
+def parse_config(text, constants, config=None):
+    """Parse scenario text onto `config` (a fresh ScenarioConfig by default).
+
+    A `preset` key inside [body] is applied immediately, so later keys in
+    the file override preset values.
+    """
+    config = config if config is not None else ScenarioConfig()
+    sweep_parts = {}
+    for where, section, key, value in _lines(text, (*_SECTIONS, "sweep"), fold_case=True):
         if section is None:
-            if key == "scenario":
-                config.scenario = value
-                continue
-            raise ConfigError(f"{where}: key {key!r} outside any section")
-        if section == "body":
-            if key == "preset":
-                apply_preset(config, value, constants)
-            elif key in ("mass", "radius"):
-                setattr(config.body, key, _parse_float(value, where))
-            else:
-                raise ConfigError(f"{where}: unknown [body] key {key!r}")
-        elif section == "protocol":
-            if key not in _FLOAT_FIELDS["protocol"]:
-                raise ConfigError(f"{where}: unknown [protocol] key {key!r}")
-            setattr(config.protocol, key, _parse_float(value, where))
-        elif section == "switch":
-            if key == "alpha":
-                config.switch.alpha = _parse_alpha(value, where)
-            elif key in _COMPLEX_FIELDS["switch"]:
-                setattr(config.switch, key, _parse_complex(value, where))
-            elif key in _PHASE_FIELDS["switch"]:
-                setattr(config.switch, key, _parse_float(value, where))
-            else:
-                raise ConfigError(f"{where}: unknown [switch] key {key!r}")
-        elif section == "trigger":
-            if key not in _FLOAT_FIELDS["trigger"]:
-                raise ConfigError(f"{where}: unknown [trigger] key {key!r}")
-            setattr(config.trigger, key, _parse_float(value, where))
-        elif section == "sweep":
-            if key == "target":
-                if value not in ("timing", "switch"):
-                    raise ConfigError(
-                        f"{where}: sweep target must be 'timing' or 'switch'"
-                    )
-                config.sweep.target = value
-            elif key in ("parameter", "min", "max", "count", "scale",
-                         "parameter2", "min2", "max2", "count2", "scale2"):
-                sweep_parts[key] = (value, where)
-            else:
-                raise ConfigError(f"{where}: unknown [sweep] key {key!r}")
+            if key != "scenario":
+                raise ConfigError(f"{where}: key {key!r} outside any section")
+            config.scenario = value
+        elif section == "body" and key == "preset":
+            apply_preset(config, value, constants)
+        elif key in _KEYS.get(section, ()):
+            setattr(getattr(config, section), key, _KEYS[section][key](value, where))
+        elif section == "sweep" and key == "target":
+            if value not in ("timing", "switch"):
+                raise ConfigError(f"{where}: sweep target must be 'timing' or 'switch'")
+            config.sweep.target = value
+        elif section == "sweep" and key.removesuffix("2") in _RANGE_KEYS:
+            sweep_parts[key] = (value, where)
+        else:
+            raise ConfigError(f"{where}: unknown [{section}] key {key!r}")
 
     for suffix in ("", "2"):
-        name = sweep_parts.get("parameter" + suffix)
-        if name is None:
+        parts = {key: sweep_parts.get(key + suffix) for key in _RANGE_KEYS}
+        if parts["parameter"] is None:
             continue
-        def part(base, default=None):
-            item = sweep_parts.get(base + suffix)
-            return item if item is not None else (default, name[1])
-        lo = part("min")
-        hi = part("max")
-        count = part("count")
-        scale = part("scale", "linear")
-        for label, item in (("min", lo), ("max", hi), ("count", count)):
-            if item[0] is None:
-                raise ConfigError(f"{name[1]}: sweep {label}{suffix} is required")
-        config.sweep.ranges.append(
-            SweepRange(
-                parameter=name[0],
-                lo=_parse_float(lo[0], lo[1]),
-                hi=_parse_float(hi[0], hi[1]),
-                count=_parse_int(count[0], count[1]),
-                scale=scale[0],
-            )
-        )
+        for key in ("min", "max", "count"):
+            if parts[key] is None:
+                raise ConfigError(f"{parts['parameter'][1]}: sweep {key}{suffix} is required")
+        bounds = (parts["parameter"][0], _parse_float(*parts["min"]),
+                  _parse_float(*parts["max"]), _parse_int(*parts["count"]),
+                  parts["scale"][0] if parts["scale"] else "linear")
+        fault = _range_fault(*bounds)
+        if fault is not None:
+            key, message = fault
+            raise ConfigError(f"{parts[key][1]}: {message}")
+        config.sweep.ranges.append(SweepRange(*bounds))
     return config
 
 
 def parse_constants(text):
     """Constants override file: bare 'c = .', 'G = .', 'hbar = .' lines."""
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
+    for where, _, key, value in _lines(text, (), fold_case=False):
         if key not in ("c", "G", "hbar"):
-            raise ConfigError(f"line {lineno}: unknown constant {key!r}")
-        values[key] = _parse_float(value.strip(), f"line {lineno}")
+            raise ConfigError(f"{where}: unknown constant {key!r}")
+        values[key] = _parse_float(value, where)
     return PhysicalConstants(**values)
-
-
-#: parameters a sweep may vary, mapped to their config section
-SWEEPABLE = {
-    "h": "protocol",
-    "d": "protocol",
-    "dt_v": "protocol",
-    "dt_c": "protocol",
-    "dtau_1": "protocol",
-    "eps": "protocol",
-    "mass": "body",
-    "radius": "body",
-    "c1a": "switch",
-    "c4a": "switch",
-    "c1b": "switch",
-    "c2b": "switch",
-    "f_ba": "switch",
-    "f_ab": "switch",
-}
 
 
 def with_sweep_value(config, parameter, value):
     """Copy of `config` with one swept parameter replaced."""
     if parameter not in SWEEPABLE:
-        raise ConfigError(
-            f"parameter {parameter!r} is not sweepable; "
-            f"choose from {', '.join(sorted(SWEEPABLE))}"
-        )
-    section = SWEEPABLE[parameter]
-    new = replace(config)
-    if section == "protocol":
-        new.protocol = replace(config.protocol, **{parameter: value})
-    elif section == "body":
-        new.body = replace(config.body, **{parameter: value})
-    else:
-        new.switch = replace(config.switch, **{parameter: complex(value)})
-    return new
+        raise ConfigError(_not_sweepable(parameter))
+    section = SECTION_OF[parameter]
+    if _KEYS[section][parameter] is _parse_complex:
+        value = complex(value)
+    return replace(config, **{section: replace(getattr(config, section), **{parameter: value})})

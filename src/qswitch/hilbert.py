@@ -56,7 +56,7 @@ class StateVector:
 
     def __post_init__(self):
         dims = factor_dims(self.factors)
-        expected = int(np.prod(dims)) if dims else 1
+        expected = math.prod(dims)
         amps = np.asarray(self.amps, dtype=complex).reshape(-1)
         if amps.size != expected:
             raise ValueError(
@@ -121,14 +121,14 @@ def basis_state(indices, factors=SWITCH_FACTORS):
         if not 0 <= k < dim:
             raise ValueError(f"index {k} out of range for factor {name!r} (dim {dim})")
         idx.append(k)
-    amps = np.zeros(int(np.prod(dims)), dtype=complex)
+    amps = np.zeros(math.prod(dims), dtype=complex)
     amps[int(np.ravel_multi_index(tuple(idx), dims))] = 1.0
     return StateVector(factors, amps)
 
 
 def zero_state(factors=SWITCH_FACTORS):
     dims = factor_dims(tuple(factors))
-    return StateVector(tuple(factors), np.zeros(int(np.prod(dims)), dtype=complex))
+    return StateVector(tuple(factors), np.zeros(math.prod(dims), dtype=complex))
 
 
 def _orthonormal(gram):
@@ -146,7 +146,7 @@ class SparseOperator:
     def __init__(self, factors, triples):
         self.factors = tuple(factors)
         self.dims = factor_dims(self.factors)
-        self.dim = int(np.prod(self.dims))
+        self.dim = math.prod(self.dims)
         flat = {}
         for idx_in, idx_out, amp in triples:
             fin = int(np.ravel_multi_index(tuple(idx_in), self.dims))
@@ -178,7 +178,7 @@ def _moved_block(state, op_factors):
         positions.append(state.factors.index(name))
     tensor = state.amps.reshape(state.dims)
     tensor = np.moveaxis(tensor, positions, range(len(positions)))
-    d_op = int(np.prod([FACTOR_DIMS[name] for name in op_factors]))
+    d_op = math.prod(FACTOR_DIMS[name] for name in op_factors)
     return tensor.reshape(d_op, -1), positions, tensor.shape
 
 

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,8 @@ import numpy as np
 import pytest
 
 from qswitch.config import (
+    SECTION_OF,
+    SWEEPABLE,
     ConfigError,
     ScenarioConfig,
     SweepRange,
@@ -135,6 +139,17 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown constant"):
             parse_constants("k_B = 1.38e-23\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("g = 6.7e-11\n", "line 1: unknown constant 'g'"),
+        ("# units SI\n\n[x]\n", "line 3: unknown section [x]"),
+        ("c = 3e8\nc =\n", "line 2: empty value for key 'c'"),
+        ("c\n", "line 1: expected 'key = value', got 'c'"),
+        ("c = 3e8\nhbar = nan\n", "line 2: value must be finite"),
+    ])
+    def test_constants_file_errors_read_like_scenario_errors(self, text, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            parse_constants(text)
+
     def test_sweep_values_scales(self):
         linear = SweepRange("h", 1.0, 3.0, 3, "linear").values()
         assert linear == pytest.approx([1.0, 2.0, 3.0])
@@ -150,6 +165,153 @@ class TestConfigParsing:
         assert base.protocol.h == 1.0
         with pytest.raises(ConfigError, match="not sweepable"):
             with_sweep_value(base, "scenario", 1.0)
+
+
+SWEEP_HEAD = "[body]\npreset = earth\n[sweep]\ntarget = timing\n"
+
+
+class TestSweepRanges:
+    """A bad sweep range is rejected where it enters, with its key's line."""
+
+    @pytest.mark.parametrize("lines, line, message", [
+        ("parameter = h\nmin = 1\nmax = 2\ncount = 3\nscale = bogus\n", 9,
+         "unknown sweep scale 'bogus'"),
+        ("parameter = h\nmin = 1\nmax = 2\ncount = 1\nscale = bogus\n", 9,
+         "unknown sweep scale 'bogus'"),
+        ("parameter = h\nmin = 1\nmax = 2\ncount = 0\n", 8,
+         "sweep count must be >= 1, got 0"),
+        ("parameter = h\nmin = 0\nmax = 2\ncount = 3\nscale = log\n", 6,
+         "log sweeps need positive bounds"),
+        ("parameter = h\nmin = 1\nmax = -2\ncount = 1\nscale = log\n", 7,
+         "log sweeps need positive bounds"),
+        ("parameter = m\nmin = 1\nmax = 2\ncount = 3\n", 5,
+         "parameter 'm' is not sweepable; choose from c1a, c1b, c2b, c4a, d, dt_c, "
+         "dt_v, dtau_1, eps, f_ab, f_ba, h, mass, radius"),
+        ("parameter = h\nmin = 1\nmax = 2\ncount = 3\n"
+         "parameter2 = d\nmin2 = 1\nmax2 = 2\ncount2 = 3\nscale2 = LOG\n", 13,
+         "unknown sweep scale 'LOG'"),
+    ], ids=["scale", "scale count 1", "count 0", "log min 0", "log max < 0 count 1",
+            "not sweepable", "scale2"])
+    def test_bad_range_reports_its_line(self, lines, line, message):
+        with pytest.raises(ConfigError, match=f"^line {line}: {re.escape(message)}$"):
+            parse_config(SWEEP_HEAD + lines, CODATA2018)
+
+    @pytest.mark.parametrize("key", ["min22", "count3", "scale_2", "2"])
+    def test_unknown_range_key_reports_line(self, key):
+        with pytest.raises(ConfigError, match=f"^line 5: unknown \\[sweep\\] key '{key}'$"):
+            parse_config(SWEEP_HEAD + f"{key} = 1\n", CODATA2018)
+
+    @pytest.mark.parametrize("args, message", [
+        (("h", 1.0, 2.0, 3, "bogus"), "unknown sweep scale"),
+        (("h", 1.0, 2.0, 1, "bogus"), "unknown sweep scale"),
+        (("h", 1.0, 2.0, 0, "linear"), "sweep count must be >= 1"),
+        (("h", -1.0, 2.0, 1, "log"), "log sweeps need positive bounds"),
+        (("scenario", 1.0, 2.0, 3, "linear"), "not sweepable"),
+    ])
+    def test_bad_range_built_directly(self, args, message):
+        with pytest.raises(ConfigError, match=message):
+            SweepRange(*args)
+
+
+#: the value each field type's line gives, and the text that gives it
+TYPED_VALUES = {
+    "float": ("0.25", 0.25), "float | None": ("0.25", 0.25),
+    "complex": ("0.25 - 0.5j", 0.25 - 0.5j),
+    "tuple": ("0.6, 0, 0, 0.8j, 0", (0.6 + 0j, 0j, 0j, 0.8j, 0j)),
+}
+
+FIELD_KEYS = [(name, f.name, f.type)
+              for name in ("body", "protocol", "switch", "trigger")
+              for f in dataclasses.fields(getattr(ScenarioConfig(), name))
+              if f.name != "preset"]
+
+
+class TestConfigSchema:
+    """The section dataclasses are the schema of a scenario file."""
+
+    @pytest.mark.parametrize("section, key, declared", FIELD_KEYS,
+                             ids=[f"{s}.{k}" for s, k, _ in FIELD_KEYS])
+    def test_line_sets_exactly_its_field(self, section, key, declared):
+        text, value = TYPED_VALUES[declared]
+        config = parse_config(f"[{section}]\n{key} = {text}\n", CODATA2018)
+        default = ScenarioConfig()
+        expected = dataclasses.replace(
+            default, **{section: dataclasses.replace(getattr(default, section), **{key: value})})
+        assert config == expected
+        got = getattr(getattr(config, section), key)
+        kinds = [type(v) for v in got] if declared == "tuple" else [type(got)]
+        assert set(kinds) == {complex if declared in ("complex", "tuple") else float}
+
+    @pytest.mark.parametrize("section", ["body", "protocol", "switch", "trigger", "sweep"])
+    def test_undeclared_key_reports_line(self, section):
+        # a key of another section is no key of this one
+        other = "h" if section != "protocol" else "mass"
+        for key in ("not_a_field", other):
+            text = f"scenario = s\n[{section}]\n# comment\n\n{key} = 1\n"
+            with pytest.raises(ConfigError, match=f"^line 5: unknown \\[{section}\\] key '{key}'$"):
+                parse_config(text, CODATA2018)
+
+    def test_no_key_declared_twice(self):
+        assert len(SECTION_OF) == len(FIELD_KEYS)
+
+    @pytest.mark.parametrize("name", SWEEPABLE)
+    def test_sweep_value_sets_exactly_its_field(self, name):
+        base = apply_preset(ScenarioConfig(), "earth", CODATA2018)
+        varied = with_sweep_value(base, name, 0.5)
+        section = SECTION_OF[name]
+        value = getattr(getattr(varied, section), name)
+        assert value == 0.5
+        assert type(value) is (complex if section == "switch" else float)
+        setattr(getattr(varied, section), name, getattr(getattr(base, section), name))
+        assert varied == base
+
+    def test_trigger_section_builds_trigger_params(self):
+        text = "[trigger]\nm = 2\nomega = 3\ndelta = 5\nv0 = 0\namplitude = 7\n"
+        params = cli.trigger_params_from_config(parse_config(text, CODATA2018), CODATA2018)
+        assert dataclasses.asdict(params) == dict(m=2.0, omega=3.0, delta=5.0, v0=0.0,
+                                                  hbar=CODATA2018.hbar, amplitude=7.0)
+        params = cli.trigger_params_from_config(
+            parse_config(text + "hbar = 11\n", CODATA2018), CODATA2018)
+        assert params.hbar == 11.0
+        default = cli.trigger_params_from_config(ScenarioConfig(), CODATA2018)
+        assert default.m == 1e-25 and default.hbar == CODATA2018.hbar
+        with pytest.raises(ConfigError, match=r"missing \['delta', 'v0'\]"):
+            cli.trigger_params_from_config(
+                parse_config("[trigger]\nm = 2\nomega = 3\n", CODATA2018), CODATA2018)
+
+    def test_readme_example_sets_every_key_it_shows(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Configuration format", 1)[1].split("```ini\n", 1)[1]
+        block = block.split("```", 1)[0]
+        config = parse_config(block, CODATA2018)
+        declared = {key: kind for _, key, kind in FIELD_KEYS}
+        sweep = config.sweep.ranges[0]
+        sweep_values = {"target": config.sweep.target, "parameter": sweep.parameter,
+                        "min": sweep.lo, "max": sweep.hi, "count": sweep.count,
+                        "scale": sweep.scale}
+        section, shown = None, set()
+        for raw in block.splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if line.startswith("["):
+                section = line[1:-1]
+            elif line:
+                key, value = (part.strip() for part in line.split("=", 1))
+                shown.add(key)
+                if section is None:
+                    assert getattr(config, key) == value
+                elif section == "sweep":
+                    assert str(sweep_values[key]) == value or sweep_values[key] == float(value)
+                elif key == "preset":
+                    assert config.body.preset == value
+                else:
+                    got = getattr(getattr(config, section), key)
+                    if declared[key] == "tuple":
+                        assert got == tuple(complex(v) for v in value.split(","))
+                    else:
+                        assert got == (complex if declared[key] == "complex" else float)(value)
+        assert {"scenario", "preset", "target", "parameter"} <= shown
+        # every declared key is at least named in the example
+        assert set(declared) <= set(re.findall(r"\w+", block))
 
 
 class TestCliCommands:
