@@ -4,10 +4,8 @@ from .spacetime import (
     CODATA2018,
     CentralBody,
     PhysicalConstants,
-    dilated_hamiltonian_factor,
     dilation_difference,
     dilation_factor,
-    gravitational_potential,
     schwarzschild_radius,
 )
 from .timing import (

@@ -153,7 +153,7 @@ def format_json(columns, rows):
 class SweepTable:
     """A sweep's rows, computed a chunk of CHUNK_ROWS at a time.
 
-    Indexing, slicing and iteration give rows as dicts of Python values.
+    Indexing (0 <= i < len) and iteration give rows as dicts of Python values.
     Only the last chunk computed is kept, so memory stays bounded by the
     chunk whatever the grid.
     """
@@ -183,10 +183,6 @@ class SweepTable:
                 yield dict(zip(names, values))
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(self._n))]
-        if i < 0:
-            i += self._n
         if not 0 <= i < self._n:
             raise IndexError("sweep row index out of range")
         k, j = divmod(i, CHUNK_ROWS)
@@ -366,16 +362,12 @@ def switch_report_text(config, outcome):
     return "\n".join(lines) + "\n"
 
 
-def switch_rows(config, models):
-    """Sweep digests of `config`'s input under each model, as one batch:
-    class probabilities and the no-witness class's order readout."""
-    table = switch_summaries(build_input(config.switch.alpha), [m.coefficients() for m in models])
-    return [dict(zip(SWITCH_SUMMARY_COLUMNS, row)) for row in table.tolist()]
-
-
 def switch_summary(config):
-    """Digest of one point: a batch of one through :func:`switch_rows`."""
-    return switch_rows(config, [build_model(config.switch)])[0]
+    """Sweep digest of one point, a batch of one through switch_summaries:
+    class probabilities and the no-witness class's order readout."""
+    table = switch_summaries(build_input(config.switch.alpha),
+                             [build_model(config.switch).coefficients()])
+    return dict(zip(SWITCH_SUMMARY_COLUMNS, table[0].tolist()))
 
 
 SWITCH_SUMMARY_COLUMNS = [
@@ -479,9 +471,6 @@ def trajectory_rows(trajectory, params):
 # ---------------------------------------------------------------------------
 # sweep
 
-MAX_SWEEP_POINTS = 1_000_000
-
-
 def _at(prefix):
     """A sweep point's values, as its warnings and errors name it."""
     return ", ".join(f"{k}={v:.17g}" for k, v in prefix.items())
@@ -520,12 +509,7 @@ def compute_sweep(config, constants):
     ranges = config.sweep.ranges
     if not 1 <= len(ranges) <= 2:
         raise ConfigError("sweep needs one or two parameter ranges")
-    total = 1
-    for rng in ranges:
-        total *= rng.count
-    if total > MAX_SWEEP_POINTS:
-        raise ConfigError(f"sweep grid of {total} points exceeds {MAX_SWEEP_POINTS}")
-
+    total = math.prod(rng.count for rng in ranges)
     grids = [np.array(sorted(rng.values()), dtype=float) for rng in ranges]
     names = [rng.parameter for rng in ranges]
     target = config.sweep.target

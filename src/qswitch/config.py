@@ -66,6 +66,9 @@ class TriggerConfig:
     amplitude: float | None = None
 
 
+#: largest number of points a sweep grid may have
+MAX_SWEEP_POINTS = 1_000_000
+
 #: parameters a sweep may vary; SECTION_OF names each one's section
 SWEEPABLE = ("h", "d", "dt_v", "dt_c", "dtau_1", "eps", "mass", "radius",
              "c1a", "c4a", "c1b", "c2b", "f_ba", "f_ab")
@@ -280,7 +283,10 @@ def parse_config(text, constants, config=None):
                 raise ConfigError(f"{where}: key {key!r} outside any section")
             config.scenario = value
         elif section == "body" and key == "preset":
-            apply_preset(config, value, constants)
+            try:
+                apply_preset(config, value, constants)
+            except ConfigError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
         elif key in _KEYS.get(section, ()):
             setattr(getattr(config, section), key, _KEYS[section][key](value, where))
         elif section == "sweep" and key == "target":
@@ -307,6 +313,10 @@ def parse_config(text, constants, config=None):
             key, message = fault
             raise ConfigError(f"{parts[key][1]}: {message}")
         config.sweep.ranges.append(SweepRange(*bounds))
+        total = math.prod(rng.count for rng in config.sweep.ranges)
+        if total > MAX_SWEEP_POINTS:
+            raise ConfigError(f"{parts['count'][1]}: sweep grid of {total} points "
+                              f"exceeds {MAX_SWEEP_POINTS}")
     return config
 
 

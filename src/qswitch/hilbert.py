@@ -126,11 +126,6 @@ def basis_state(indices, factors=SWITCH_FACTORS):
     return StateVector(factors, amps)
 
 
-def zero_state(factors=SWITCH_FACTORS):
-    dims = factor_dims(tuple(factors))
-    return StateVector(tuple(factors), np.zeros(math.prod(dims), dtype=complex))
-
-
 def _orthonormal(gram):
     """max|gram - I| <= ORTHONORMALITY_ATOL; false where gram holds NaN or inf."""
     return bool(np.abs(gram - np.eye(len(gram))).max(initial=0.0) <= ORTHONORMALITY_ATOL)
@@ -265,17 +260,10 @@ def measure_in_basis(state, basis):
     return outcomes
 
 
-def reduced_density_matrix(state, factors):
-    """Partial trace down to the given factors."""
-    factors = tuple(factors)
-    block, _, _ = _moved_block(state, factors)
-    return block @ block.conj().T
-
-
 def entanglement_entropy(state, factors):
     """Von Neumann entropy (nats) of the reduced state on `factors`."""
-    rho = reduced_density_matrix(state, factors)
-    evals = np.linalg.eigvalsh(rho)
+    block, _, _ = _moved_block(state, tuple(factors))
+    evals = np.linalg.eigvalsh(block @ block.conj().T)
     evals = evals[evals > 1e-15]
     return float(-np.sum(evals * np.log(evals)))
 

@@ -107,7 +107,7 @@ def sqrt(x):
 
 def schwarzschild_radius(mass, constants=CODATA2018):
     """Schwarzschild radius 2GM/c^2 in meters."""
-    check_domain((mass <= 0, "mass must be positive, got {}", mass))
+    check_domain((np.logical_not(mass > 0), "mass must be positive, got {}", mass))
     return 2.0 * constants.G * mass / (constants.c * constants.c)
 
 
@@ -164,10 +164,10 @@ def dilation_factor(r, body):
     """Proper-time rate dtau/dt = sqrt(1 - R_S/r) for a static clock at radius r.
 
     Strictly increasing in r, approaching 1 from below as r -> infinity.
-    Raises ValueError for r <= R_S (outside the protocol's exterior regime).
+    Raises ValueError unless r > R_S (the protocol's exterior regime).
     """
     r_s = body.schwarzschild_radius
-    check_domain((r <= r_s, "radius {:g} m is not outside R_S={:g} m", r, r_s))
+    check_domain((np.logical_not(r > r_s), "radius {:g} m is not outside R_S={:g} m", r, r_s))
     return sqrt(1.0 - r_s / r)
 
 
@@ -189,30 +189,10 @@ def dilation_difference(r_hi, r_lo, body):
     """
     r_s = body.schwarzschild_radius
     check_domain(
-        (r_lo <= r_s, "lower radius {:g} m is not outside R_S={:g} m", r_lo, r_s),
-        (r_hi < r_lo, "radius ordering violated: r_hi={:g} < r_lo={:g}", r_hi, r_lo),
+        (np.logical_not(r_lo > r_s), "lower radius {:g} m is not outside R_S={:g} m", r_lo, r_s),
+        (np.logical_not(r_hi >= r_lo),
+         "radius ordering violated: r_hi={:g} < r_lo={:g}", r_hi, r_lo),
     )
     s_hi = sqrt(1.0 - r_s / r_hi)
     s_lo = sqrt(1.0 - r_s / r_lo)
     return r_s * (r_hi - r_lo) / (r_lo * r_hi) / (s_hi + s_lo)
-
-
-def gravitational_potential(r, body):
-    """Newtonian potential Phi = -GM/r (J/kg), valid for any r > 0."""
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
-    return -body.constants.G * body.mass / r
-
-
-def dilated_hamiltonian_factor(r, body):
-    """First-order time-dilation factor 1 + Phi/c^2 for the internal Hamiltonian.
-
-    Agrees with :func:`dilation_factor` to first order in R_S/r; the
-    difference is O((R_S/r)^2) and documents that the internal-evolution
-    Hamiltonian uses the linearized redshift.
-    """
-    r_s = body.schwarzschild_radius
-    if r <= r_s:
-        raise ValueError(f"radius {r:g} m is not outside R_S={r_s:g} m")
-    c = body.constants.c
-    return 1.0 + gravitational_potential(r, body) / (c * c)

@@ -111,11 +111,7 @@ class ProtocolSchedule:
     def r_top(self):
         return self.body.radius + self.h
 
-    # event times, with t0 = 0
-    @property
-    def t0(self):
-        return 0.0
-
+    # event times, from the start of the experiment at 0
     @property
     def t1(self):
         """Early path reaches R+h."""
@@ -138,7 +134,7 @@ class ProtocolSchedule:
 
     @property
     def dt_exp(self):
-        """Total coordinate duration t4 - t0 of the experiment."""
+        """Total coordinate duration t4 of the experiment."""
         return self.t4
 
     @cached_property
@@ -154,7 +150,7 @@ class ProtocolSchedule:
 
     @property
     def tau_star(self):
-        """Proper time along the early path from t0 to the target crossing.
+        """Proper time along the early path from the start to the target crossing.
 
         Equals the trigger time of both branches when the schedule solves
         the matching condition.
@@ -182,23 +178,17 @@ class MatchingSolution:
     ratio_exact: float
     ratio_weak_field: float
     ratio_curvature_form: float
-    tau_star: float
     regime: str
 
     @property
     def dt_r(self):
         return self.ratio_exact * self.dt_c
 
-    @property
-    def dt_exp(self):
-        """Total duration for the canonical dt_v = 0 schedule."""
-        return self.dt_r + self.dt_c
-
     def schedule(self, dt_v=0.0):
         """The solved schedule whose head start dt_r splits as dt_v + dt_s."""
         dt_r = self.dt_r
-        check_domain(((dt_v < 0) | (dt_v > dt_r), "dt_v must lie in [0, dt_r={:g}], got {}",
-                      dt_r, dt_v))
+        check_domain((np.logical_not((dt_v >= 0) & (dt_v <= dt_r)),
+                      "dt_v must lie in [0, dt_r={:g}], got {}", dt_r, dt_v))
         return ProtocolSchedule(
             body=self.body, h=self.h, d=self.d, dt_v=dt_v, dt_s=dt_r - dt_v, dt_c=self.dt_c
         )
@@ -223,11 +213,12 @@ def solve_matching(body, h, d, dt_c=None):
     reported alongside: (R/R_S)(2R/h + 2) and the surface-gravity/curvature
     split c^2/(g h) - (c^2/2) R_0101/g^2.
     """
-    check_domain(((h <= 0) | (d <= 0), "require h > 0 and d > 0, got h={}, d={}", h, d))
+    check_domain((np.logical_not((h > 0) & (d > 0)),
+                  "require h > 0 and d > 0, got h={}, d={}", h, d))
     if dt_c is None:
         dt_c = d / body.constants.c
     else:
-        check_domain((dt_c <= 0, "require dt_c > 0, got {}", dt_c))
+        check_domain((np.logical_not(dt_c > 0), "require dt_c > 0, got {}", dt_c))
 
     radius = body.radius
     r_s = body.schwarzschild_radius
@@ -239,7 +230,6 @@ def solve_matching(body, h, d, dt_c=None):
     c = body.constants.c
     g = body.surface_gravity
     ratio_curv = c * c / (g * h) - 0.5 * c * c * body.curvature_r0101 / (g * g)
-    tau_star = s_hi * ratio_exact * dt_c
     return MatchingSolution(
         body=body,
         h=h,
@@ -248,7 +238,6 @@ def solve_matching(body, h, d, dt_c=None):
         ratio_exact=ratio_exact,
         ratio_weak_field=ratio_weak,
         ratio_curvature_form=ratio_curv,
-        tau_star=tau_star,
         regime=_regime_tag(h, radius),
     )
 
@@ -264,7 +253,7 @@ def solved_schedule(body, h, d, dt_c=None, dt_v=0.0):
 
 def small_mass_duration(body, d):
     """Limit h >> R of the solved head start: dt_r = c R d / (G M)."""
-    check_domain((d <= 0, "require d > 0, got {}", d))
+    check_domain((np.logical_not(d > 0), "require d > 0, got {}", d))
     k = body.constants
     return k.c * body.radius * d / (k.G * body.mass)
 
@@ -276,7 +265,7 @@ def static_agent_tau(r_b, body):
     following the moving-path schedule.
     """
     r_s = body.schwarzschild_radius
-    check_domain((r_b <= r_s, "r_b={:g} m is not outside R_S={:g} m", r_b, r_s))
+    check_domain((np.logical_not(r_b > r_s), "r_b={:g} m is not outside R_S={:g} m", r_b, r_s))
     k = body.constants
     return 2.0 * r_b * r_b * k.c / (k.G * body.mass)
 
@@ -291,7 +280,7 @@ class WindowReport:
 
     margin_flight   : (d/c) / dtau_1   -- decay window resolves the photon flight
     margin_decay    : dtau_1 / eps     -- trigger sharpness within the decay window
-    margin_crossing : (t3 - t0) / dt_c -- crossing time negligible in dt_exp
+    margin_crossing : t3 / dt_c        -- crossing time negligible in dt_exp
     """
 
     margin_flight: float
@@ -312,17 +301,17 @@ class WindowReport:
 
 
 def validate_windows(schedule, dtau_1, eps):
-    """Check the hierarchy eps << dtau_1 << d/c (and dt_c << t3 - t0).
+    """Check the hierarchy eps << dtau_1 << d/c (and dt_c << t3).
 
     "Much less" means a margin of at least WINDOW_THRESHOLD.  Failures are
     reported, never raised.
     """
-    check_domain(((dtau_1 <= 0) | (eps <= 0),
+    check_domain((np.logical_not((dtau_1 > 0) & (eps > 0)),
                   "require dtau_1 > 0 and eps > 0, got dtau_1={}, eps={}", dtau_1, eps))
     flight = schedule.d / schedule.body.constants.c
     return WindowReport(
         margin_flight=flight / dtau_1,
         margin_decay=dtau_1 / eps,
-        margin_crossing=(schedule.t3 - schedule.t0) / schedule.dt_c,
+        margin_crossing=schedule.t3 / schedule.dt_c,
     )
 

@@ -29,6 +29,19 @@ from test_timing import oracle_ascent
 #: operations (products, sums, sqrt, exp(0)), so it holds on any platform
 PINS = Path(__file__).resolve().parent / "pins"
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks(language):
+    """The fenced code blocks of README.md in one language."""
+    return re.findall(rf"^```{language}\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
+#: the `qswitch ...` lines of the README's shell blocks, as argv lists
+README_COMMANDS = [line.split("#")[0].split()[1:]
+                   for block in _readme_blocks("sh") for line in block.splitlines()
+                   if line.startswith("qswitch ")]
+
 
 def run_cli(*args, env=None):
     import os
@@ -126,8 +139,9 @@ class TestConfigParsing:
         assert config.protocol.d == 0.3e-6  # preset value survives
 
     def test_unknown_preset(self):
-        with pytest.raises(ConfigError, match="unknown preset"):
-            parse_config("[body]\npreset = moon\n", CODATA2018)
+        with pytest.raises(ConfigError, match="^line 3: unknown preset 'moon'; "
+                                              "available: earth, small-mass$"):
+            parse_config("[body]\nmass = 1\npreset = moon\n", CODATA2018)
 
     def test_sweep_requires_bounds(self):
         with pytest.raises(ConfigError, match="sweep max is required"):
@@ -190,8 +204,16 @@ class TestSweepRanges:
         ("parameter = h\nmin = 1\nmax = 2\ncount = 3\n"
          "parameter2 = d\nmin2 = 1\nmax2 = 2\ncount2 = 3\nscale2 = LOG\n", 13,
          "unknown sweep scale 'LOG'"),
+        ("parameter = h\nmin = 1\nmax = 2\ncount = 1000001\n", 8,
+         "sweep grid of 1000001 points exceeds 1000000"),
+        ("parameter = h\nmin = 1\nmax = 2\ncount = 2000\n"
+         "parameter2 = d\nmin2 = 1\nmax2 = 2\ncount2 = 2000\n", 12,
+         "sweep grid of 4000000 points exceeds 1000000"),
+        ("count2 = 501\nparameter = h\nmin = 1\nmax = 2\ncount = 2000\n"
+         "parameter2 = d\nmin2 = 1\nmax2 = 2\n", 5,
+         "sweep grid of 1002000 points exceeds 1000000"),
     ], ids=["scale", "scale count 1", "count 0", "log min 0", "log max < 0 count 1",
-            "not sweepable", "scale2"])
+            "not sweepable", "scale2", "grid", "grid count2", "grid count2 first"])
     def test_bad_range_reports_its_line(self, lines, line, message):
         with pytest.raises(ConfigError, match=f"^line {line}: {re.escape(message)}$"):
             parse_config(SWEEP_HEAD + lines, CODATA2018)
@@ -280,9 +302,7 @@ class TestConfigSchema:
                 parse_config("[trigger]\nm = 2\nomega = 3\n", CODATA2018), CODATA2018)
 
     def test_readme_example_sets_every_key_it_shows(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        block = readme.split("### Configuration format", 1)[1].split("```ini\n", 1)[1]
-        block = block.split("```", 1)[0]
+        (block,) = _readme_blocks("ini")
         config = parse_config(block, CODATA2018)
         declared = {key: kind for _, key, kind in FIELD_KEYS}
         sweep = config.sweep.ranges[0]
@@ -648,12 +668,12 @@ class TestSwitchSweepSupport:
                 "[switch]\nalpha = 1,0,0,0,0\nc1b = 0\n"
                 "[sweep]\ntarget = switch\nparameter = c1a\nmin = 0\nmax = 1\ncount = 3\n"
             )
-        empty = rows[0]
+        empty, *others = rows
         assert empty["sweep_c1a"] == 0.0
         assert empty["zeta3_probability"] == 0.0
         assert empty["zeta3_plus_probability"] == 0.0
         assert empty["zeta3_minus_probability"] == 0.0
-        for row in rows[1:]:
+        for row in others:
             assert row["zeta3_probability"] > 0.0
             readout = row["zeta3_plus_probability"] + row["zeta3_minus_probability"]
             assert readout == pytest.approx(1.0, abs=1e-12)
@@ -747,3 +767,17 @@ class TestOneTimeStructures:
 def test_stdout_matches_pinned_bytes(argv, pin, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == (PINS / pin).read_text()
+
+
+def test_readme_lists_every_command():
+    assert [argv[0] for argv in README_COMMANDS] == [
+        "timing", "timing", "switch", "trigger", "sweep"]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
+    # `--config sweep.cfg` reads the README's configuration example
+    (example,) = _readme_blocks("ini")
+    (tmp_path / "sweep.cfg").write_text(example)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0, capsys.readouterr().err

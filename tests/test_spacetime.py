@@ -7,10 +7,8 @@ from qswitch.spacetime import (
     CODATA2018,
     CentralBody,
     PhysicalConstants,
-    dilated_hamiltonian_factor,
     dilation_difference,
     dilation_factor,
-    gravitational_potential,
     schwarzschild_radius,
 )
 
@@ -46,6 +44,10 @@ class TestSchwarzschildRadius:
             schwarzschild_radius(0.0)
         with pytest.raises(ValueError):
             schwarzschild_radius(-1.0)
+
+    def test_rejects_nan_mass(self):
+        with pytest.raises(ValueError, match="mass must be positive, got nan"):
+            schwarzschild_radius(math.nan)
 
     def test_inverted_definition(self):
         k = CODATA2018
@@ -90,6 +92,10 @@ class TestDilationFactor:
         with pytest.raises(ValueError):
             dilation_factor(0.5 * earth.schwarzschild_radius, earth)
 
+    def test_rejects_nan_radius(self, earth):
+        with pytest.raises(ValueError, match="radius nan m is not outside"):
+            dilation_factor(math.nan, earth)
+
     def test_monotone_increasing_below_one(self, earth):
         radii = [EARTH_RADIUS * f for f in (0.5, 1.0, 2.0, 10.0, 1e3, 1e6)]
         values = [dilation_factor(r, earth) for r in radii]
@@ -119,6 +125,12 @@ class TestDilationDifference:
         with pytest.raises(ValueError):
             dilation_difference(EARTH_RADIUS, 0.5 * earth.schwarzschild_radius, earth)
 
+    def test_rejects_nan_radii(self, earth):
+        with pytest.raises(ValueError, match="ordering violated: r_hi=nan"):
+            dilation_difference(math.nan, EARTH_RADIUS, earth)
+        with pytest.raises(ValueError, match="lower radius nan m"):
+            dilation_difference(EARTH_RADIUS, math.nan, earth)
+
     def test_positive(self, earth):
         for h in (1e-3, 1.0, 1e3):
             assert dilation_difference(EARTH_RADIUS + h, EARTH_RADIUS, earth) > 0.0
@@ -141,61 +153,6 @@ class TestDilationDifference:
             deviations[h] = abs(naive - safe) / safe
         assert all(dev > 0.10 for dev in deviations.values())
         assert max(deviations.values()) > 0.90
-
-
-class TestGravitationalPotential:
-    def test_vanishes_at_infinity(self, earth):
-        assert gravitational_potential(1e30, earth) == pytest.approx(0.0, abs=1e-10)
-
-    def test_earth_surface_frozen(self, earth):
-        # -GM/R with CODATA constants
-        expected = -CODATA2018.G * EARTH_MASS / EARTH_RADIUS
-        value = gravitational_potential(EARTH_RADIUS, earth)
-        assert value == expected
-        assert value == pytest.approx(-6.2565e7, rel=1e-4)
-
-    def test_definition_point(self, earth):
-        r = CODATA2018.G * EARTH_MASS
-        assert gravitational_potential(r, earth) == -1.0
-
-    def test_rejects_nonpositive_radius(self, earth):
-        with pytest.raises(ValueError):
-            gravitational_potential(0.0, earth)
-
-
-class TestDilatedHamiltonianFactor:
-    def test_flat_space_limit(self, earth):
-        assert dilated_hamiltonian_factor(1e30, earth) == pytest.approx(1.0, abs=1e-15)
-
-    def test_earth_surface_matches_dilation_factor(self, earth):
-        a = dilated_hamiltonian_factor(EARTH_RADIUS, earth)
-        b = dilation_factor(EARTH_RADIUS, earth)
-        # true gap is (R_S/R)^2/8 ~ 2.4e-19, far below one ulp of values
-        # near 1; in doubles the two can differ by at most rounding noise
-        assert abs(a - b) <= 2.0 * math.ulp(1.0)
-        assert 1.0 - a == pytest.approx(6.961311e-10, rel=1e-6)
-
-    def test_first_order_nature_at_two_radii(self):
-        # 1 + Phi/c^2 = 1 - R_S/(2r), so 3/4 at r = 2 R_S against sqrt(1/2)
-        # for the exact factor: the gap is the neglected O((R_S/r)^2) term
-        k = CODATA2018
-        body = CentralBody(k.c**2 / (2.0 * k.G), 10.0)  # R_S = 1 m
-        assert dilated_hamiltonian_factor(2.0, body) == pytest.approx(0.75, rel=1e-15)
-        assert dilation_factor(2.0, body) == pytest.approx(math.sqrt(0.5), rel=1e-15)
-
-    def test_quadratic_agreement_bound(self, earth):
-        # exact-arithmetic bound |sqrt(1-x) - (1-x/2)| <= x^2 for x <= 1/2,
-        # checked at 40 digits; the double evaluation adds at most
-        # representation noise around 1.0
-        r_s = earth.schwarzschild_radius
-        for factor in (2.0, 3.0, 10.0, 1e3, 1e6, 1e9):
-            r = r_s * factor
-            x = 2 * mp.mpf(CODATA2018.G) * mp.mpf(EARTH_MASS) / mp.mpf(CODATA2018.c) ** 2 / mp.mpf(r)
-            exact_gap = abs(mp.sqrt(1 - x) - (1 - x / 2))
-            assert exact_gap <= x**2
-            a = dilated_hamiltonian_factor(r, earth)
-            b = dilation_factor(r, earth)
-            assert abs(a - b) <= float(x**2) + 4.0 * math.ulp(1.0)
 
 
 class TestPhysicalConstants:

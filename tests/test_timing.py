@@ -1,9 +1,16 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
-from qswitch.spacetime import CODATA2018, CentralBody, dilation_difference, dilation_factor
+from qswitch.spacetime import (
+    CODATA2018,
+    CentralBody,
+    DomainError,
+    dilation_difference,
+    dilation_factor,
+)
 from qswitch.timing import (
     WINDOW_THRESHOLD,
     ProtocolSchedule,
@@ -125,10 +132,11 @@ class TestProperTimeDifference:
 class TestSolveMatching:
     def test_earth_headline(self, earth):
         solution = solve_matching(earth, 1.0, 0.3e-6)
+        schedule = solution.schedule()
         assert solution.dt_r == pytest.approx(9.158348562456938, rel=1e-12)
-        assert 8.0 <= solution.dt_exp <= 10.5
+        assert 8.0 <= schedule.dt_exp <= 10.5
         assert solution.regime == "near-surface"
-        assert solution.tau_star == pytest.approx(9.158348556081528, rel=1e-12)
+        assert schedule.tau_star == pytest.approx(9.158348556081528, rel=1e-12)
 
     def test_earth_prefactor_frozen(self, earth):
         solution = solve_matching(earth, 1.0, 0.3e-6)
@@ -171,6 +179,21 @@ class TestSolveMatching:
         with pytest.raises(ValueError):
             solve_matching(earth, 1.0, 1e-6, dt_c=0.0)
 
+    def test_rejects_nan(self, earth):
+        with pytest.raises(ValueError, match=r"require h > 0 and d > 0, got h=nan, d=1.0"):
+            solve_matching(earth, math.nan, 1.0)
+        with pytest.raises(ValueError, match=r"got h=1.0, d=nan"):
+            solve_matching(earth, 1.0, math.nan)
+        with pytest.raises(ValueError, match=r"require dt_c > 0, got nan"):
+            solve_matching(earth, 1.0, 1e-6, dt_c=math.nan)
+        with pytest.raises(DomainError, match="got h=nan") as caught:
+            solve_matching(earth, np.array([1.0, math.nan, 2.0]), 1.0)
+        assert caught.value.index == 1
+
+    def test_schedule_rejects_nan_dt_v(self, earth):
+        with pytest.raises(ValueError, match=r"dt_v must lie in \[0, dt_r=.*\], got nan"):
+            solve_matching(earth, 1.0, 0.3e-6).schedule(math.nan)
+
     def test_monotonicity_in_h_and_d(self, earth):
         heights = [0.1 * 10**k for k in range(5)]
         dt_rs = [solve_matching(earth, h, 1e-6).dt_r for h in heights]
@@ -200,6 +223,10 @@ class TestSmallMassAndStaticBaseline:
         body = CentralBody(1e-10, 1e-14)
         assert 0.5 <= small_mass_duration(body, 1e-14) <= 10.0
 
+    def test_small_mass_rejects_nan(self):
+        with pytest.raises(ValueError, match="require d > 0, got nan"):
+            small_mass_duration(CentralBody(1e-10, 1e-15), math.nan)
+
     def test_static_baseline_earth(self, earth):
         value = static_agent_tau(EARTH_RADIUS, earth)
         assert value == pytest.approx(61055647.58468217, rel=1e-12)
@@ -213,6 +240,10 @@ class TestSmallMassAndStaticBaseline:
     def test_static_baseline_rejects_interior(self, earth):
         with pytest.raises(ValueError):
             static_agent_tau(0.5 * earth.schwarzschild_radius, earth)
+
+    def test_static_baseline_rejects_nan(self, earth):
+        with pytest.raises(ValueError, match="r_b=nan m is not outside"):
+            static_agent_tau(math.nan, earth)
 
 
 class TestWindows:
@@ -244,6 +275,13 @@ class TestWindows:
         assert at.margin_decay == WINDOW_THRESHOLD
         assert below.margin_decay < WINDOW_THRESHOLD
         assert at.passed_decay and not below.passed_decay
+
+    def test_rejects_nan(self, earth):
+        schedule = solved_schedule(earth, 1.0, 0.3e-6)
+        with pytest.raises(ValueError, match="got dtau_1=nan, eps=1e-19"):
+            validate_windows(schedule, math.nan, 1e-19)
+        with pytest.raises(ValueError, match="got dtau_1=1e-17, eps=nan"):
+            validate_windows(schedule, 1e-17, math.nan)
 
 
 class TestSchedulesAndPaths:
