@@ -213,12 +213,12 @@ def solve_matching(body, h, d, dt_c=None):
     reported alongside: (R/R_S)(2R/h + 2) and the surface-gravity/curvature
     split c^2/(g h) - (c^2/2) R_0101/g^2.
     """
-    check_domain((np.logical_not((h > 0) & (d > 0)),
+    check_domain((np.logical_not((0 < h) & (h < np.inf) & (0 < d) & (d < np.inf)),
                   "require h > 0 and d > 0, got h={}, d={}", h, d))
     if dt_c is None:
         dt_c = d / body.constants.c
     else:
-        check_domain((np.logical_not(dt_c > 0), "require dt_c > 0, got {}", dt_c))
+        check_domain((~(np.isfinite(dt_c) & (dt_c > 0)), "require dt_c > 0, got {}", dt_c))
 
     radius = body.radius
     r_s = body.schwarzschild_radius
@@ -306,7 +306,7 @@ def validate_windows(schedule, dtau_1, eps):
     "Much less" means a margin of at least WINDOW_THRESHOLD.  Failures are
     reported, never raised.
     """
-    check_domain((np.logical_not((dtau_1 > 0) & (eps > 0)),
+    check_domain((np.logical_not((0 < dtau_1) & (dtau_1 < np.inf) & (0 < eps) & (eps < np.inf)),
                   "require dtau_1 > 0 and eps > 0, got dtau_1={}, eps={}", dtau_1, eps))
     flight = schedule.d / schedule.body.constants.c
     return WindowReport(

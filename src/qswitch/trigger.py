@@ -25,6 +25,7 @@ factor is common to both channels and drops out of every population.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +44,8 @@ FIRED_THRESHOLD = 0.95
 #: most min(2 pi/omega, pi hbar/v0) / STEPS_PER_SCALE
 POINTS_PER_SIGMA = 8.0
 STEPS_PER_SCALE = 200.0
+#: complex zone factors planned at a time, which bounds a long run's plan memory
+PLAN_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -271,6 +274,10 @@ def default_grid(params, tau_end=None):
 
 
 def _validate_grid(params, grid, tau_end):
+    if not (isinstance(grid.n_points, (int, np.integer)) and grid.n_points > 0):
+        raise ValueError(f"require integer n_points > 0, got {grid.n_points}")
+    if not 0 < grid.dt_max < math.inf:
+        raise ValueError(f"require finite dt_max > 0, got {grid.dt_max}")
     reach = _reach(params, tau_end)
     if grid.x_min > -reach or grid.x_max < reach:
         raise ValueError(
@@ -325,17 +332,24 @@ class TriggerTrajectory:
         }
 
 
-def _zone_phase(work, y, dx, delta, x_cl, rate, full):
-    """work *= exp(rate * chi), chi the part of each cell [y -+ dx/2] in [-x_cl, delta - x_cl]:
-    the fraction on the 3 cells at each edge (once each), full = exp(rate) between, none outside."""
+def _zone_plan(x_cl, rate, y, dx, delta, near, far):
+    """Zone factor of steps at x_cl, rate[:, i]: work[:, lo:hi] *= z multiplies each cell
+    [y -+ dx/2] by exp(rate * chi), chi its part in [-x_cl, delta - x_cl]: the fraction on
+    the 3 cells at each edge (once each), exp(rate) between, none if x_cl is off (near, far)."""
     n = len(y)
-    a, b = (math.floor((e - y[0]) / dx + 0.5) for e in (-x_cl, delta - x_cl))
-    work[:, min(max(a + 2, 0), n):min(max(b - 1, 0), n)] *= full
-    for lo, hi in ((max(a - 1, 0), min(a + 2, n)), (max(b - 1, a + 2, 0), min(b + 2, n))):
-        if lo < hi:
-            chi = [min(max((min(delta - x_cl, c + 0.5 * dx) - max(-x_cl, c - 0.5 * dx)) / dx,
-                           0.0), 1.0) for c in y[lo:hi].tolist()]
-            work[:, lo:hi] *= np.exp(rate * np.array(chi))
+    a, b = (np.floor((e - y[0]) / dx + 0.5).astype(int) for e in (-x_cl, delta - x_cl))
+    lo = np.clip(a - 1, 0, n)
+    hi = np.where((near < x_cl) & (x_cl < far), np.clip(b + 2, lo, n), lo)
+    z, ends = np.repeat(np.exp(rate), hi - lo, axis=1), np.cumsum(hi - lo)
+    cells = np.concatenate([a[:, None] + [-1, 0, 1], b[:, None] + [-1, 0, 1]], axis=1)
+    on = (lo[:, None] <= cells) & (cells < hi[:, None])
+    on[:, 3:] &= cells[:, 3:] >= a[:, None] + 2
+    i, c = np.nonzero(on)
+    x, c = x_cl[i], cells[i, c]
+    chi = np.clip((np.minimum(delta - x, y[c] + 0.5 * dx) - np.maximum(-x, y[c] - 0.5 * dx)) / dx,
+                  0.0, 1.0)
+    z[:, ends[i] - hi[i] + c] = np.exp(rate[:, i] * chi)
+    return [(p, q, z[:, e - q + p:e]) for p, q, e in zip(lo.tolist(), hi.tolist(), ends.tolist())]
 
 
 def numeric_evolve(params, grid=None, tau_end=None, sample_times=(), n_samples=200):
@@ -370,8 +384,9 @@ def numeric_evolve(params, grid=None, tau_end=None, sample_times=(), n_samples=2
     n, dx = grid.n_points, grid.dx
     y = grid.x_min + dx * np.arange(n)
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
-    harmonic = 0.5 * m * omega**2 * y**2
-    kinetic = hbar * k**2 / (2.0 * m)
+    # one row per channel, so each step multiplies whole arrays without broadcasting
+    harmonic, kinetic = (np.tile(v, (2, 1)) for v in (0.5 * m * omega**2 * y**2,
+                                                      hbar * k**2 / (2.0 * m)))
     zone = np.array([[params.v0], [-params.v0]])  # barrier for |+>, well for |->
 
     packet = np.exp(-(y**2) / (2.0 * params.sigma**2))
@@ -382,43 +397,48 @@ def numeric_evolve(params, grid=None, tau_end=None, sample_times=(), n_samples=2
     events.update(tau_end * i / max(n_samples, 1) for i in range(n_samples + 1))
     events = sorted(t for t in events if 0.0 <= t <= tau_end)
 
-    # the zone term reaches the grid only while x_cl is inside (near, far);
-    # a segment that x_cl never enters steps at the period's scale instead
+    # the zone term reaches the grid only for x_cl in (near, far); other segments step coarsely
     near, far = -(y[-1] + 0.5 * dx), params.delta - (y[0] - 0.5 * dx)
     coarse = grid.dt_max * params.period / _time_scale(params)
-    factors = {}  # (half, full, kick, zone (rate, phase) per full/half) of each step size
-    states, n_steps = [psi], 0
-    for start, end in zip(events, events[1:]):
-        # x_cl over the segment: its ends and any turning point t = j pi/omega
+    x_events = [amp * math.cos(omega * t) for t in events]
+    factors, rates, schedule = {}, [], []
+    for j, (start, end) in enumerate(zip(events, events[1:])):
+        # x_cl over the segment: its ends and any turning point t = i pi/omega
         turns = range(math.ceil(omega * start / math.pi), math.floor(omega * end / math.pi) + 1)
-        x_range = [amp * math.cos(omega * t) for t in (start, end)]
-        x_range += [amp * (-1.0) ** j for j in turns[:2]]
+        x_range = x_events[j:j + 2] + [amp * (-1.0) ** i for i in turns[:2]]
         touches = max(x_range) > near and min(x_range) < far
-        if not (touches or n_steps):
+        if not (touches or schedule):
             continue  # before the first contact psi stays the initial Gaussian
         steps = max(1, math.ceil((end - start) / (grid.dt_max if touches else coarse)))
         dt = (end - start) / steps
-        if dt not in factors:
-            half, kick = np.exp(-0.5j * harmonic * dt / hbar), np.exp(-1j * kinetic * dt)
-            rates = [-1j * (s * dt / hbar) * zone for s in (1.0, 0.5)]
-            factors[dt] = (half, half * half, kick, [(r, np.exp(r)) for r in rates])
-        half, full, kick, zone_phase = factors[dt]
-        n_steps += steps
-        # merged Strang sweep on a copy, so recorded states stay intact:
-        # half V(t_0), (kick, full V(t_i)) for 0 < i < steps, kick, half V(t_steps)
-        work = psi.copy()
+        if dt not in factors:  # half, full, kick and zone rate column (full step; + 1: half)
+            half = np.exp(-0.5j * harmonic * dt / hbar)
+            factors[dt] = (half, half * half, np.exp(-1j * kinetic * dt), len(rates))
+            rates += [-1j * (s * dt / hbar) * zone for s in (1.0, 0.5)]
+        schedule.append((start, steps, dt, *factors[dt]))
+
+    def plans():  # each step's zone, planned PLAN_ENTRIES factors at a time
+        table, chunk = np.hstack(rates), max(1, PLAN_ENTRIES // (2 * n))
+        grid_times = ((amp * math.cos(omega * (start + i * dt)), column + (i in (0, steps)))
+                      for start, steps, dt, *_, column in schedule for i in range(steps + 1))
+        while block := list(itertools.islice(grid_times, chunk)):
+            x_cl, cols = zip(*block)
+            yield from _zone_plan(np.array(x_cl), table[:, cols], y, dx, params.delta, near, far)
+
+    # merged Strang sweep: half V(t_0), (kick, full V(t_i)) for 0 < i < steps,
+    # kick, half V(t_steps); each segment's end state is recorded as a copy
+    plan, work, states = plans(), psi.copy(), [psi]
+    for _, steps, _, half, full, kick, _ in schedule:
         for i in range(steps + 1):
             if i:
                 np.fft.fft(work, axis=-1, out=work)
                 work *= kick
                 np.fft.ifft(work, axis=-1, out=work)
-            edge = i in (0, steps)
-            work *= half if edge else full
-            x_cl = amp * math.cos(omega * (start + i * dt))
-            if near < x_cl < far:
-                _zone_phase(work, y, dx, params.delta, x_cl, *zone_phase[edge])
-        psi = work
-        states.append(psi)
+            work *= half if i in (0, steps) else full
+            lo, hi, z = next(plan)
+            work[:, lo:hi] *= z
+        states.append(work.copy())
+    psi, n_steps = states[-1], sum(segment[1] for segment in schedule)
 
     # lab-frame <x> = x_cl + <y> and <p> = p_cl + hbar <k>; samples before contact share psi_0
     taus = np.asarray(events)

@@ -769,6 +769,24 @@ def test_stdout_matches_pinned_bytes(argv, pin, capsys):
     assert capsys.readouterr().out == (PINS / pin).read_text()
 
 
+#: the clock's output is made with exp, cos and FFTs, which are not correctly
+#: rounded, so these bytes hold for the libm and numpy (2.4, x86-64) that wrote
+#: them: they pin that a change to the integrator leaves every bit in place
+TRIGGER_PINS = {
+    "gate12": ["--config", str(PINS / "trigger_gate12.cfg")],  # gate 12's [trigger]
+    "earth": ["--preset", "earth"],
+    "clock": ["--config", str(PINS / "trigger_clock.cfg")],  # the benchmark's clock
+}
+
+
+@pytest.mark.parametrize("name", TRIGGER_PINS)
+def test_trigger_matches_pinned_bytes(name, tmp_path, capsys):
+    assert main(["trigger", *TRIGGER_PINS[name], "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.encode() == (PINS / f"trigger_{name}.csv").read_bytes()
+    (trajectory,) = tmp_path.glob("*_trigger_trajectory.csv")
+    assert trajectory.read_bytes() == (PINS / f"trigger_{name}_trajectory.csv").read_bytes()
+
+
 def test_readme_lists_every_command():
     assert [argv[0] for argv in README_COMMANDS] == [
         "timing", "timing", "switch", "trigger", "sweep"]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -190,6 +191,16 @@ class TestSolveMatching:
             solve_matching(earth, np.array([1.0, math.nan, 2.0]), 1.0)
         assert caught.value.index == 1
 
+    @pytest.mark.parametrize("args, text", [
+        ((math.inf, 1.0), "require h > 0 and d > 0, got h=inf, d=1.0"),
+        ((1.0, math.inf), "require h > 0 and d > 0, got h=1.0, d=inf"),
+        ((1.0, 1e-6, math.inf), "require dt_c > 0, got inf"),
+    ], ids=["h", "d", "dt_c"])
+    def test_rejects_inf(self, earth, args, text):
+        # an infinite h once gave ratio_exact nan in the small-mass regime
+        with pytest.raises(DomainError, match=re.escape(text)):
+            solve_matching(earth, *args)
+
     def test_schedule_rejects_nan_dt_v(self, earth):
         with pytest.raises(ValueError, match=r"dt_v must lie in \[0, dt_r=.*\], got nan"):
             solve_matching(earth, 1.0, 0.3e-6).schedule(math.nan)
@@ -282,6 +293,15 @@ class TestWindows:
             validate_windows(schedule, math.nan, 1e-19)
         with pytest.raises(ValueError, match="got dtau_1=1e-17, eps=nan"):
             validate_windows(schedule, 1e-17, math.nan)
+
+    @pytest.mark.parametrize("args, text", [
+        ((math.inf, 1e-19), "got dtau_1=inf, eps=1e-19"),
+        ((1e-17, math.inf), "got dtau_1=1e-17, eps=inf"),
+    ], ids=["dtau_1", "eps"])
+    def test_rejects_inf(self, earth, args, text):
+        # an infinite dtau_1 once gave margin_flight 0.0
+        with pytest.raises(DomainError, match=text):
+            validate_windows(solved_schedule(earth, 1.0, 0.3e-6), *args)
 
 
 class TestSchedulesAndPaths:

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from qswitch import trigger
 from qswitch.trigger import (
     GridSpec,
     TriggerParams,
-    _zone_phase,
+    _zone_plan,
     analytic_columns,
     check_trigger_condition,
     condition_from_trajectory,
@@ -249,6 +250,20 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="time step"):
             numeric_evolve(FAST, grid=bad)
 
+    @pytest.mark.parametrize("field, value, text", [
+        ("dt_max", -1.0, "require finite dt_max > 0, got -1.0"),  # once one step per segment
+        ("dt_max", 0.0, "require finite dt_max > 0, got 0.0"),    # once ZeroDivisionError
+        ("dt_max", math.nan, "require finite dt_max > 0, got nan"),
+        ("dt_max", math.inf, "require finite dt_max > 0, got inf"),
+        ("n_points", 0, "require integer n_points > 0, got 0"),   # once ZeroDivisionError
+        ("n_points", -256, "require integer n_points > 0, got -256"),
+        ("n_points", 256.0, "require integer n_points > 0, got 256.0"),
+    ])
+    def test_bad_grid_values_rejected(self, field, value, text):
+        grid = GridSpec(**{**vars(default_grid(FAST)), field: value})
+        with pytest.raises(ValueError, match=re.escape(text)):
+            numeric_evolve(FAST, grid=grid)
+
     @pytest.mark.parametrize("kwargs, text", [
         ({"tau_end": math.nan}, "tau_end > 0, got nan"),
         ({"tau_end": math.inf}, "tau_end > 0, got inf"),
@@ -367,6 +382,23 @@ CLOCK = TriggerParams(m=1.0, omega=1.0, delta=14.0, v0=7.0 * math.pi, hbar=1.0)
 GATE_11 = TriggerParams(m=1.0, omega=1.0, delta=20.0, v0=10.0 * math.pi, hbar=1.0)
 
 
+def zone_phase(work, y, dx, delta, x_cl, rate, full):
+    """One step's zone factor, cell range by cell range: the loop that the
+    plan of trigger._zone_plan replaces, kept as its bit-for-bit reference.
+
+    work *= exp(rate * chi), chi the part of each cell [y -+ dx/2] in [-x_cl, delta - x_cl]:
+    the fraction on the 3 cells at each edge (once each), full = exp(rate) between, none outside.
+    """
+    n = len(y)
+    a, b = (math.floor((e - y[0]) / dx + 0.5) for e in (-x_cl, delta - x_cl))
+    work[:, min(max(a + 2, 0), n):min(max(b - 1, 0), n)] *= full
+    for lo, hi in ((max(a - 1, 0), min(a + 2, n)), (max(b - 1, a + 2, 0), min(b + 2, n))):
+        if lo < hi:
+            chi = [min(max((min(delta - x_cl, c + 0.5 * dx) - max(-x_cl, c - 0.5 * dx)) / dx,
+                           0.0), 1.0) for c in y[lo:hi].tolist()]
+            work[:, lo:hi] *= np.exp(rate * np.array(chi))
+
+
 def clock_run(params, **kwargs):
     """numeric_evolve as `qswitch trigger` calls it."""
     return numeric_evolve(params, sample_times=(params.probe_time, params.tau_star), **kwargs)
@@ -464,15 +496,30 @@ class TestStepRule:
             [np.nextafter(near, far), np.nextafter(far, near), -y[0] + 0.5 * dx,
              delta - y[-1] - 0.5 * dx, -y[n // 2] - 0.5 * dx, 0.5 * delta, -y[0] + 3 * dx],
         ])
-        for x_cl in x_cls:
-            for tau in (0.5 * grid.dt_max, grid.dt_max):
+        for tau in (0.5 * grid.dt_max, grid.dt_max):
+            rate = -1j * tau * zone
+            plan = _zone_plan(x_cls, np.repeat(rate, len(x_cls), axis=1), y, dx, delta, near, far)
+            assert len(plan) == len(x_cls)
+            for x_cl, (lo, hi, z) in zip(x_cls, plan):
+                assert (lo < hi) == (near < x_cl < far)
                 # every cell times the phase of the fraction of it inside
                 inside = np.minimum(delta - x_cl, y + 0.5 * dx) - np.maximum(-x_cl, y - 0.5 * dx)
                 expected = work * np.exp(-1j * tau * zone * np.clip(inside / dx, 0.0, 1.0))
                 got = work.copy()
-                rate = -1j * tau * zone
-                _zone_phase(got, y, dx, delta, x_cl, rate, np.exp(rate))
+                got[:, lo:hi] *= z
                 assert np.max(np.abs(got - expected)) <= 1e-15
+                reference = work.copy()
+                zone_phase(reference, y, dx, delta, x_cl, rate, np.exp(rate))
+                assert np.array_equal(got, reference)
+
+    def test_plan_blocks_keep_bits(self, monkeypatch):
+        # the clock run plans 128 steps a block; one step a block gives the same bits
+        whole = clock_run(CLOCK)
+        monkeypatch.setattr(trigger, "PLAN_ENTRIES", 1)
+        stepwise = clock_run(CLOCK)
+        for name in ("x_mean", "p_mean", "p_off", "p_on", "norm"):
+            assert np.array_equal(getattr(stepwise, name), getattr(whole, name))
+        assert np.array_equal(stepwise.final.psi, whole.final.psi)
 
     @pytest.mark.parametrize("params, n_samples, fired, ready", [
         # frozen from runs with every step at the coupling's scale
