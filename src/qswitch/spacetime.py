@@ -140,8 +140,11 @@ class CentralBody:
              "radius must be finite and positive, got {}", radius),
         )
         r_s = self.schwarzschild_radius
-        check_domain((r_s >= radius, "body is not in the weak-field regime: "
-                      "R_S={:g} m >= R={:g} m", r_s, radius))
+        check_domain(
+            (np.logical_not(r_s > 0), "R_S = 2GM/c^2 underflows to 0 at mass {:g} kg", mass),
+            (r_s >= radius, "body is not in the weak-field regime: R_S={:g} m >= R={:g} m",
+             r_s, radius),
+        )
 
     @cached_property
     def schwarzschild_radius(self):

@@ -220,16 +220,27 @@ def solve_matching(body, h, d, dt_c=None):
     else:
         check_domain((~(np.isfinite(dt_c) & (dt_c > 0)), "require dt_c > 0, got {}", dt_c))
 
-    radius = body.radius
-    r_s = body.schwarzschild_radius
-    r_top = radius + h
-    s_hi = dilation_factor(r_top, body)
-    s_lo = dilation_factor(radius, body)
-    ratio_exact = s_hi * (s_hi + s_lo) * radius * r_top / (r_s * h)
-    ratio_weak = (radius / r_s) * (2.0 * radius / h + 2.0)
-    c = body.constants.c
-    g = body.surface_gravity
-    ratio_curv = c * c / (g * h) - 0.5 * c * c * body.curvature_r0101 / (g * g)
+    radius, r_s, c = body.radius, body.schwarzschild_radius, body.constants.c
+    with np.errstate(over="ignore"):  # each overflow is rejected at its point below
+        g = body.surface_gravity
+        # the ratios divide by R_S h, g h and g^2 and cube R (where ** raises on overflow)
+        check_domain(
+            (np.logical_not(r_s * h > 0), "R_S h underflows to 0 at h={:g} m", h),
+            (np.logical_not((g * h > 0) & (g * g > 0)),
+             "g h or g^2 underflows to 0 at surface gravity g={:g} m/s^2, h={:g} m", g, h),
+            (np.logical_not(radius * radius * radius < np.inf), "R^3 overflows at R={:g} m",
+             radius),
+        )
+        r_top = radius + h
+        s_hi = dilation_factor(r_top, body)
+        s_lo = dilation_factor(radius, body)
+        ratio_exact = s_hi * (s_hi + s_lo) * radius * r_top / (r_s * h)
+        ratio_weak = (radius / r_s) * (2.0 * radius / h + 2.0)
+        ratio_curv = c * c / (g * h) - 0.5 * c * c * body.curvature_r0101 / (g * g)
+    check_domain((np.logical_not(np.isfinite(ratio_exact) & np.isfinite(ratio_weak)
+                                 & np.isfinite(ratio_curv)),
+                  "dt_r/dt_c overflows at h={:g} m: exact {}, weak field {}, curvature form {}",
+                  h, ratio_exact, ratio_weak, ratio_curv))
     return MatchingSolution(
         body=body,
         h=h,

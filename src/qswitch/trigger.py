@@ -40,12 +40,20 @@ VALIDITY_THRESHOLD = 10.0
 READY_THRESHOLD = 0.99
 FIRED_THRESHOLD = 0.95
 
-#: clock resolution: grid spacing at most sigma / POINTS_PER_SIGMA, step at
-#: most min(2 pi/omega, pi hbar/v0) / STEPS_PER_SCALE
+#: clock resolution: grid spacing at most sigma / POINTS_PER_SIGMA; step at most
+#: (2 pi/omega) / STEPS_PER_SCALE, and at most (pi hbar/v0) / ZONE_STEPS_PER_SCALE
+#: where the zone can reach the grid.  The zone's is measured: numeric_fired meets
+#: its convergence bounds at any value, and from about 30 on the two-passage run
+#: keeps <p> within 3e-8 of one at 200 steps per pi hbar/v0 (tests/test_trigger.py)
 POINTS_PER_SIGMA = 8.0
 STEPS_PER_SCALE = 200.0
+ZONE_STEPS_PER_SCALE = 35.0
+#: two-point Gauss-Legendre nodes on [0, 1], exact to cubic order on each smooth piece
+GAUSS_NODES = 0.5 + np.array([-0.5, 0.5]) / math.sqrt(3.0)
 #: complex zone factors planned at a time, which bounds a long run's plan memory
 PLAN_ENTRIES = 1 << 16
+#: most points of a default grid: each (2, n) complex array is then at most 32 MB
+MAX_GRID_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -75,6 +83,19 @@ class TriggerParams:
             raise ValueError(f"require finite v0 >= 0, got {self.v0}")
         if self.amplitude is None and self.v0 == 0.0:
             raise ValueError("v0 = 0 requires an explicit amplitude")
+        # the derived quantities the clock divides by, each inside the float range;
+        # products before quotients and powers, which raise on 0 or past the range
+        for name, value in (
+                ("m omega", lambda: self.m * self.omega),
+                ("pi hbar omega", lambda: math.pi * self.hbar * self.omega),
+                ("sigma = sqrt(hbar/(m omega))", lambda: self.sigma),
+                ("speed omega A", lambda: self.speed),
+                ("kinetic energy m v^2/2", lambda: 0.5 * self.m * (self.speed * self.speed)),
+                ("m omega^2/2", lambda: 0.5 * self.m * (self.omega * self.omega)),
+                ("wavenumber k = m v/hbar", lambda: _wavenumbers(self)[0]),
+                ("k + k'", lambda: sum(_wavenumbers(self)))):
+            if not 0 < value() < math.inf:
+                raise ValueError(f"require a finite {name} > 0, got {value():g}")
 
     @property
     def period(self):
@@ -213,7 +234,7 @@ class GridSpec:
     x_min and x_max bound the co-moving coordinate y = x - x_cl(t), not the
     lab position: the packet sits near y = 0 for the whole run.  dt_max
     bounds the step while the zone can reach the grid; elsewhere the bound
-    is dt_max * period / min(period, pi hbar / v0), scaled alike.
+    is dt_max scaled by the ratio of the default ceilings (_step_ceilings).
     """
 
     x_min: float
@@ -237,11 +258,13 @@ def _fft_friendly(n):
     return best
 
 
-def _time_scale(params):
-    """Fastest time scale the step must resolve: min(2 pi/omega, pi hbar/v0)."""
+def _step_ceilings(params):
+    """Default step ceilings (where the zone can reach the grid, elsewhere): the
+    period / STEPS_PER_SCALE, and the first also pi hbar/v0 / ZONE_STEPS_PER_SCALE."""
+    coarse = params.period / STEPS_PER_SCALE
     if params.v0 > 0:
-        return min(params.period, math.pi * params.hbar / params.v0)
-    return params.period
+        return min(coarse, math.pi * params.hbar / params.v0 / ZONE_STEPS_PER_SCALE), coarse
+    return coarse, coarse
 
 
 def _max_wavenumber(params):
@@ -265,12 +288,17 @@ def default_grid(params, tau_end=None):
     """Co-moving grid [-r, r], r the packet's reach up to tau_end (default
     tau_star), resolving both width and momentum: spacing the stricter of
     sigma / POINTS_PER_SIGMA and pi/(6/sigma + k - k'), a 5-smooth point
-    count, and a step ceiling min(2 pi/omega, pi hbar/v0) / STEPS_PER_SCALE.
+    count, and the zone's step ceiling of _step_ceilings.
     """
     reach = _reach(params, params.tau_star if tau_end is None else tau_end)
     dx_req = min(params.sigma / POINTS_PER_SIGMA, math.pi / _max_wavenumber(params))
+    if not dx_req > 0:
+        raise ValueError(f"require a grid spacing > 0, got {dx_req:g}")
+    if not 2.0 * reach / dx_req <= MAX_GRID_POINTS:
+        raise ValueError(f"the clock grid needs {2.0 * reach / dx_req:.3g} points, "
+                         f"more than {MAX_GRID_POINTS}")
     n_points = _fft_friendly(max(256, math.ceil(2.0 * reach / dx_req)))
-    return GridSpec(-reach, reach, n_points, _time_scale(params) / STEPS_PER_SCALE)
+    return GridSpec(-reach, reach, n_points, _step_ceilings(params)[0])
 
 
 def _validate_grid(params, grid, tau_end):
@@ -296,12 +324,9 @@ def _validate_grid(params, grid, tau_end):
             f"grid spacing {grid.dx:g} cannot represent the packet momentum: "
             f"Nyquist {k_nyquist:g} < required {k_needed:g} rad/m"
         )
-    scale = _time_scale(params)
-    if grid.dt_max > scale / STEPS_PER_SCALE * (1 + 1e-12):
-        raise ValueError(
-            f"time step {grid.dt_max:g} does not resolve the fastest scale "
-            f"{scale:g}/{STEPS_PER_SCALE:g}"
-        )
+    ceiling = _step_ceilings(params)[0]
+    if grid.dt_max > ceiling * (1 + 1e-12):
+        raise ValueError(f"time step {grid.dt_max:g} exceeds the clock's ceiling {ceiling:g}")
 
 
 @dataclass
@@ -332,24 +357,57 @@ class TriggerTrajectory:
         }
 
 
-def _zone_plan(x_cl, rate, y, dx, delta, near, far):
-    """Zone factor of steps at x_cl, rate[:, i]: work[:, lo:hi] *= z multiplies each cell
-    [y -+ dx/2] by exp(rate * chi), chi its part in [-x_cl, delta - x_cl]: the fraction on
-    the 3 cells at each edge (once each), exp(rate) between, none if x_cl is off (near, far)."""
-    n = len(y)
-    a, b = (np.floor((e - y[0]) / dx + 0.5).astype(int) for e in (-x_cl, delta - x_cl))
-    lo = np.clip(a - 1, 0, n)
-    hi = np.where((near < x_cl) & (x_cl < far), np.clip(b + 2, lo, n), lo)
-    z, ends = np.repeat(np.exp(rate), hi - lo, axis=1), np.cumsum(hi - lo)
-    cells = np.concatenate([a[:, None] + [-1, 0, 1], b[:, None] + [-1, 0, 1]], axis=1)
-    on = (lo[:, None] <= cells) & (cells < hi[:, None])
-    on[:, 3:] &= cells[:, 3:] >= a[:, None] + 2
-    i, c = np.nonzero(on)
-    x, c = x_cl[i], cells[i, c]
-    chi = np.clip((np.minimum(delta - x, y[c] + 0.5 * dx) - np.maximum(-x, y[c] - 0.5 * dx)) / dx,
-                  0.0, 1.0)
-    z[:, ends[i] - hi[i] + c] = np.exp(rate[:, i] * chi)
-    return [(p, q, z[:, e - q + p:e]) for p, q, e in zip(lo.tolist(), hi.tolist(), ends.tolist())]
+def _x_range(amp, start, stop):
+    """Least and greatest x_cl = amp cos(phase) for phase in [start, stop]: at the ends,
+    or -amp and amp where the interval holds a turning point pi + 2 pi k and 2 pi k."""
+    ends = amp * np.cos([start, stop])
+    turns = [np.ceil((start - top) / (2.0 * math.pi)) * 2.0 * math.pi + top <= stop
+             for top in (math.pi, 0.0)]
+    return np.where(turns[0], -amp, ends.min(0)), np.where(turns[1], amp, ends.max(0))
+
+
+def _zone_plan(spans, rate, amp, y, dx, delta, near, far):
+    """Zone factors of the steps at phases omega t_i = spans[0], spans[1] = omega dt apart:
+    work[:, lo:hi] *= z multiplies each cell [y -+ dx/2] by exp(rate * integral of hat * chi),
+    chi the cell's part in [-x_cl, delta - x_cl] at x_cl = amp cos(phase), and the hat
+    1 - |phase - spans[0]| / spans[1] over the step before (if spans[2]) and after (if spans[3]).
+    The integral is a Gauss rule on the pieces where hat * chi is smooth on the cells an edge
+    sweeps and one more each side (once each), the hat's area between the edges; no factor
+    where x_cl keeps the zone off (near, far)."""
+    n, (centre, h, left, right) = len(y), spans
+    ends = centre + h * np.array([-left, right])
+    x_lo, x_hi = _x_range(amp, *ends)
+    a0, a1, b0, b1 = (np.clip(np.floor((e - y[0]) / dx + 0.5), -2, n + 1).astype(int)
+                      for e in (-x_hi, -x_lo, delta - x_hi, delta - x_lo))
+    lo = np.clip(a0 - 1, 0, n)
+    hi = np.where((near < x_hi) & (x_lo < far), np.clip(b1 + 2, lo, n), lo)
+    area = 0.5 * h * (left + right)
+    z, stops = np.repeat(np.exp(rate * area), hi - lo, axis=1), np.cumsum(hi - lo)
+    first = np.clip([a0 - 1, np.maximum(b0 - 1, a1 + 2)], lo, hi)
+    last = np.clip([a1 + 2, b1 + 2], first, hi)
+    cells = first[..., None] + np.arange(np.max(last - first, initial=0))
+    swept = cells < last[..., None]
+    c, step = cells[swept], np.nonzero(swept)[1]
+    # hat * chi is smooth between the hat's ends and centre and the phases nearest the centre at
+    # which an edge meets a cell end, +-arccos(e / amp) + 2 pi k: two Gauss nodes on each piece
+    high = y[c] + 0.5 * dx
+    x_meet = np.stack([delta - high + dx, delta - high, dx - high, -high], axis=-1)
+    meets = np.arccos(np.clip(x_meet / amp, -1.0, 1.0))
+    meets = np.concatenate([meets, -meets], axis=-1)
+    meets += 2.0 * math.pi * np.round((centre[step, None] - meets) / (2.0 * math.pi))
+    knots = np.sort(np.concatenate([np.clip(meets, ends[0, step, None], ends[1, step, None]),
+                                    ends.T[step], centre[step, None]], axis=-1), axis=-1)
+    width = np.diff(knots, axis=-1)
+    cell, piece = np.nonzero(width)
+    width, at = width[cell, piece], step[cell]
+    nodes = knots[cell, piece, None] + width[:, None] * GAUSS_NODES
+    # chi is the cell's part right of the left edge less its part right of the right edge
+    right = (amp / dx) * np.cos(nodes) + (high[cell] / dx)[:, None]
+    chi = np.clip(right, 0.0, 1.0) - np.clip(right - delta / dx, 0.0, 1.0)
+    hat = 1.0 - np.abs(nodes - centre[at, None]) / h[at, None]
+    integral = np.bincount(cell, 0.5 * width * (chi * hat).sum(-1), minlength=len(c))
+    z[:, stops[step] - hi[step] + c] = np.exp(rate * integral)
+    return [(p, q, z[:, e - q + p:e]) for p, q, e in zip(lo.tolist(), hi.tolist(), stops.tolist())]
 
 
 def numeric_evolve(params, grid=None, tau_end=None, sample_times=(), n_samples=200):
@@ -357,12 +415,15 @@ def numeric_evolve(params, grid=None, tau_end=None, sample_times=(), n_samples=2
 
     Runs in the co-moving frame of the module docstring: the |+> channel
     sees the harmonic potential plus the barrier, the |-> channel plus the
-    well, both at y = x - x_cl(t), with the zone sampled at each step's
-    grid times.  Both channels keep the initial Gaussian, unstepped, until
-    the first segment between two samples in which x_cl can bring the zone
-    onto the grid; from it on the step is at most grid.dt_max where x_cl
-    can, else dt_max * period / min(period, pi hbar / v0).  n_steps counts
-    the steps taken.  Splitting is unitary, so the norm is conserved to FFT
+    well, both at y = x - x_cl(t).  Each grid time's zone phase is the zone
+    integrated in time against the hat over the steps beside it (the first
+    two Magnus terms' potential and [T, V] parts; Magnus 1954, Blanes et al.
+    2009), so the moving edges need no step of their own.  Both channels
+    keep the initial Gaussian, unstepped, until the first segment between
+    two samples in which x_cl can bring the zone onto the grid; from it on
+    the step is at most grid.dt_max where x_cl can, else dt_max scaled by
+    the ratio of the default ceilings.  n_steps counts the steps taken.
+    Splitting is unitary, so the norm is conserved to FFT
     roundoff.  The wave reflected at the zone edges is not resolved; its
     population is at most reflection_bound(params), inside the closed-form
     agreement budget max(0.05, 3 * reflection).  `sample_times`, in
@@ -384,51 +445,47 @@ def numeric_evolve(params, grid=None, tau_end=None, sample_times=(), n_samples=2
     n, dx = grid.n_points, grid.dx
     y = grid.x_min + dx * np.arange(n)
     k = 2.0 * math.pi * np.fft.fftfreq(n, d=dx)
-    # one row per channel, so each step multiplies whole arrays without broadcasting
-    harmonic, kinetic = (np.tile(v, (2, 1)) for v in (0.5 * m * omega**2 * y**2,
-                                                      hbar * k**2 / (2.0 * m)))
+    harmonic, kinetic = 0.5 * m * omega**2 * y**2, hbar * k**2 / (2.0 * m)
     zone = np.array([[params.v0], [-params.v0]])  # barrier for |+>, well for |->
 
     packet = np.exp(-(y**2) / (2.0 * params.sigma**2))
     packet = packet / math.sqrt(float(np.sum(packet**2)) * dx)
     psi = np.tile(packet.astype(complex) / math.sqrt(2.0), (2, 1))
 
-    events = {0.0, float(tau_end), *(float(t) for t in sample_times)}
-    events.update(tau_end * i / max(n_samples, 1) for i in range(n_samples + 1))
-    events = sorted(t for t in events if 0.0 <= t <= tau_end)
+    regular = tau_end * np.arange(n_samples + 1) / max(n_samples, 1)
+    taus = np.unique(np.concatenate([[0.0, tau_end], np.asarray(sample_times, float), regular]))
+    taus = taus[taus <= tau_end] + 0.0  # + 0.0 turns a sample time -0.0 into 0.0
 
     # the zone term reaches the grid only for x_cl in (near, far); other segments step coarsely
     near, far = -(y[-1] + 0.5 * dx), params.delta - (y[0] - 0.5 * dx)
-    coarse = grid.dt_max * params.period / _time_scale(params)
-    x_events = [amp * math.cos(omega * t) for t in events]
-    factors, rates, schedule = {}, [], []
-    for j, (start, end) in enumerate(zip(events, events[1:])):
-        # x_cl over the segment: its ends and any turning point t = i pi/omega
-        turns = range(math.ceil(omega * start / math.pi), math.floor(omega * end / math.pi) + 1)
-        x_range = x_events[j:j + 2] + [amp * (-1.0) ** i for i in turns[:2]]
-        touches = max(x_range) > near and min(x_range) < far
-        if not (touches or schedule):
-            continue  # before the first contact psi stays the initial Gaussian
-        steps = max(1, math.ceil((end - start) / (grid.dt_max if touches else coarse)))
-        dt = (end - start) / steps
-        if dt not in factors:  # half, full, kick and zone rate column (full step; + 1: half)
-            half = np.exp(-0.5j * harmonic * dt / hbar)
-            factors[dt] = (half, half * half, np.exp(-1j * kinetic * dt), len(rates))
-            rates += [-1j * (s * dt / hbar) * zone for s in (1.0, 0.5)]
+    fine, coarse = _step_ceilings(params)
+    coarse *= grid.dt_max / fine
+    x_lo, x_hi = _x_range(amp, omega * taus[:-1], omega * taus[1:])
+    touches = (x_hi > near) & (x_lo < far)
+    first = int(np.argmax(np.append(touches, True)))  # before it psi stays the initial Gaussian
+    lengths = np.diff(taus)[first:]
+    counts = np.maximum(1, np.ceil(lengths / np.where(touches[first:], grid.dt_max, coarse)))
+    factors, schedule = {}, []
+    for start, steps, dt in zip(taus[first:].tolist(), counts.astype(int).tolist(),
+                                (lengths / counts).tolist()):
+        if dt not in factors:  # half, full and kick, one row per channel
+            half = np.tile(np.exp(-0.5j * harmonic * dt / hbar), (2, 1))
+            factors[dt] = (half, half * half, np.tile(np.exp(-1j * kinetic * dt), (2, 1)))
         schedule.append((start, steps, dt, *factors[dt]))
 
     def plans():  # each step's zone, planned PLAN_ENTRIES factors at a time
-        table, chunk = np.hstack(rates), max(1, PLAN_ENTRIES // (2 * n))
-        grid_times = ((amp * math.cos(omega * (start + i * dt)), column + (i in (0, steps)))
-                      for start, steps, dt, *_, column in schedule for i in range(steps + 1))
-        while block := list(itertools.islice(grid_times, chunk)):
-            x_cl, cols = zip(*block)
-            yield from _zone_plan(np.array(x_cl), table[:, cols], y, dx, params.delta, near, far)
+        chunk, rate = max(1, PLAN_ENTRIES // (2 * n)), -1j * zone / (hbar * omega)
+        spans = ((omega * (start + i * dt), omega * dt, i > 0, i < steps)
+                 for start, steps, dt, *_ in schedule for i in range(steps + 1))
+        while block := list(itertools.islice(spans, chunk)):
+            yield from _zone_plan(np.array(block, dtype=float).T, rate, amp, y, dx, params.delta,
+                                  near, far)
 
-    # merged Strang sweep: half V(t_0), (kick, full V(t_i)) for 0 < i < steps,
-    # kick, half V(t_steps); each segment's end state is recorded as a copy
+    # merged Strang sweep: half V(t_0), (kick, full V(t_i)) for 0 < i < steps, kick,
+    # half V(t_steps), each V(t_i) the zone against the hat of t_i over the steps beside it
+    # in the segment; each segment's end state is recorded as a copy
     plan, work, states = plans(), psi.copy(), [psi]
-    for _, steps, _, half, full, kick, _ in schedule:
+    for _, steps, _, half, full, kick in schedule:
         for i in range(steps + 1):
             if i:
                 np.fft.fft(work, axis=-1, out=work)
@@ -441,7 +498,6 @@ def numeric_evolve(params, grid=None, tau_end=None, sample_times=(), n_samples=2
     psi, n_steps = states[-1], sum(segment[1] for segment in schedule)
 
     # lab-frame <x> = x_cl + <y> and <p> = p_cl + hbar <k>; samples before contact share psi_0
-    taus = np.asarray(events)
     rows = np.maximum(np.arange(len(taus)) - (len(taus) - len(states)), 0)
     states = np.asarray(states)
     density = np.sum(np.abs(states) ** 2, axis=1)

@@ -22,8 +22,10 @@ from qswitch.config import (
 from qswitch import cli
 from qswitch.cli import main
 from qswitch.spacetime import CODATA2018, CentralBody, schwarzschild_radius
+from qswitch.trigger import default_grid
 
 from test_timing import oracle_ascent
+from test_trigger import steps_by_rule
 
 #: committed expected output of runs that use only correctly rounded
 #: operations (products, sums, sqrt, exp(0)), so it holds on any platform
@@ -406,6 +408,33 @@ class TestCliCommands:
         assert captured.out == ""
         assert f"line {line}: value must be finite" in captured.err
 
+    @pytest.mark.parametrize("command, text, message", [
+        # each once a traceback, ZeroDivisionError or OverflowError, with exit 1
+        ("trigger", "[trigger]\nm = 1.0\nomega = 1.0\nhbar = 1e300\ndelta = 14.0\nv0 = 22.0\n",
+         "require a finite kinetic energy m v^2/2 > 0, got 0"),
+        ("trigger", "[trigger]\nm = 1e300\nomega = 1.0\nhbar = 1.0\ndelta = 14.0\nv0 = 22.0\n",
+         "require a finite k + k' > 0, got inf"),
+        ("trigger", "[trigger]\nm = 1.0\nomega = 1.0\nhbar = 1.0\ndelta = 1e300\nv0 = 22.0\n",
+         "require a finite kinetic energy m v^2/2 > 0, got inf"),
+        ("timing", "[body]\npreset = earth\nmass = 1e-300\n",
+         "R_S = 2GM/c^2 underflows to 0 at mass 1e-300 kg"),
+        ("timing", "[body]\npreset = earth\nradius = 1e300\nmass = 1e-30\n",
+         "g h or g^2 underflows to 0 at surface gravity g=0 m/s^2, h=1 m"),
+        # once exit 0 with ratio_exact = inf and weak_field_gap = nan
+        ("timing", "[body]\npreset = earth\n[protocol]\nh = 1e-300\nd = 1e-300\n"
+         "dt_s = 1e-30\ndt_c = 10\n",
+         "dt_r/dt_c overflows at h=1e-300 m: exact inf, weak field inf, curvature form inf"),
+    ], ids=["trigger-hbar", "trigger-m", "trigger-delta", "timing-mass", "timing-radius",
+            "timing-h"])
+    def test_derived_quantity_out_of_range_exits_2(self, tmp_path, capsys, command, text,
+                                                      message):
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_switch_default_scenario(self):
         result = run_cli("switch")
         assert result.returncode == 0
@@ -472,9 +501,13 @@ class TestCliCommands:
         assert float(cells["numeric_fired"]) >= 0.95
         trajectory = (tmp_path / "o" / "run_trigger_trajectory.csv").read_text()
         assert trajectory.startswith("tau,x_mean,p_mean,p_off,p_on,norm")
-        # the clock grid closes the row
+        # the clock grid closes the row, with the steps the step rule takes
         assert header.split(",")[-3:] == ["n_points", "n_steps", "dt_max"]
-        assert (cells["n_points"], cells["n_steps"], cells["dt_max"]) == ("256", "209", "0.001")
+        params = cli.trigger_params_from_config(parse_config(FAST_TRIGGER, CODATA2018), CODATA2018)
+        grid = default_grid(params)
+        taus = [float(line.split(",")[0]) for line in trajectory.splitlines()[1:]]
+        assert (cells["n_points"], int(cells["n_steps"]), float(cells["dt_max"])) == (
+            "256", steps_by_rule(params, grid, taus), grid.dt_max)
 
     def test_explicit_schedule_with_zero_tau_star_rejected(self, tmp_path):
         cfg = tmp_path / "zero.cfg"
@@ -617,6 +650,18 @@ class TestSweep:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: sweep_h=-1: require h > 0")
+
+    def test_overflowing_timing_point_named(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny_h.cfg"
+        cfg.write_text(
+            "[body]\npreset = earth\n[protocol]\nd = 1e-300\ndt_s = 1e-30\ndt_c = 10\n"
+            "[sweep]\ntarget = timing\nparameter = h\nmin = 1e-300\nmax = 1\ncount = 3\n"
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: sweep_h=1e-300: dt_r/dt_c overflows at h=1e-300 m: "
+                                "exact inf, weak field inf, curvature form inf\n")
 
     def test_zero_tau_star_point_named(self, tmp_path):
         # dt_v = dt_s = 0 leaves no proper time to divide the residual by

@@ -6,6 +6,8 @@ import pytest
 import scipy.fft
 
 from qswitch import trigger
+from qswitch.config import default_trigger_config
+from qswitch.spacetime import CODATA2018
 from qswitch.trigger import (
     GridSpec,
     TriggerParams,
@@ -84,14 +86,23 @@ def lab_frame_evolve(params, grid, tau_end=None, sample_times=(), n_samples=60):
 def lab_grid(params, dt_max=None):
     """Lab grid over [-1.5A, 1.5A]: spacing the stricter of sigma/8 and
     pi/k_max with the carrier k_max = m omega A / hbar + 6/sigma, a
-    5-smooth point count, and the default step ceiling."""
+    5-smooth point count, and by default the step uniform_grid takes (the
+    lab frame samples its fixed zone at step times, so it needs that step)."""
     k_max = params.m * params.omega * params.amp / params.hbar + 6.0 / params.sigma
     dx_req = min(params.sigma / 8.0, math.pi / k_max)
     n = math.ceil(3.0 * params.amp / dx_req)
     n = min(2**a * 5**b for a in range(40) for b in range(5) if 2**a * 5**b >= n)
     if dt_max is None:
-        dt_max = default_grid(params).dt_max
+        dt_max = uniform_grid(params).dt_max
     return GridSpec(-1.5 * params.amp, 1.5 * params.amp, n, dt_max)
+
+
+def uniform_grid(params, tau_end=None):
+    """The default grid with the step min(2 pi/omega, pi hbar/v0) / 200 where the
+    zone can reach it, the step the clock once took everywhere."""
+    grid = default_grid(params, tau_end=tau_end)
+    step = min(params.period, math.pi * params.hbar / params.v0) / 200.0
+    return GridSpec(grid.x_min, grid.x_max, grid.n_points, step)
 
 
 class TestParams:
@@ -228,7 +239,8 @@ class TestGridValidation:
         assert grid.x_max - grid.x_min < 0.2 * p.amp
         assert grid.dx <= p.sigma / 8.0
         assert math.pi / grid.dx >= 6.0 / p.sigma + (k - k_prime)
-        assert grid.dt_max <= min(p.period, math.pi * p.hbar / p.v0) / 200.0
+        assert grid.dt_max == min(p.period / trigger.STEPS_PER_SCALE,
+                                  math.pi * p.hbar / p.v0 / trigger.ZONE_STEPS_PER_SCALE)
 
     def test_short_domain_rejected(self):
         good = default_grid(FAST)
@@ -334,7 +346,7 @@ class TestNumeric:
         # same sample times, default grids of each frame; measured
         # |dp_off| 7.9e-4 (the lab grid's own edge error: halving its
         # spacing moves p_off by 5.0e-4), |dx|/A 1.1e-6, |dp|/(m omega A)
-        # 1.9e-5, |dnorm| 2e-13
+        # 2.0e-5, |dnorm| 2e-13
         lab = lab_frame_evolve(FAST, lab_grid(FAST),
                                sample_times=(FAST.probe_time, FAST.tau_star), n_samples=60)
         assert np.array_equal(lab["taus"], fast_trajectory.taus)
@@ -382,26 +394,83 @@ CLOCK = TriggerParams(m=1.0, omega=1.0, delta=14.0, v0=7.0 * math.pi, hbar=1.0)
 GATE_11 = TriggerParams(m=1.0, omega=1.0, delta=20.0, v0=10.0 * math.pi, hbar=1.0)
 
 
-def zone_phase(work, y, dx, delta, x_cl, rate, full):
-    """One step's zone factor, cell range by cell range: the loop that the
-    plan of trigger._zone_plan replaces, kept as its bit-for-bit reference.
+def zone_phase(work, y, dx, delta, amp, span, rate):
+    """One zone factor, cell by cell: the loop that the plan of trigger._zone_plan
+    vectorizes, kept as its bit-for-bit reference.
 
-    work *= exp(rate * chi), chi the part of each cell [y -+ dx/2] in [-x_cl, delta - x_cl]:
-    the fraction on the 3 cells at each edge (once each), full = exp(rate) between, none outside.
+    span = (centre, h, left, right): the factor's hat 1 - |phase - centre| / h covers the
+    step before its grid phase if left and the step after if right.  work *= exp(rate *
+    integral of hat * chi), chi the part of each cell [y -+ dx/2] in [-x_cl, delta - x_cl]
+    at x_cl = amp cos(phase): piece by piece between the phases at which an edge meets a
+    cell end, on the cells that an edge sweeps and one more each side (once each);
+    exp(rate * the hat's area) between; none if x_cl keeps the zone off the grid.
     """
-    n = len(y)
-    a, b = (math.floor((e - y[0]) / dx + 0.5) for e in (-x_cl, delta - x_cl))
-    work[:, min(max(a + 2, 0), n):min(max(b - 1, 0), n)] *= full
-    for lo, hi in ((max(a - 1, 0), min(a + 2, n)), (max(b - 1, a + 2, 0), min(b + 2, n))):
-        if lo < hi:
-            chi = [min(max((min(delta - x_cl, c + 0.5 * dx) - max(-x_cl, c - 0.5 * dx)) / dx,
-                           0.0), 1.0) for c in y[lo:hi].tolist()]
-            work[:, lo:hi] *= np.exp(rate * np.array(chi))
+    centre, h, left, right = span
+    n, start, stop = len(y), centre - left * h, centre + right * h
+    turn = math.ceil(start / math.pi)
+    x_cls = [amp * math.cos(start), amp * math.cos(stop)]
+    x_cls += [amp * (-1.0) ** turn] if turn * math.pi < stop else []
+    if not (-(y[-1] + 0.5 * dx) < max(x_cls) and min(x_cls) < delta - (y[0] - 0.5 * dx)):
+        return
+    a0, a1, b0, b1 = (min(max(math.floor((e - y[0]) / dx + 0.5), -2), n + 1) for e in
+                      (-max(x_cls), -min(x_cls), delta - max(x_cls), delta - min(x_cls)))
+    lo = min(max(a0 - 1, 0), n)
+    hi = min(max(b1 + 2, lo), n)
+    edges = [*range(max(a0 - 1, lo), min(a1 + 2, hi)),
+             *range(max(b0 - 1, a1 + 2, lo), min(b1 + 2, hi))]
+    for c in range(lo, hi):
+        if c not in edges:
+            work[:, c] *= np.exp(rate[:, 0] * (0.5 * h * (left + right)))
+            continue
+        high = y[c] + 0.5 * dx
+        meets = np.arccos(np.clip(np.array([delta - high + dx, delta - high, dx - high, -high])
+                                  / amp, -1.0, 1.0))
+        meets = np.concatenate([meets, -meets])
+        meets += 2.0 * math.pi * np.round((centre - meets) / (2.0 * math.pi))
+        knots = np.sort(np.concatenate([np.clip(meets, start, stop), [start, stop, centre]]))
+        width = np.diff(knots)
+        pieces = width != 0
+        width = width[pieces]
+        nodes = knots[:-1][pieces, None] + width[:, None] * trigger.GAUSS_NODES
+        right_part = (amp / dx) * np.cos(nodes) + high / dx
+        chi = np.clip(right_part, 0.0, 1.0) - np.clip(right_part - delta / dx, 0.0, 1.0)
+        hat = 1.0 - np.abs(nodes - centre) / h
+        integral = 0.0
+        for piece in (0.5 * width * (chi * hat).sum(-1)).tolist():  # in order, as np.bincount
+            integral += piece
+        work[:, c] *= np.exp(rate[:, 0] * integral)
+
+
+def dense_zone_integral(y, dx, delta, amp, span, samples=1 << 14):
+    """integral of hat * chi over the factor's span for every cell, by the midpoint rule."""
+    centre, h, left, right = span
+    start, stop = centre - left * h, centre + right * h
+    phases = start + (stop - start) * (np.arange(samples) + 0.5) / samples
+    hat = 1.0 - np.abs(phases - centre) / h
+    x_cl = amp * np.cos(phases)[:, None]
+    inside = np.minimum(delta - x_cl, y + 0.5 * dx) - np.maximum(-x_cl, y - 0.5 * dx)
+    return (stop - start) / samples * (hat @ np.clip(inside / dx, 0.0, 1.0))
 
 
 def clock_run(params, **kwargs):
     """numeric_evolve as `qswitch trigger` calls it."""
     return numeric_evolve(params, sample_times=(params.probe_time, params.tau_star), **kwargs)
+
+
+def steps_by_rule(params, grid, taus):
+    """Strang steps of a run up to tau_star by the step rule: from the first sample
+    segment in which the zone can reach the grid on, each segment in equal steps of
+    at most grid.dt_max where it can (for x_cl = A cos(omega t) falling through
+    (-(y_max + dx/2), delta - (y_min - dx/2))) and the period / STEPS_PER_SCALE
+    elsewhere."""
+    y_max = grid.x_min + grid.dx * (grid.n_points - 1)
+    near, far = -(y_max + 0.5 * grid.dx), params.delta - (grid.x_min - 0.5 * grid.dx)
+    x_cl = [params.amp * math.cos(params.omega * t) for t in taus]
+    first = next(i for i, x in enumerate(x_cl[1:]) if x < far)
+    coarse = params.period / trigger.STEPS_PER_SCALE
+    return sum(math.ceil((b - a) / (grid.dt_max if x_b < far and x_a > near else coarse))
+               for a, b, x_a, x_b in zip(taus[first:], taus[first + 1:], x_cl[first:],
+                                         x_cl[first + 1:]))
 
 
 class TestStepRule:
@@ -417,23 +486,13 @@ class TestStepRule:
 
         monkeypatch.setattr(np.fft, "fft", counted)
         traj = clock_run(CLOCK)
-        grid = traj.grid
-        # x_cl = A cos t falls monotonically on [0, tau_star], so a segment's
-        # range is its ends; the zone term reaches the grid for x_cl in
-        # (-(y_max + dx/2), delta - (y_min - dx/2)), and stepping starts at
-        # the first segment that reaches it
-        y_max = grid.x_min + grid.dx * (grid.n_points - 1)
-        near, far = -(y_max + 0.5 * grid.dx), CLOCK.delta - (grid.x_min - 0.5 * grid.dx)
         taus = traj.taus.tolist()
-        fine = sum(math.ceil((b - a) / grid.dt_max) for a, b in zip(taus, taus[1:]))
-        first = next(i for i, b in enumerate(taus[1:]) if CLOCK.amp * math.cos(b) < far)
-        expected = sum(
-            math.ceil((b - a) / (grid.dt_max if CLOCK.amp * math.cos(b) < far
-                                 and CLOCK.amp * math.cos(a) > near else CLOCK.period / 200.0))
-            for a, b in zip(taus[first:], taus[first + 1:])
-        )
-        assert fine == 2201  # every step at the coupling's scale
-        assert traj.n_steps == expected == 176  # 361 when stepped from t = 0
+        assert traj.grid.dt_max == math.pi * CLOCK.hbar / CLOCK.v0 / trigger.ZONE_STEPS_PER_SCALE
+        # stepped from the first contact, and at most 48 steps (a rule of 200 steps
+        # per pi hbar/v0 with the zone sampled at step times took 176)
+        everywhere = sum(math.ceil((b - a) / traj.grid.dt_max) for a, b in zip(taus, taus[1:]))
+        assert traj.n_steps == steps_by_rule(CLOCK, traj.grid, taus) < everywhere
+        assert traj.n_steps <= 48
         assert ffts.count(2) == traj.n_steps  # one forward FFT per step
 
     def test_ceiling_unchanged_without_coupling(self):
@@ -481,39 +540,58 @@ class TestStepRule:
         (CLOCK.delta, 320),   # a 5-smooth grid that is not a power of two
     ])
     def test_zone_phase_matches_all_cells(self, delta, n_points):
+        self.check_plan(delta, n_points, CLOCK.amp)
+
+    def test_zone_phase_matches_all_cells_at_turning_points(self):
+        # amp = 8: the zone is on the grid while x_cl turns
+        self.check_plan(3.0, None, 8.0)
+
+    @staticmethod
+    def check_plan(delta, n_points, amp):
         grid = default_grid(CLOCK)
         n = n_points or grid.n_points
         dx = (grid.x_max - grid.x_min) / n
         y = grid.x_min + dx * np.arange(n)
-        zone = np.array([[CLOCK.v0], [-CLOCK.v0]])
+        rate = -1j * np.array([[CLOCK.v0], [-CLOCK.v0]]) / CLOCK.omega
         near, far = -(y[-1] + 0.5 * dx), delta - (y[0] - 0.5 * dx)
         rng = np.random.default_rng(7)
         work = np.exp(2j * math.pi * rng.random((2, n))) * (0.5 + rng.random((2, n)))
-        # random positions across (near, far), the ends of that range, and
-        # edges on cell boundaries and off either grid end
-        x_cls = np.concatenate([
-            rng.uniform(near, far, 400),
-            [np.nextafter(near, far), np.nextafter(far, near), -y[0] + 0.5 * dx,
-             delta - y[-1] - 0.5 * dx, -y[n // 2] - 0.5 * dx, 0.5 * delta, -y[0] + 3 * dx],
-        ])
-        for tau in (0.5 * grid.dt_max, grid.dt_max):
-            rate = -1j * tau * zone
-            plan = _zone_plan(x_cls, np.repeat(rate, len(x_cls), axis=1), y, dx, delta, near, far)
-            assert len(plan) == len(x_cls)
-            for x_cl, (lo, hi, z) in zip(x_cls, plan):
-                assert (lo < hi) == (near < x_cl < far)
-                # every cell times the phase of the fraction of it inside
-                inside = np.minimum(delta - x_cl, y + 0.5 * dx) - np.maximum(-x_cl, y - 0.5 * dx)
-                expected = work * np.exp(-1j * tau * zone * np.clip(inside / dx, 0.0, 1.0))
-                got = work.copy()
-                got[:, lo:hi] *= z
-                assert np.max(np.abs(got - expected)) <= 1e-15
-                reference = work.copy()
-                zone_phase(reference, y, dx, delta, x_cl, rate, np.exp(rate))
-                assert np.array_equal(got, reference)
+        # grid phases with x_cl across (near, far) and beyond, half widths up to the
+        # step ceiling, so that an edge crosses up to ~80 cells; both sides, one side
+        # and none (zero length); phases at turning points and on a cell boundary
+        reach = np.arccos(np.clip([far / amp, near / amp], -1.0, 1.0))
+        boundary = np.arccos(np.clip((y[n // 2] + 0.5 * dx) / amp, -1.0, 1.0))
+        centres = np.concatenate([rng.uniform(reach[0] - 0.05, reach[1] + 0.05, 12),
+                                  rng.uniform(-0.1, 2.0 * math.pi + 0.1, 4), [0.0, math.pi],
+                                  [boundary, boundary]])
+        h = grid.dt_max * np.concatenate([rng.uniform(0.0, 1.0, 16), [1, 1, 1, 1]])
+        sides = rng.integers(0, 2, (2, len(centres))).astype(float)
+        sides[:, :8], sides[:, 8] = 1.0, 0.0
+        spans = np.array([centres, h, *sides])
+        plan = _zone_plan(spans, rate, amp, y, dx, delta, near, far)
+        assert len(plan) == len(centres)
+        for span, (lo, hi, z) in zip(spans.T, plan):
+            got = work.copy()
+            got[:, lo:hi] *= z
+            reference = work.copy()
+            zone_phase(reference, y, dx, delta, amp, span, rate)
+            assert np.array_equal(got, reference)
+            if not span[2] + span[3]:  # zero length: no phase at all
+                assert np.array_equal(got, work)
+        # every cell times the phase of its hat-weighted time inside the zone, to a part
+        # in 2e6 of the largest phase: measured worst 1.4e-7 from the midpoint rule (it
+        # falls as samples**-2) and 2.1e-7 from the Gauss rule on the slow edges of amp = 8
+        # (it stays there with 4x the samples); the first 9 spans hold every kind of span
+        for span, (lo, hi, z) in zip(spans.T[:9], plan):
+            cells = slice(max(lo - 2, 0), min(hi + 2, n))
+            dense = dense_zone_integral(y[cells], dx, delta, amp, span)
+            got = np.ones((2, n), complex)
+            got[:, lo:hi] = z
+            bound = 5e-7 * abs(rate[0, 0]) * span[1]
+            assert np.max(np.abs(got[:, cells] - np.exp(rate * dense))) <= bound
 
     def test_plan_blocks_keep_bits(self, monkeypatch):
-        # the clock run plans 128 steps a block; one step a block gives the same bits
+        # the clock run plans its 48 zone factors in one block; one a block gives the same bits
         whole = clock_run(CLOCK)
         monkeypatch.setattr(trigger, "PLAN_ENTRIES", 1)
         stepwise = clock_run(CLOCK)
@@ -522,38 +600,57 @@ class TestStepRule:
         assert np.array_equal(stepwise.final.psi, whole.final.psi)
 
     @pytest.mark.parametrize("params, n_samples, fired, ready", [
-        # frozen from runs with every step at the coupling's scale
-        (GATE_11, 200, 0.9984752893986446, 1.0000000000001035),
-        (GATE_11, 50, 0.9984691016710715, 0.9999999999998783),
-        (CLOCK, 200, 0.9969163530018738, 1.0000000000000042),
-    ])
+        # frozen from runs of this scheme with every step, from t = 0, at
+        # uniform_grid's step (3201, 3151 and 2201 steps)
+        (GATE_11, 200, 0.9984833765055515, 1.0000000000001035),
+        (GATE_11, 50, 0.9984833766810026, 0.9999999999998783),
+        (CLOCK, 200, 0.9969225723317966, 1.0000000000000042),
+    ], ids=["gate11-200", "gate11-50", "clock-200"])
     def test_matches_uniform_fine_steps(self, params, n_samples, fired, ready):
-        # measured |dfired| 9.1e-11, 9.4e-11 and 3.9e-10; |dready| <= 1.3e-13
+        # measured |dfired| 4.1e-9, 5.5e-9 and 3.6e-8; |dready| <= 1.2e-13
         report = condition_from_trajectory(params, clock_run(params, n_samples=n_samples))
         assert abs(report.p_fired_at_star - fired) < 1e-6
         assert abs(report.p_ready_before - ready) < 1e-6
         assert report.norm_drift < 1e-12
 
+    # how far numeric_fired of the clock, gate 11's, gate 12's and the earth preset's
+    # runs was from a run at a 16x finer step, measured at commit fb6a79f (the zone
+    # sampled at step times, 200 steps per pi hbar/v0): the rule's default step must
+    # come no further from its own 16x finer run
+    @pytest.mark.parametrize("params, n_samples, distance", [
+        (CLOCK, 200, 6.24e-6),
+        (GATE_11, 50, 1.43e-5),
+        (TriggerParams(m=1.0, omega=1.0, delta=10.0, v0=5.0 * math.pi, hbar=1.0), 200, 1.46e-6),
+        (TriggerParams(**vars(default_trigger_config(CODATA2018))), 200, 8.09e-6),
+    ], ids=["clock", "gate11", "gate12", "earth"])
+    def test_default_step_converges(self, params, n_samples, distance):
+        # this rule's: 3.8e-8, 5.9e-9, 6.8e-8 and 4.3e-9, in 32, 33, 52 and 30 steps
+        grid = default_grid(params)
+        finer = GridSpec(grid.x_min, grid.x_max, grid.n_points, grid.dt_max / 16.0)
+        fired = [condition_from_trajectory(params, clock_run(params, grid=g, n_samples=n_samples))
+                 .p_fired_at_star for g in (grid, finer)]
+        assert abs(fired[0] - fired[1]) <= distance
+
     def test_two_passages_match_uniform_fine_steps(self):
-        # the packet crosses the zone twice by 0.9 T; samples frozen from a
-        # run with every step at the coupling's scale; measured max
-        # |dp_off| 1.5e-7, |dx|/A 1.9e-9, |dp|/(m omega A) 1.9e-9
+        # the packet crosses the zone twice by 0.9 T; samples frozen from a run
+        # of this scheme with every step, from t = 0, at uniform_grid's step;
+        # measured max |dp_off| 2.1e-7, |dx|/A 3.8e-9, |dp|/(m omega A) 2.1e-8
         traj = numeric_evolve(FAST, tau_end=0.9 * FAST.period, n_samples=12)
         assert np.array_equal(traj.taus, 0.9 * FAST.period * np.arange(13) / 12)
         p_off = [0.9999999999999999, 1.0000000000000189, 1.0000000000000409,
-                 1.0000000000000624, 6.948567933086889e-05, 6.948567933087103e-05,
-                 6.948567933087023e-05, 6.948567933086949e-05, 6.948567933086862e-05,
-                 6.948567933086945e-05, 0.004450386177232011, 0.999734353812235,
-                 0.9997343538122547]
+                 1.0000000000000624, 6.331759098993017e-05, 6.331759098992448e-05,
+                 6.331759098992329e-05, 6.331759098993766e-05, 6.331759098993565e-05,
+                 6.331759098992653e-05, 0.0044433894658500355, 0.9997467783434776,
+                 0.9997467783434978]
         x_mean = [144.0, 128.30493948312497, 84.6410763301161, 22.52656296579321,
-                  -44.498452644164026, -101.82334360977447, -136.95212086952958,
-                  -142.22715274535705, -116.49843579188246, -65.37464788832142,
-                  -1.577677847753533e-05, 65.37460895424968, 116.49841544335672]
+                  -44.49843289947174, -101.82336566609851, -136.9521333483337,
+                  -142.22712296373697, -116.49845560492051, -65.37464504058015,
+                  -1.0014032828949024e-05, 65.37460467154061, 116.49842833793682]
         p_mean = [-2.924971107246771e-17, -65.37463196249475, -116.49844718999245,
-                  -142.22712104569987, -136.95206437177328, -101.8233084507764,
-                  -44.49837804062443, 22.52662710924287, 84.64114177938907,
-                  128.30501493268224, 144.000833577981, 128.3049483453871,
-                  84.64109674175488]
+                  -142.22712104569987, -136.9521425485358, -101.82338672241706,
+                  -44.49846122010124, 22.52654819603889, 84.64106404095003,
+                  128.3049323541852, 144.0007796499311, 128.304951520423,
+                  84.64109944537502]
         scale = FAST.m * FAST.omega * FAST.amp
         assert np.max(np.abs(traj.p_off - p_off)) < 1e-5
         assert np.max(np.abs(traj.x_mean - x_mean)) / FAST.amp < 2e-8
@@ -561,8 +658,8 @@ class TestStepRule:
         assert np.max(np.abs(traj.norm - 1.0)) < 1e-12
         # one segment over both passages, [0.1 T, 0.9 T]: x_cl = 0.81 A at
         # both ends, so only its turning point at t = pi (x_cl = -A) puts the
-        # zone in its range; measured |dp_off| 6.6e-7, |dx|/A 4.1e-8,
-        # |dp|/(m omega A) 3.8e-8 (4.0e-2, 6.4e-6 and 9.2e-6 if it is missed)
+        # zone in its range; measured |dp_off| 1.2e-8, |dx|/A 2.4e-9,
+        # |dp|/(m omega A) 3.5e-9 (2.5e-4, 1.3e-7 and 1.6e-7 if it is missed)
         whole = numeric_evolve(FAST, tau_end=0.9 * FAST.period, n_samples=0,
                                sample_times=(0.1 * FAST.period,))
         assert abs(whole.p_off[-1] - p_off[-1]) < 1e-5
