@@ -22,7 +22,6 @@ import numpy as np
 
 from .config import (
     PRESET_NAMES,
-    SECTION_OF,
     ConfigError,
     ScenarioConfig,
     apply_preset,
@@ -37,9 +36,6 @@ from .switch_model import (
     AMPLITUDES,
     AmplitudeModel,
     build_input,
-    check_amplitudes,
-    coefficient_rows,
-    complement,
     run_switch,
     switch_summaries,
 )
@@ -366,7 +362,7 @@ def switch_summary(config):
     """Sweep digest of one point, a batch of one through switch_summaries:
     class probabilities and the no-witness class's order readout."""
     table = switch_summaries(build_input(config.switch.alpha),
-                             [build_model(config.switch).coefficients()])
+                             build_model(config.switch).coefficient_rows())
     return dict(zip(SWITCH_SUMMARY_COLUMNS, table[0].tolist()))
 
 
@@ -518,11 +514,11 @@ def compute_sweep(config, constants):
 
     def swept(lo, hi):
         """[(parameter, grid, index of points lo..hi in its grid)] of each axis."""
-        points = np.arange(lo, hi)
+        at = np.arange(lo, hi)
         if len(grids) == 1:
-            return [(names[0], grids[0], points)]
+            return [(names[0], grids[0], at)]
         n2 = len(grids[1])
-        return [(names[0], grids[0], points // n2), (names[1], grids[1], points % n2)]
+        return [(names[0], grids[0], at // n2), (names[1], grids[1], at % n2)]
 
     def point_name(axes, i):
         """Point i of swept(...) as warnings and errors name it; a later axis
@@ -532,90 +528,55 @@ def compute_sweep(config, constants):
     def name_of(i):
         return point_name(swept(i, i + 1), 0)
 
-    spans = [(lo, min(lo + CHUNK_ROWS, total)) for lo in range(0, total, CHUNK_ROWS)]
-    if target == "timing":
-        compute = _timing_sweep(config, constants, swept)
-        warned = False
-        for lo, hi in spans:
-            warned |= _warned(_checked(compute, lo, hi, name_of)[1], hi - lo).any()
-
-        def warnings():
-            for lo, hi in spans:
-                axes = swept(lo, hi)
-                for i, messages in _point_warnings(compute(lo, hi)[1], hi - lo):
-                    yield from (f"{point_name(axes, i)}: {message}" for message in messages)
-
-        def rows(lo, hi):
-            chunk, checks = compute(lo, hi)
-            texts = [""] * (hi - lo)
-            for i, messages in _point_warnings(checks, hi - lo):
-                texts[i] = "; ".join(messages)
-            chunk["warnings"] = np.array(texts)
-            return chunk
-
-        return columns, SweepTable(total, rows), warnings() if warned else []
-
-    compute = _switch_sweep(config, swept, grids, names)
-    for lo, hi in spans:
-        _checked(compute, lo, hi, name_of)
-    state = build_input(config.switch.alpha)
-    return columns, SweepTable(total, lambda lo, hi: compute(lo, hi, state)), []
-
-
-def _timing_sweep(config, constants, swept):
-    """compute(lo, hi) -> (the table's columns but warnings, the warning
-    checks) of points lo..hi."""
-    def compute(lo, hi):
+    def points(lo, hi):
+        """(the sweep_* columns of points lo..hi, their config): every swept
+        parameter is set to its column, a later axis over one winning."""
         chunk, point = {}, config
         for name, grid, at in swept(lo, hi):
             chunk[f"sweep_{name}"] = grid[at]
-            if SECTION_OF[name] != "switch":
-                point = with_sweep_value(point, name, grid[at])
+            point = with_sweep_value(point, name, grid[at])
+        return chunk, point
+
+    spans = [(lo, min(lo + CHUNK_ROWS, total)) for lo in range(0, total, CHUNK_ROWS)]
+    if target == "switch":
+        for lo, hi in spans:
+            _checked(lambda lo, hi: build_model(points(lo, hi)[1].switch), lo, hi, name_of)
+        state = build_input(config.switch.alpha)
+
+        def summaries(lo, hi):
+            chunk, point = points(lo, hi)
+            table = switch_summaries(state, build_model(point.switch).coefficient_rows(hi - lo))
+            chunk.update(zip(SWITCH_SUMMARY_COLUMNS, table.T))
+            return chunk
+
+        return columns, SweepTable(total, summaries), []
+
+    def compute(lo, hi):
+        """(the table's columns but warnings, the warning checks) of points lo..hi."""
+        chunk, point = points(lo, hi)
         table, checks = _timing_columns(point, constants)
         chunk.update((name, np.broadcast_to(value, (hi - lo,))) for name, value in table.items())
         return chunk, checks
 
-    return compute
+    warned = False
+    for lo, hi in spans:
+        warned |= _warned(_checked(compute, lo, hi, name_of)[1], hi - lo).any()
 
+    def warnings():
+        for lo, hi in spans:
+            axes = swept(lo, hi)
+            for i, messages in _point_warnings(compute(lo, hi)[1], hi - lo):
+                yield from (f"{point_name(axes, i)}: {message}" for message in messages)
 
-def _switch_sweep(config, swept, grids, names):
-    """compute(lo, hi, state=None) -> the table's columns of points lo..hi for
-    an input state; with no state it only checks the points' models.
-
-    Each point's coefficients are the config's, with each swept amplitude
-    and its complement in their columns; a complement is computed once per
-    grid value.
-    """
-    sw = config.switch
-    fixed = [getattr(sw, name) for name, _ in AMPLITUDES]
-    phases = [getattr(sw, phase) for _, phase in AMPLITUDES]
-    position = {name: k for k, (name, _) in enumerate(AMPLITUDES)}
-
-    @cache
-    def grid_complements(axis):
-        k = position[names[axis]]
-        return np.array([complement(complex(v), phases[k]) for v in grids[axis].tolist()])
-
-    def compute(lo, hi, state=None):
-        chunk, amplitudes = {}, list(fixed)
-        axes = swept(lo, hi)
-        for name, grid, at in axes:
-            chunk[f"sweep_{name}"] = grid[at]
-            if name in position:
-                amplitudes[position[name]] = grid[at].astype(complex)
-        check_amplitudes(amplitudes, phases)
-        if state is None:
-            return chunk
-        partners = list(map(complement, fixed, phases))
-        for axis, (name, _, at) in enumerate(axes):
-            if name in position:
-                partners[position[name]] = grid_complements(axis)[at]
-        coefficients = coefficient_rows(amplitudes, partners)
-        table = switch_summaries(state, np.broadcast_to(coefficients, (hi - lo, 13)))
-        chunk.update(zip(SWITCH_SUMMARY_COLUMNS, table.T))
+    def rows(lo, hi):
+        chunk, checks = compute(lo, hi)
+        texts = [""] * (hi - lo)
+        for i, messages in _point_warnings(checks, hi - lo):
+            texts[i] = "; ".join(messages)
+        chunk["warnings"] = np.array(texts)
         return chunk
 
-    return compute
+    return columns, SweepTable(total, rows), warnings() if warned else []
 
 
 # ---------------------------------------------------------------------------

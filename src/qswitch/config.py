@@ -14,6 +14,8 @@ import cmath
 import math
 from dataclasses import dataclass, field, fields, replace
 
+import numpy as np
+
 from .spacetime import CentralBody, PhysicalConstants
 
 
@@ -114,6 +116,8 @@ def _range_fault(parameter, lo, hi, count, scale):
         for key, bound in (("min", lo), ("max", hi)):
             if bound <= 0:
                 return key, "log sweeps need positive bounds"
+        if not 0 < hi / lo < math.inf:
+            return "max", f"log sweep max/min = {hi / lo:g} leaves the float range"
     return None
 
 
@@ -331,10 +335,11 @@ def parse_constants(text):
 
 
 def with_sweep_value(config, parameter, value):
-    """Copy of `config` with one swept parameter replaced."""
+    """Copy of `config` with one swept parameter replaced by a value, or by a
+    numpy column of one value per point."""
     if parameter not in SWEEPABLE:
         raise ConfigError(_not_sweepable(parameter))
     section = SECTION_OF[parameter]
     if _KEYS[section][parameter] is _parse_complex:
-        value = complex(value)
+        value = value.astype(complex) if isinstance(value, np.ndarray) else complex(value)
     return replace(config, **{section: replace(getattr(config, section), **{parameter: value})})

@@ -113,30 +113,15 @@ AMPLITUDES = (("c1a", "delta_1a"), ("c4a", "delta_4a"), ("c1b", "delta_1b"),
               ("c2b", "delta_2b"), ("f_ba", "gamma_ba"), ("f_ab", "gamma_ab"))
 
 
-def check_amplitudes(amplitudes, phases):
-    """Raise at the first model, of one or of a column of them, that leaves
-    the unit disk or has a non-finite phase.
-
-    `amplitudes` and `phases` hold a value or a column for each name in
-    AMPLITUDES, in that order; a column is one model per entry.
-    """
-    check_domain(
-        *((np.logical_not(abs(c) <= 1.0 + 1e-12), "|{}| must be <= 1, got {:g}", name, abs(c))
-          for (name, _), c in zip(AMPLITUDES, amplitudes)),
-        *((~np.isfinite(phase), "{} must be finite, got {}", name, phase)
-          for (_, name), phase in zip(AMPLITUDES, phases)),
-    )
-
-
-def coefficient_rows(amplitudes, complements):
-    """(batch, 13) model coefficients laid out as AmplitudeModel.coefficients,
-    from the AMPLITUDES and their complements: values, or columns of one
-    model per entry."""
-    return np.column_stack(np.broadcast_arrays(1.0, *amplitudes, *complements)).astype(complex)
-
-
 def complement(c, phase):
-    """d = exp(i phase) sqrt(1 - |c|^2), the no-absorption partner of amplitude c."""
+    """d = exp(i phase) sqrt(1 - |c|^2), the no-absorption partner of amplitude c.
+
+    Of a column, the scalar formula once per distinct value: numpy's abs and
+    power round some inputs differently, which would change a point's bits.
+    """
+    if isinstance(c, np.ndarray):
+        distinct, where = np.unique(c, return_inverse=True)
+        return np.array([complement(v, phase) for v in distinct.tolist()])[where]
     return cmath.exp(1j * phase) * math.sqrt(max(0.0, 1.0 - abs(c) ** 2))
 
 
@@ -151,6 +136,9 @@ class AmplitudeModel:
     d = exp(i*delta)*sqrt(1 - |c|^2), and photons outside an agent's
     absorption table pass with amplitude exactly 1 (the witness emission
     contributes no extra phase).  The same amplitudes apply on both paths.
+
+    An amplitude may be a numpy column, one model per entry, as a sweep's
+    points give them; the phases are numbers.
     """
 
     c1a: complex = 1.0
@@ -167,16 +155,31 @@ class AmplitudeModel:
     gamma_ab: float = 0.0
 
     def __post_init__(self):
-        check_amplitudes(*self._fields())
+        """Reject the first model that leaves the unit disk or has a non-finite phase."""
+        amplitudes, phases = self._fields()
+        check_domain(
+            *((np.logical_not(abs(c) <= 1.0 + 1e-12), "|{}| must be <= 1, got {:g}", name, abs(c))
+              for (name, _), c in zip(AMPLITUDES, amplitudes)),
+            *((~np.isfinite(phase), "{} must be finite, got {}", name, phase)
+              for (_, name), phase in zip(AMPLITUDES, phases)),
+        )
 
     def _fields(self):
         return ([getattr(self, c) for c, _ in AMPLITUDES],
                 [getattr(self, phase) for _, phase in AMPLITUDES])
 
     def coefficients(self):
-        """The model's value of each name in COEFFICIENTS, in that order."""
+        """The model's value (or column) of each name in COEFFICIENTS, in that order."""
         amplitudes, phases = self._fields()
         return (1.0, *amplitudes, *map(complement, amplitudes, phases))
+
+    def coefficient_rows(self, n=1):
+        """(n, 13) coefficients, a model per row as :func:`switch_summaries`
+        takes them; a column amplitude holds n models."""
+        columns = np.empty((len(COEFFICIENTS), n), dtype=complex)
+        for column, value in zip(columns, self.coefficients()):
+            column[:] = value
+        return columns.T
 
 
 def _index(name):
@@ -416,7 +419,7 @@ def run_switch(input_state, model):
     first agent's level records a previous scattering (the histories of
     :func:`switch_summaries`, whose class probabilities these are).
     """
-    keep, amps = _reachable(input_state, np.array([model.coefficients()], dtype=complex))
+    keep, amps = _reachable(input_state, model.coefficient_rows())
     pre = np.zeros_like(input_state.amps)
     pre[_END[keep]] = amps[0]
     pre = StateVector(SWITCH_FACTORS, pre)

@@ -96,6 +96,12 @@ class TriggerParams:
                 ("k + k'", lambda: sum(_wavenumbers(self)))):
             if not 0 < value() < math.inf:
                 raise ValueError(f"require a finite {name} > 0, got {value():g}")
+        # the crossing time and the zone's phase over it, 0 where v0 = 0
+        for name, value in (("crossing time epsilon = delta/(omega A)", lambda: self.epsilon),
+                            ("v0 epsilon", lambda: self.v0 * self.epsilon),
+                            ("rotation angle v0 epsilon/hbar", lambda: self.rotation_angle)):
+            if not 0 <= value() < math.inf:
+                raise ValueError(f"require a finite {name} >= 0, got {value():g}")
 
     @property
     def period(self):
@@ -197,13 +203,11 @@ def analytic_columns(params, taus):
     outside = (taus < 0) | (taus > tau_star * (1 + 1e-12))
     if outside.any():
         raise ValueError(f"tau={taus[outside][0]:g} outside [0, tau_star={tau_star:g}]")
-    entry = tau_star - params.epsilon
-    phi = params.v0 * (taus - entry) / params.hbar
-    fired = taus >= entry
+    # the phase is 0 before entry, where cos^2 = 1 and sin^2 = 0
+    phi = params.v0 * np.maximum(taus - (tau_star - params.epsilon), 0.0) / params.hbar
     cos, sin = np.cos(phi), np.sin(phi)
     alpha = params.alpha0 * np.exp(-1j * params.omega * taus)
-    return (np.where(fired, cos * cos, 1.0), np.where(fired, sin * sin, 0.0),
-            math.sqrt(2.0) * params.sigma * alpha.real)
+    return cos * cos, sin * sin, math.sqrt(2.0) * params.sigma * alpha.real
 
 
 def reflection_bound(params):

@@ -182,6 +182,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="not sweepable"):
             with_sweep_value(base, "scenario", 1.0)
 
+    def test_with_sweep_value_takes_columns(self):
+        base = apply_preset(ScenarioConfig(), "earth", CODATA2018)
+        column = np.array([0.25, -0.0, 1.0])
+        varied = with_sweep_value(with_sweep_value(base, "c1a", column), "h", column)
+        assert varied.switch.c1a.dtype == complex
+        assert varied.switch.c1a.tolist() == [0.25 + 0j, -0.0 + 0j, 1.0 + 0j]
+        assert varied.protocol.h is column
+        assert base.switch.c1a == 1.0 and base.protocol.h == 1.0
+
 
 SWEEP_HEAD = "[body]\npreset = earth\n[sweep]\ntarget = timing\n"
 
@@ -200,6 +209,11 @@ class TestSweepRanges:
          "log sweeps need positive bounds"),
         ("parameter = h\nmin = 1\nmax = -2\ncount = 1\nscale = log\n", 7,
          "log sweeps need positive bounds"),
+        # once sweep_mass=nan at a point, and a math domain error
+        ("parameter = mass\nmin = 1e-300\nmax = 1e24\ncount = 3\nscale = log\n", 7,
+         "log sweep max/min = inf leaves the float range"),
+        ("parameter = eps\nmin = 1e300\nmax = 1e-300\ncount = 3\nscale = log\n", 7,
+         "log sweep max/min = 0 leaves the float range"),
         ("parameter = m\nmin = 1\nmax = 2\ncount = 3\n", 5,
          "parameter 'm' is not sweepable; choose from c1a, c1b, c2b, c4a, d, dt_c, "
          "dt_v, dtau_1, eps, f_ab, f_ba, h, mass, radius"),
@@ -215,7 +229,7 @@ class TestSweepRanges:
          "parameter2 = d\nmin2 = 1\nmax2 = 2\n", 5,
          "sweep grid of 1002000 points exceeds 1000000"),
     ], ids=["scale", "scale count 1", "count 0", "log min 0", "log max < 0 count 1",
-            "not sweepable", "scale2", "grid", "grid count2", "grid count2 first"])
+            "log max/min past the range", "log max/min below the range", "not sweepable", "scale2", "grid", "grid count2", "grid count2 first"])
     def test_bad_range_reports_its_line(self, lines, line, message):
         with pytest.raises(ConfigError, match=f"^line {line}: {re.escape(message)}$"):
             parse_config(SWEEP_HEAD + lines, CODATA2018)
@@ -231,6 +245,7 @@ class TestSweepRanges:
         (("h", 1.0, 2.0, 0, "linear"), "sweep count must be >= 1"),
         (("h", -1.0, 2.0, 1, "log"), "log sweeps need positive bounds"),
         (("scenario", 1.0, 2.0, 3, "linear"), "not sweepable"),
+        (("mass", 1e-300, 1e24, 3, "log"), "log sweep max/min = inf"),
     ])
     def test_bad_range_built_directly(self, args, message):
         with pytest.raises(ConfigError, match=message):
@@ -416,6 +431,10 @@ class TestCliCommands:
          "require a finite k + k' > 0, got inf"),
         ("trigger", "[trigger]\nm = 1.0\nomega = 1.0\nhbar = 1.0\ndelta = 1e300\nv0 = 22.0\n",
          "require a finite kinetic energy m v^2/2 > 0, got inf"),
+        # once two numpy RuntimeWarnings and a negative grid spacing
+        ("trigger", "[trigger]\nm = 8.49e30\nomega = 2.51e84\ndelta = 7.53e245\n"
+         "v0 = 2.62e-247\nhbar = 2.07e73\n",
+         "require a finite crossing time epsilon = delta/(omega A) >= 0, got inf"),
         ("timing", "[body]\npreset = earth\nmass = 1e-300\n",
          "R_S = 2GM/c^2 underflows to 0 at mass 1e-300 kg"),
         ("timing", "[body]\npreset = earth\nradius = 1e300\nmass = 1e-30\n",
@@ -424,8 +443,8 @@ class TestCliCommands:
         ("timing", "[body]\npreset = earth\n[protocol]\nh = 1e-300\nd = 1e-300\n"
          "dt_s = 1e-30\ndt_c = 10\n",
          "dt_r/dt_c overflows at h=1e-300 m: exact inf, weak field inf, curvature form inf"),
-    ], ids=["trigger-hbar", "trigger-m", "trigger-delta", "timing-mass", "timing-radius",
-            "timing-h"])
+    ], ids=["trigger-hbar", "trigger-m", "trigger-delta", "trigger-epsilon", "timing-mass",
+            "timing-radius", "timing-h"])
     def test_derived_quantity_out_of_range_exits_2(self, tmp_path, capsys, command, text,
                                                       message):
         cfg = tmp_path / "extreme.cfg"

@@ -4,7 +4,9 @@ The oracles below are the per-point sweep loop and the row-wise CSV and
 JSON formatters the CLI used before sweeps were evaluated as columns: each
 point gets its own config through with_sweep_value and goes through
 cli.compute_timing or cli.switch_summary alone, and each table is built as
-one string.  The columnar sweep must give the same bytes, the same warnings
+one string.  The columnar sweep builds a chunk's config the same way, with
+every swept parameter set to its column of points, and runs the same code
+on it for either target.  It must give the same bytes, the same warnings
 and the same errors, at any chunk size.
 """
 
@@ -16,7 +18,7 @@ import sys
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qswitch import cli
@@ -162,6 +164,12 @@ def sweep_text(base, target, ranges):
 
 
 @settings(max_examples=200, **PROPERTY)
+# the same amplitude on both axes: the later one is the point's
+@example(SWITCH, "switch", [("c1a", 0.1, 0.9, 3, "linear"), ("c1a", 1.0, 0.0, 4, "linear")], 5)
+# a timing sweep leaves a swept amplitude unused, even past |c| = 1
+@example(BASES[0], "timing", [("f_ba", 0.0, 1.2, 4, "linear")], 2)
+# a switch sweep leaves a swept timing parameter unused
+@example(BASES[0], "switch", [("h", 0.5, 5.0, 3, "log"), ("c1a", 0.0, 1.0, 4, "linear")], 5)
 @given(
     st.sampled_from(BASES),
     st.sampled_from(["timing", "timing", "switch"]),

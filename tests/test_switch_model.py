@@ -32,6 +32,7 @@ from qswitch.switch_model import (
     ENERGY_LEVELS,
     AmplitudeModel,
     build_input,
+    complement,
     diagonal_measure,
     interaction,
     interaction_a,
@@ -205,6 +206,27 @@ class TestAmplitudeModel:
             AmplitudeModel(c1a=complex(math.nan, 0.0))
         with pytest.raises(ValueError, match="finite"):
             AmplitudeModel(delta_1a=math.inf)
+
+    def test_complement_of_a_column_keeps_each_point_bits(self):
+        # numpy's abs and power round differently from Python's on some of these
+        rng = np.random.default_rng(17)
+        values = rng.uniform(-0.8, 0.8, 60) + 1j * rng.uniform(-0.6, 0.6, 60)
+        column = np.concatenate([values, values[::4], [0.0, -0.0, complex(-0.0, -0.0), 1.0, -1j]])
+        rng.shuffle(column)
+        for phase in (0.0, -2.1):
+            expected = np.array([complement(c, phase) for c in column.tolist()])
+            assert complement(column, phase).tobytes() == expected.tobytes()
+
+    def test_column_model_rows_are_its_points_rows(self):
+        rng = np.random.default_rng(23)
+        c1a, f_ba = rng.uniform(0.0, 1.0, (2, 7)) + 0j
+        model = AmplitudeModel(c1a=c1a, f_ba=f_ba, c2b=0.3 - 0.4j, gamma_ba=1.3)
+        rows = [AmplitudeModel(c1a=a, f_ba=f, c2b=0.3 - 0.4j, gamma_ba=1.3).coefficient_rows()[0]
+                for a, f in zip(c1a.tolist(), f_ba.tolist())]
+        assert model.coefficient_rows(7).tobytes() == np.array(rows).tobytes()
+        with pytest.raises(ValueError, match=r"\|f_ba\| must be <= 1, got 1\.5") as caught:
+            AmplitudeModel(c1a=c1a[:3], f_ba=np.array([0.5, 1.5, 2.0]) + 0j)
+        assert caught.value.index == 1
 
 
 class TestInteractionOperators:

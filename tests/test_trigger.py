@@ -1,9 +1,12 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qswitch import trigger
 from qswitch.config import default_trigger_config
@@ -148,12 +151,37 @@ class TestParams:
         with pytest.raises(ValueError, match="finite"):
             TriggerParams(**values)
 
+    def test_rejects_infinite_crossing_time(self):
+        # delta/(omega A) overflows; the clock once ran on and failed at its grid
+        with pytest.raises(ValueError, match=re.escape(
+                "require a finite crossing time epsilon = delta/(omega A) >= 0, got inf")):
+            TriggerParams(m=8.49e30, omega=2.51e84, delta=7.53e245, v0=2.62e-247, hbar=2.07e73)
+
     def test_zero_coupling_needs_explicit_amplitude(self):
         with pytest.raises(ValueError):
             TriggerParams(m=1.0, omega=1.0, delta=1.0, v0=0.0, hbar=1.0)
         p = TriggerParams(m=1.0, omega=1.0, delta=1.0, v0=0.0, hbar=1.0,
                           amplitude=30.0)
         assert p.rotation_angle == 0.0
+
+
+MAGNITUDES = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=2000, deadline=None, database=None, derandomize=True)
+@given(st.fixed_dictionaries({name: MAGNITUDES for name in ("m", "omega", "delta", "v0", "hbar")}),
+       st.one_of(st.none(), MAGNITUDES))
+def test_accepted_params_evaluate_without_numpy_warnings(values, free_amplitude):
+    # with an amplitude drawn the clock runs free (v0 = 0)
+    if free_amplitude is not None:
+        values = {**values, "v0": 0.0, "amplitude": free_amplitude}
+    try:
+        params = TriggerParams(**values)
+    except ValueError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        check_trigger_condition(params)
 
 
 def analytic_at(params, tau):
