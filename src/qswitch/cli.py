@@ -358,18 +358,23 @@ def switch_report_text(config, outcome):
     return "\n".join(lines) + "\n"
 
 
-def switch_summary(config):
-    """Sweep digest of one point, a batch of one through switch_summaries:
-    class probabilities and the no-witness class's order readout."""
-    table = switch_summaries(build_input(config.switch.alpha),
-                             build_model(config.switch).coefficient_rows())
-    return dict(zip(SWITCH_SUMMARY_COLUMNS, table[0].tolist()))
-
-
 SWITCH_SUMMARY_COLUMNS = [
     "zeta0_probability", "zeta1_probability", "zeta2_probability",
     "zeta3_probability", "zeta3_plus_probability", "zeta3_minus_probability",
 ]
+
+
+def _switch_columns(config, n):
+    """SWITCH_SUMMARY_COLUMNS of n points, whose amplitudes may be sweep
+    columns: class probabilities and the no-witness class's order readout."""
+    table = switch_summaries(build_input(config.switch.alpha),
+                             build_model(config.switch).coefficient_rows(n))
+    return dict(zip(SWITCH_SUMMARY_COLUMNS, table.T))
+
+
+def switch_summary(config):
+    """Sweep digest of one point: a batch of one through the sweep's columns."""
+    return {name: column.item() for name, column in _switch_columns(config, 1).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +394,7 @@ TRIGGER_COLUMNS = [
 
 def trigger_params_from_config(config, constants):
     t, required = config.trigger, ("m", "omega", "delta", "v0")
-    if all(getattr(t, k) is None for k in required):
+    if all(value is None for value in vars(t).values()):
         t = default_trigger_config(constants)
     missing = [k for k in required if getattr(t, k) is None]
     if missing:
@@ -467,11 +472,6 @@ def trajectory_rows(trajectory, params):
 # ---------------------------------------------------------------------------
 # sweep
 
-def _at(prefix):
-    """A sweep point's values, as its warnings and errors name it."""
-    return ", ".join(f"{k}={v:.17g}" for k, v in prefix.items())
-
-
 def _checked(compute, lo, hi, name_of):
     """compute(lo, hi), or a ConfigError naming the first of the points lo..hi
     that fails, with the first check that point fails.
@@ -512,41 +512,33 @@ def compute_sweep(config, constants):
     columns = [f"sweep_{n}" for n in names]
     columns += TIMING_COLUMNS if target == "timing" else SWITCH_SUMMARY_COLUMNS
 
-    def swept(lo, hi):
-        """[(parameter, grid, index of points lo..hi in its grid)] of each axis."""
-        at = np.arange(lo, hi)
-        if len(grids) == 1:
-            return [(names[0], grids[0], at)]
-        n2 = len(grids[1])
-        return [(names[0], grids[0], at // n2), (names[1], grids[1], at % n2)]
+    def points(lo, hi):
+        """(the sweep_* columns of points lo..hi, their config), each axis
+        indexed by mixed radix; a later axis over one parameter wins in both."""
+        at, stride, chunk, point = np.arange(lo, hi), total, {}, config
+        for name, grid in zip(names, grids):
+            stride //= len(grid)
+            chunk[f"sweep_{name}"] = grid[at // stride % len(grid)]
+            point = with_sweep_value(point, name, chunk[f"sweep_{name}"])
+        return chunk, point
 
-    def point_name(axes, i):
-        """Point i of swept(...) as warnings and errors name it; a later axis
-        over the same parameter wins, as it does in the point's config."""
-        return _at({f"sweep_{name}": grid[at[i]].item() for name, grid, at in axes})
+    def point_name(chunk, i):
+        """Point i of a chunk as warnings and errors name it."""
+        return ", ".join(f"{key}={chunk[key][i].item():.17g}"
+                         for key in dict.fromkeys(columns[:len(names)]))
 
     def name_of(i):
-        return point_name(swept(i, i + 1), 0)
-
-    def points(lo, hi):
-        """(the sweep_* columns of points lo..hi, their config): every swept
-        parameter is set to its column, a later axis over one winning."""
-        chunk, point = {}, config
-        for name, grid, at in swept(lo, hi):
-            chunk[f"sweep_{name}"] = grid[at]
-            point = with_sweep_value(point, name, grid[at])
-        return chunk, point
+        return point_name(points(i, i + 1)[0], 0)
 
     spans = [(lo, min(lo + CHUNK_ROWS, total)) for lo in range(0, total, CHUNK_ROWS)]
     if target == "switch":
         for lo, hi in spans:
             _checked(lambda lo, hi: build_model(points(lo, hi)[1].switch), lo, hi, name_of)
-        state = build_input(config.switch.alpha)
+        build_input(config.switch.alpha)  # a bad alpha, too, stops the run before any row
 
         def summaries(lo, hi):
             chunk, point = points(lo, hi)
-            table = switch_summaries(state, build_model(point.switch).coefficient_rows(hi - lo))
-            chunk.update(zip(SWITCH_SUMMARY_COLUMNS, table.T))
+            chunk.update(_switch_columns(point, hi - lo))
             return chunk
 
         return columns, SweepTable(total, summaries), []
@@ -564,9 +556,9 @@ def compute_sweep(config, constants):
 
     def warnings():
         for lo, hi in spans:
-            axes = swept(lo, hi)
-            for i, messages in _point_warnings(compute(lo, hi)[1], hi - lo):
-                yield from (f"{point_name(axes, i)}: {message}" for message in messages)
+            chunk, checks = compute(lo, hi)
+            for i, messages in _point_warnings(checks, hi - lo):
+                yield from (f"{point_name(chunk, i)}: {message}" for message in messages)
 
     def rows(lo, hi):
         chunk, checks = compute(lo, hi)
@@ -680,7 +672,7 @@ def main(argv=None):
         else:
             columns, rows, warnings = compute_sweep(config, constants)
             _emit(args, config, "sweep", columns, rows)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

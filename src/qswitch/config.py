@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -285,6 +286,8 @@ def parse_config(text, constants, config=None):
         if section is None:
             if key != "scenario":
                 raise ConfigError(f"{where}: key {key!r} outside any section")
+            if any(sep and sep in value for sep in ("/", os.sep, os.altsep)):
+                raise ConfigError(f"{where}: scenario name {value!r} holds a path separator")
             config.scenario = value
         elif section == "body" and key == "preset":
             try:

@@ -61,7 +61,8 @@ def _ascent_proper_time(radius, r_s, h, dt_v):
         1.0 + (1.0 + a * a + b * b) / (cosh_a * cosh_b + a * b)
     )
     z = np.asarray(w * h / r_s)
-    z2 = z * z
+    near = np.minimum(z, _GAP_SERIES_LIMIT)  # far entries are replaced below
+    z2 = near * near
     series = 0.0
     for coefficient in _GAP_SERIES:
         series = series * z2 + coefficient
@@ -231,6 +232,9 @@ def solve_matching(body, h, d, dt_c=None):
             (np.logical_not(radius * radius * radius < np.inf), "R^3 overflows at R={:g} m",
              radius),
         )
+        # the R^3 that curvature_r0101 divides by
+        cube = libm(lambda r: r**3, radius)
+        check_domain((np.logical_not(cube > 0), "R^3 underflows to 0 at R={:g} m", radius))
         r_top = radius + h
         s_hi = dilation_factor(r_top, body)
         s_lo = dilation_factor(radius, body)
@@ -266,7 +270,11 @@ def small_mass_duration(body, d):
     """Limit h >> R of the solved head start: dt_r = c R d / (G M)."""
     check_domain((np.logical_not(d > 0), "require d > 0, got {}", d))
     k = body.constants
-    return k.c * body.radius * d / (k.G * body.mass)
+    with np.errstate(over="ignore"):  # rejected at its point below
+        duration = k.c * body.radius * d / (k.G * body.mass)
+    check_domain((np.logical_not(duration < np.inf),
+                  "small-mass dt_r = c R d/(G M) overflows at d={:g} m", d))
+    return duration
 
 
 def static_agent_tau(r_b, body):
@@ -320,8 +328,12 @@ def validate_windows(schedule, dtau_1, eps):
     check_domain((np.logical_not((0 < dtau_1) & (dtau_1 < np.inf) & (0 < eps) & (eps < np.inf)),
                   "require dtau_1 > 0 and eps > 0, got dtau_1={}, eps={}", dtau_1, eps))
     flight = schedule.d / schedule.body.constants.c
+    with np.errstate(over="ignore"):  # rejected at its point below
+        margin_flight = flight / dtau_1
+    check_domain((np.logical_not(margin_flight < np.inf),
+                  "margin (d/c)/dtau_1 overflows at d={:g} m, dtau_1={:g} s", schedule.d, dtau_1))
     return WindowReport(
-        margin_flight=flight / dtau_1,
+        margin_flight=margin_flight,
         margin_decay=dtau_1 / eps,
         margin_crossing=schedule.t3 / schedule.dt_c,
     )

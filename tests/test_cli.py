@@ -59,6 +59,16 @@ def run_cli(*args, env=None):
     )
 
 
+def run_main(argv, capsys):
+    """(exit code, stdout, stderr) of an in-process run; every stderr line
+    must be a warning or an error."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    for line in captured.err.splitlines():
+        assert line.startswith(("warning: ", "error: ")), line
+    return code, captured.out, captured.err
+
+
 # hierarchy factors exactly (10, 10): passes thresholds, small grid
 FAST_TRIGGER = """
 [trigger]
@@ -318,6 +328,15 @@ class TestConfigSchema:
             cli.trigger_params_from_config(
                 parse_config("[trigger]\nm = 2\nomega = 3\n", CODATA2018), CODATA2018)
 
+    @pytest.mark.parametrize("line", ["hbar = 2.0", "amplitude = 5.0"])
+    def test_partial_trigger_section_rejected(self, tmp_path, capsys, line):
+        # once ignored: the run used the default clock with CODATA hbar
+        cfg = tmp_path / "partial.cfg"
+        cfg.write_text(f"[trigger]\n{line}\n")
+        assert run_main(["trigger", "--config", str(cfg)], capsys) == (
+            2, "", "error: trigger configuration incomplete: "
+                   "missing ['m', 'omega', 'delta', 'v0']\n")
+
     def test_readme_example_sets_every_key_it_shows(self):
         (block,) = _readme_blocks("ini")
         config = parse_config(block, CODATA2018)
@@ -443,16 +462,54 @@ class TestCliCommands:
         ("timing", "[body]\npreset = earth\n[protocol]\nh = 1e-300\nd = 1e-300\n"
          "dt_s = 1e-30\ndt_c = 10\n",
          "dt_r/dt_c overflows at h=1e-300 m: exact inf, weak field inf, curvature form inf"),
+        # once a ZeroDivisionError traceback
+        ("timing", "[body]\nmass = 4.5e-266\nradius = 7.6e-155\n[protocol]\nh = 1\nd = 1\n",
+         "R^3 underflows to 0 at R=7.6e-155 m"),
+        # each once exit 0 with an inf cell
+        ("timing", "[body]\npreset = earth\n[protocol]\nd = 1e308\ndt_c = 1e-9\n",
+         "small-mass dt_r = c R d/(G M) overflows at d=1e+308 m"),
+        ("timing", "[body]\npreset = earth\n[protocol]\nd = 1e290\ndtau_1 = 1e-30\n",
+         "margin (d/c)/dtau_1 overflows at d=1e+290 m, dtau_1=1e-30 s"),
     ], ids=["trigger-hbar", "trigger-m", "trigger-delta", "trigger-epsilon", "timing-mass",
-            "timing-radius", "timing-h"])
+            "timing-radius", "timing-h", "timing-cube", "timing-small-mass", "timing-flight"])
     def test_derived_quantity_out_of_range_exits_2(self, tmp_path, capsys, command, text,
                                                       message):
         cfg = tmp_path / "extreme.cfg"
         cfg.write_text(text)
-        assert main([command, "--config", str(cfg)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert run_main([command, "--config", str(cfg)], capsys) == (2, "", f"error: {message}\n")
+
+    def test_far_climb_runs_without_numpy_warnings(self, tmp_path, capsys):
+        # z ~ 2e11 once overflowed the series that the far branch replaces
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("[protocol]\nh = 1e30\ndt_v = 1e-6\n")
+        code, out, _ = run_main(["timing", "--preset", "earth", "--config", str(cfg)], capsys)
+        assert code == 0
+        header, row = out.splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert 0.0 < float(cells["dtau_v"]) <= 1e-6
+
+    @pytest.mark.parametrize("scenario", ["a/b", "../../escape"])
+    def test_scenario_with_path_separator_rejected(self, tmp_path, capsys, scenario):
+        cfg = tmp_path / "named.cfg"
+        cfg.write_text(f"scenario = {scenario}\n[body]\npreset = earth\n")
+        out = tmp_path / "o" / "z"
+        assert run_main(["timing", "--config", str(cfg), "--out", str(out)], capsys) == (
+            2, "", f"error: line 1: scenario name {scenario!r} holds a path separator\n")
+        assert [p.name for p in tmp_path.rglob("*")] == ["named.cfg"]
+
+    @pytest.mark.parametrize("taken", ["out", "out/earth_timing.csv"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, taken):
+        # a file where --out names the directory, or a directory where the table goes
+        out = tmp_path / "out"
+        if taken == "out":
+            out.write_text("kept\n")
+        else:
+            (tmp_path / taken).mkdir(parents=True)
+        code, stdout, err = run_main(["timing", "--preset", "earth", "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: [Errno ") and err.count("\n") == 1
+        assert str(tmp_path / taken) in err
+        assert taken != "out" or out.read_text() == "kept\n"
 
     def test_switch_default_scenario(self):
         result = run_cli("switch")
@@ -682,6 +739,17 @@ class TestSweep:
         assert captured.err == ("error: sweep_h=1e-300: dt_r/dt_c overflows at h=1e-300 m: "
                                 "exact inf, weak field inf, curvature form inf\n")
 
+    def test_underflowing_cube_point_named(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny_radius.cfg"
+        cfg.write_text(
+            "[body]\nmass = 4.5e-266\nradius = 1\n[protocol]\nh = 1\nd = 1\n"
+            "[sweep]\ntarget = timing\nparameter = radius\nmin = 1e-100\nmax = 1e-110\n"
+            "count = 3\nscale = log\n"
+        )
+        assert run_main(["sweep", "--config", str(cfg)], capsys) == (
+            2, "", "error: sweep_radius=9.9999999999999961e-111: "
+                   "R^3 underflows to 0 at R=1e-110 m\n")
+
     def test_zero_tau_star_point_named(self, tmp_path):
         # dt_v = dt_s = 0 leaves no proper time to divide the residual by
         cfg = tmp_path / "zero.cfg"
@@ -862,4 +930,5 @@ def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
     (example,) = _readme_blocks("ini")
     (tmp_path / "sweep.cfg").write_text(example)
     monkeypatch.chdir(tmp_path)
-    assert main(argv) == 0, capsys.readouterr().err
+    code, _, err = run_main(argv, capsys)
+    assert code == 0, err

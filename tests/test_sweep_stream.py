@@ -170,6 +170,10 @@ def sweep_text(base, target, ranges):
 @example(BASES[0], "timing", [("f_ba", 0.0, 1.2, 4, "linear")], 2)
 # a switch sweep leaves a swept timing parameter unused
 @example(BASES[0], "switch", [("h", 0.5, 5.0, 3, "log"), ("c1a", 0.0, 1.0, 4, "linear")], 5)
+# every point warns, and the later of two axes over h names it
+@example(BASES[3], "timing", [("h", 0.5, 5.0, 3, "log"), ("h", 2.0, 1.0, 4, "linear")], 5)
+# one switch axis across a chunk boundary
+@example(BASES[0], "switch", [("c4a", 0.0, 1.0, 7, "linear")], 5)
 @given(
     st.sampled_from(BASES),
     st.sampled_from(["timing", "timing", "switch"]),
@@ -232,6 +236,17 @@ def test_sweep_table_rows_are_python_values():
         assert row["windows_passed"] is True
         assert row.get("warnings") == ""
         assert all(type(value) in (float, bool, str) for value in row.values())
+
+
+def test_switch_summary_is_a_one_point_sweep_row():
+    text = sweep_text(SWITCH, "switch", [("c1a", 0.3, 0.3, 1, "linear")])
+    config = parse_config(text, CODATA2018)
+    (row,) = cli.compute_sweep(config, CODATA2018)[1]
+    summary = cli.switch_summary(with_sweep_value(config, "c1a", 0.3))
+    assert list(summary) == cli.SWITCH_SUMMARY_COLUMNS
+    assert all(type(value) is float for value in summary.values())
+    assert [value.hex() for value in summary.values()] == [
+        row[name].hex() for name in cli.SWITCH_SUMMARY_COLUMNS]
 
 
 def test_check_pass_formats_no_warning(monkeypatch):
@@ -302,6 +317,11 @@ BAD_POINTS = {
         "parameter = f_ab\nmin = 0\nmax = 2\ncount = 5\nparameter2 = c1a\nmin2 = 0.5\n"
         "max2 = 3\ncount2 = 3\n",
         "sweep_f_ab=0, sweep_c1a=0.5: |c2b| must be <= 1, got 1.5"),
+    # the input is no point's: checked once, after every point's model
+    "unnormalized alpha": (
+        "[switch]\nalpha = 1,1,0,0,0\n[sweep]\ntarget = switch\n"
+        "parameter = c1a\nmin = 0\nmax = 1\ncount = 3\n",
+        "target amplitudes must be normalized, got |alpha|^2=2.0"),
 }
 
 

@@ -55,6 +55,8 @@ BELOW, ABOVE = (timing._GAP_SERIES_LIMIT * (1.0 + side * 1e-6) for side in (-1, 
 @example(_climb_with_z(1e6, BELOW), 1.0)
 @example(_climb_with_z(1e6, ABOVE), 1.0)
 @example(_climb_with_z(1e-12, 0.06), 1.0)
+# h/R = 1e24: z ~ 5e11, whose series the far branch replaces once overflowed
+@example((CentralBody(5.9722e24, 6.371e6), 6.371e30), 1.0)
 def test_dtau_v_matches_quadrature(climb, dt_v):
     body, h = climb
     value = ascent(body, h, dt_v).dtau_v
