@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import MISSING, fields
 from functools import cache
 from pathlib import Path
 
@@ -33,7 +34,6 @@ from .config import (
 from .hilbert import DUMP_CUTOFF, state_csv_rows
 from .spacetime import CODATA2018, check_domain, point_message, value_at
 from .switch_model import (
-    AMPLITUDES,
     AmplitudeModel,
     build_input,
     run_switch,
@@ -323,7 +323,7 @@ def _serialize_state(state):
 
 
 def build_model(sw):
-    return AmplitudeModel(**{name: getattr(sw, name) for pair in AMPLITUDES for name in pair})
+    return AmplitudeModel(**{f.name: getattr(sw, f.name) for f in fields(AmplitudeModel)})
 
 
 def compute_switch(config):
@@ -380,23 +380,12 @@ def switch_summary(config):
 # ---------------------------------------------------------------------------
 # trigger
 
-TRIGGER_COLUMNS = [
-    "scenario", "m", "omega", "delta", "v0", "hbar", "amplitude",
-    "sigma", "alpha0", "epsilon", "tau_star", "rotation_angle",
-    "factor_amp_zone", "factor_zone_packet", "factor_energy",
-    "reflection_bound",
-    "analytic_ready", "analytic_fired", "analytic_passed",
-    "numeric_ready", "numeric_fired", "numeric_norm_drift", "numeric_passed",
-    "agreement_max_dev", "free_motion_max_dev",
-    "warnings", "n_points", "n_steps", "dt_max",
-]
-
-
 def trigger_params_from_config(config, constants):
-    t, required = config.trigger, ("m", "omega", "delta", "v0")
+    t = config.trigger
     if all(value is None for value in vars(t).values()):
         t = default_trigger_config(constants)
-    missing = [k for k in required if getattr(t, k) is None]
+    missing = [f.name for f in fields(TriggerParams)
+               if f.default is MISSING and getattr(t, f.name) is None]
     if missing:
         raise ConfigError(f"trigger configuration incomplete: missing {missing}")
     return TriggerParams(**{**vars(t), "hbar": constants.hbar if t.hbar is None else t.hbar})
@@ -668,7 +657,7 @@ def main(argv=None):
                 (f"{config.scenario}_trigger_trajectory.csv",
                  format_csv(TRAJECTORY_COLUMNS, trajectory_rows(trajectory, params))),
             ] if args.out else ()
-            _emit(args, config, "trigger", TRIGGER_COLUMNS, [row], extras)
+            _emit(args, config, "trigger", list(row), [row], extras)
         else:
             columns, rows, warnings = compute_sweep(config, constants)
             _emit(args, config, "sweep", columns, rows)

@@ -13,11 +13,13 @@ from __future__ import annotations
 import cmath
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, make_dataclass, replace
 
 import numpy as np
 
 from .spacetime import CentralBody, PhysicalConstants
+from .switch_model import AMPLITUDES, AmplitudeModel
+from .trigger import TriggerParams
 
 
 class ConfigError(ValueError):
@@ -42,31 +44,17 @@ class ProtocolConfig:
     eps: float | None = None
 
 
-@dataclass
-class SwitchConfig:
-    alpha: tuple = (1.0, 0.0, 0.0, 0.0, 0.0)
-    c1a: complex = 1.0
-    c4a: complex = 1.0
-    c1b: complex = 1.0
-    c2b: complex = 1.0
-    f_ba: complex = 1.0
-    f_ab: complex = 1.0
-    delta_1a: float = 0.0
-    delta_4a: float = 0.0
-    delta_1b: float = 0.0
-    delta_2b: float = 0.0
-    gamma_ba: float = 0.0
-    gamma_ab: float = 0.0
+#: [switch]: the target amplitudes alpha, then the amplitude model's fields
+SwitchConfig = make_dataclass("SwitchConfig", [
+    ("alpha", "tuple", field(default=(1.0, 0.0, 0.0, 0.0, 0.0))),
+    *((f.name, f.type, field(default=f.default)) for f in fields(AmplitudeModel)),
+], namespace={"__module__": __name__})
 
-
-@dataclass
-class TriggerConfig:
-    m: float | None = None
-    omega: float | None = None
-    delta: float | None = None
-    v0: float | None = None
-    hbar: float | None = None        # defaults to the active constants
-    amplitude: float | None = None
+#: [trigger]: the clock's fields, each None until set (hbar then defaults to
+#: the active constants)
+TriggerConfig = make_dataclass("TriggerConfig", [
+    (f.name, f.type, field(default=None)) for f in fields(TriggerParams)
+], namespace={"__module__": __name__})
 
 
 #: largest number of points a sweep grid may have
@@ -74,7 +62,7 @@ MAX_SWEEP_POINTS = 1_000_000
 
 #: parameters a sweep may vary; SECTION_OF names each one's section
 SWEEPABLE = ("h", "d", "dt_v", "dt_c", "dtau_1", "eps", "mass", "radius",
-             "c1a", "c4a", "c1b", "c2b", "f_ba", "f_ab")
+             *(amplitude for amplitude, _ in AMPLITUDES))
 
 
 def _not_sweepable(parameter):

@@ -52,7 +52,13 @@ def _ascent_proper_time(radius, r_s, h, dt_v):
     rate sqrt(1 - R_S/R) dt_v.
     """
     u0 = radius - r_s
-    a = sqrt((u0 + h) / r_s)
+    with np.errstate(over="ignore"):  # rejected at its point below
+        top = (u0 + h) / r_s
+    # h >= 0, so this also bounds u0/R_S
+    check_domain((np.logical_not(top < np.inf),
+                  "(R - R_S + h)/R_S overflows at R={:g} m, R_S={:g} m, h={:g} m",
+                  radius, r_s, h))
+    a = sqrt(top)
     b = sqrt(u0 / r_s)
     cosh_a = sqrt(1.0 + a * a)
     cosh_b = sqrt(1.0 + b * b)
@@ -183,7 +189,12 @@ class MatchingSolution:
 
     @property
     def dt_r(self):
-        return self.ratio_exact * self.dt_c
+        with np.errstate(over="ignore"):  # rejected at its point below
+            dt_r = self.ratio_exact * self.dt_c
+        check_domain((np.logical_not(dt_r < np.inf),
+                      "solved dt_r = (dt_r/dt_c) dt_c overflows at dt_r/dt_c={:g}, dt_c={:g} s",
+                      self.ratio_exact, self.dt_c))
+        return dt_r
 
     def schedule(self, dt_v=0.0):
         """The solved schedule whose head start dt_r splits as dt_v + dt_s."""
@@ -329,12 +340,16 @@ def validate_windows(schedule, dtau_1, eps):
                   "require dtau_1 > 0 and eps > 0, got dtau_1={}, eps={}", dtau_1, eps))
     flight = schedule.d / schedule.body.constants.c
     with np.errstate(over="ignore"):  # rejected at its point below
-        margin_flight = flight / dtau_1
-    check_domain((np.logical_not(margin_flight < np.inf),
-                  "margin (d/c)/dtau_1 overflows at d={:g} m, dtau_1={:g} s", schedule.d, dtau_1))
-    return WindowReport(
-        margin_flight=margin_flight,
-        margin_decay=dtau_1 / eps,
-        margin_crossing=schedule.t3 / schedule.dt_c,
+        t3 = schedule.t3
+        report = WindowReport(margin_flight=flight / dtau_1, margin_decay=dtau_1 / eps,
+                              margin_crossing=t3 / schedule.dt_c)
+    check_domain(
+        (np.logical_not(report.margin_flight < np.inf),
+         "margin (d/c)/dtau_1 overflows at d={:g} m, dtau_1={:g} s", schedule.d, dtau_1),
+        (np.logical_not(report.margin_decay < np.inf),
+         "margin dtau_1/eps overflows at dtau_1={:g} s, eps={:g} s", dtau_1, eps),
+        (np.logical_not(report.margin_crossing < np.inf),
+         "margin t3/dt_c overflows at t3={:g} s, dt_c={:g} s", t3, schedule.dt_c),
     )
+    return report
 

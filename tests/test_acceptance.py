@@ -315,7 +315,8 @@ def test_criterion_12_determinism(tmp_path):
         for attempt in (1, 2):
             out_dir = tmp_path / f"{name}_{attempt}"
             result = subprocess.run(
-                [sys.executable, "-m", "qswitch.cli", *args, "--out", str(out_dir)],
+                [sys.executable, "-W", "error::RuntimeWarning", "-m", "qswitch.cli", *args,
+                 "--out", str(out_dir)],
                 capture_output=True,
             )
             assert result.returncode == 0, result.stderr

@@ -22,7 +22,8 @@ from qswitch.config import (
 from qswitch import cli
 from qswitch.cli import main
 from qswitch.spacetime import CODATA2018, CentralBody, schwarzschild_radius
-from qswitch.trigger import default_grid
+from qswitch.switch_model import AmplitudeModel
+from qswitch.trigger import TriggerParams, default_grid
 
 from test_timing import oracle_ascent
 from test_trigger import steps_by_rule
@@ -52,7 +53,7 @@ def run_cli(*args, env=None):
     if env:
         merged.update(env)
     return subprocess.run(
-        [sys.executable, "-m", "qswitch.cli", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qswitch.cli", *args],
         capture_output=True,
         text=True,
         env=merged,
@@ -303,6 +304,24 @@ class TestConfigSchema:
     def test_no_key_declared_twice(self):
         assert len(SECTION_OF) == len(FIELD_KEYS)
 
+    @pytest.mark.parametrize("section, engine, own", [
+        ("switch", AmplitudeModel, ["alpha"]),
+        ("trigger", TriggerParams, []),
+    ])
+    def test_engine_fields_are_the_section_keys(self, section, engine, own):
+        # [switch] and [trigger] take the fields of the engine type that reads them
+        keys = own + [f.name for f in dataclasses.fields(engine)]
+        assert [key for key, name in SECTION_OF.items() if name == section] == keys
+        for key in keys[len(own):]:
+            config = parse_config(f"[{section}]\n{key} = 0.25\n", CODATA2018)
+            assert getattr(getattr(config, section), key) == 0.25
+        # the engine's other attributes, and any other section's keys, are not
+        others = [name for name in dir(engine) if not name.startswith("_")]
+        for key in sorted(set(others + list(SECTION_OF) + ["not_a_field"]) - set(keys)):
+            with pytest.raises(ConfigError,
+                               match=f"^line 3: unknown \\[{section}\\] key '{key}'$"):
+                parse_config(f"[{section}]\n# comment\n{key} = 1\n", CODATA2018)
+
     @pytest.mark.parametrize("name", SWEEPABLE)
     def test_sweep_value_sets_exactly_its_field(self, name):
         base = apply_preset(ScenarioConfig(), "earth", CODATA2018)
@@ -368,6 +387,29 @@ class TestConfigSchema:
         assert {"scenario", "preset", "target", "parameter"} <= shown
         # every declared key is at least named in the example
         assert set(declared) <= set(re.findall(r"\w+", block))
+
+
+#: timing configs whose derived quantities overflow; before each was
+#: rejected, the first printed nan cells, the second blamed an infinite
+#: dt_s, the last two printed inf (Infinity in JSON), all exit 0 but the second
+OVERFLOWS = {
+    "top": "[body]\nmass = 1.6e8\nradius = 3.2e-9\n[protocol]\nh = 1e300\nd = 5.6e106\n",
+    "dt_r": "[body]\nmass = 1.55e-78\nradius = 3.77e-11\n[protocol]\nh = 9.4e5\nd = 3.6e299\n",
+    "decay": "[body]\npreset = earth\n[protocol]\ndtau_1 = 1e300\neps = 1e-300\n",
+    "crossing": "[body]\npreset = earth\n[protocol]\ndt_s = 1e300\ndt_v = 0.1\ndt_c = 1e-300\n",
+}
+
+
+@pytest.mark.parametrize("windows", [True, False], ids=["windows", "no-windows"])
+def test_timing_columns_in_declared_order(windows):
+    # TIMING_COLUMNS is declared apart from the row _timing_columns builds
+    config = apply_preset(ScenarioConfig(), "earth", CODATA2018)
+    if not windows:
+        config.protocol.dtau_1 = config.protocol.eps = None
+    columns, _ = cli._timing_columns(config, CODATA2018)
+    keys = [*columns, "warnings"]
+    assert keys == [name for name in cli.TIMING_COLUMNS if name in keys]
+    assert len(keys) == len(cli.TIMING_COLUMNS) - (0 if windows else 4)
 
 
 class TestCliCommands:
@@ -470,8 +512,17 @@ class TestCliCommands:
          "small-mass dt_r = c R d/(G M) overflows at d=1e+308 m"),
         ("timing", "[body]\npreset = earth\n[protocol]\nd = 1e290\ndtau_1 = 1e-30\n",
          "margin (d/c)/dtau_1 overflows at d=1e+290 m, dtau_1=1e-30 s"),
+        ("timing", OVERFLOWS["top"],
+         "(R - R_S + h)/R_S overflows at R=3.2e-09 m, R_S=2.37637e-19 m, h=1e+300 m"),
+        ("timing", OVERFLOWS["dt_r"], "solved dt_r = (dt_r/dt_c) dt_c overflows at "
+         "dt_r/dt_c=3.27526e+94, dt_c=1.20083e+291 s"),
+        ("timing", OVERFLOWS["decay"],
+         "margin dtau_1/eps overflows at dtau_1=1e+300 s, eps=1e-300 s"),
+        ("timing", OVERFLOWS["crossing"],
+         "margin t3/dt_c overflows at t3=1e+300 s, dt_c=1e-300 s"),
     ], ids=["trigger-hbar", "trigger-m", "trigger-delta", "trigger-epsilon", "timing-mass",
-            "timing-radius", "timing-h", "timing-cube", "timing-small-mass", "timing-flight"])
+            "timing-radius", "timing-h", "timing-cube", "timing-small-mass", "timing-flight",
+            *(f"timing-{name}" for name in OVERFLOWS)])
     def test_derived_quantity_out_of_range_exits_2(self, tmp_path, capsys, command, text,
                                                       message):
         cfg = tmp_path / "extreme.cfg"
@@ -738,6 +789,27 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err == ("error: sweep_h=1e-300: dt_r/dt_c overflows at h=1e-300 m: "
                                 "exact inf, weak field inf, curvature form inf\n")
+
+    @pytest.mark.parametrize("name, grid, message", [
+        # once two numpy RuntimeWarnings and exit 0 with nan cells
+        ("top", "parameter = radius\nmin = 0.0238\nmax = 3.2e-9\ncount = 3\nscale = log\n",
+         "sweep_radius=3.1999999999999993e-09: (R - R_S + h)/R_S overflows at R=3.2e-09 m, "
+         "R_S=2.37637e-19 m, h=1e+300 m"),
+        # once a numpy RuntimeWarning before the error
+        ("dt_r", "parameter = radius\nmin = 3.77e-11\nmax = 3.77e-11\ncount = 1\n",
+         "sweep_radius=3.7700000000000003e-11: solved dt_r = (dt_r/dt_c) dt_c overflows at "
+         "dt_r/dt_c=3.27526e+94, dt_c=1.20083e+291 s"),
+        ("decay", "parameter = eps\nmin = 1e-300\nmax = 1e-19\ncount = 3\nscale = log\n",
+         "sweep_eps=1e-300: margin dtau_1/eps overflows at dtau_1=1e+300 s, eps=1e-300 s"),
+        ("crossing", "parameter = dt_c\nmin = 1e-300\nmax = 1\ncount = 3\n",
+         "sweep_dt_c=1e-300: margin t3/dt_c overflows at t3=1e+300 s, dt_c=1e-300 s"),
+    ], ids=list(OVERFLOWS))
+    def test_overflowing_derived_point_named(self, tmp_path, capsys, name, grid, message):
+        cfg = tmp_path / "extreme.cfg"
+        cfg.write_text(OVERFLOWS[name] + "[sweep]\ntarget = timing\n" + grid)
+        assert run_main(["sweep", "--config", str(cfg)], capsys) == (2, "", f"error: {message}\n")
+        result = run_cli("sweep", "--config", str(cfg), "--format", "json")
+        assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {message}\n")
 
     def test_underflowing_cube_point_named(self, tmp_path, capsys):
         cfg = tmp_path / "tiny_radius.cfg"

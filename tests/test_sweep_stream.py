@@ -370,7 +370,8 @@ def run_child(tmp_path, text, fmt, name="big"):
     table, errors = tmp_path / f"{name}.{fmt}", tmp_path / f"{name}.err"
     with open(table, "w") as stdout, open(errors, "w") as stderr:
         subprocess.run(
-            [sys.executable, "-c", CHILD, "sweep", "--config", str(cfg), "--format", fmt],
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", CHILD,
+             "sweep", "--config", str(cfg), "--format", fmt],
             stdout=stdout, stderr=stderr,
         )
     with open(errors) as lines:

@@ -118,6 +118,18 @@ class TestProperTime:
     def test_no_ascent_no_proper_time(self, earth):
         assert ascent(earth, 1.0, 0.0).dtau_v == 0.0
 
+    def test_rejects_overflowing_top(self):
+        # (R - R_S + h)/R_S = 4e318 once gave dtau_v nan, even at dt_v = 0
+        body = CentralBody(1.6e8, 3.2e-9)
+        text = "(R - R_S + h)/R_S overflows at R=3.2e-09 m, R_S=2.37637e-19 m, h=1e+300 m"
+        with pytest.raises(DomainError, match=re.escape(text)):
+            ascent(body, 1e300, 0.0).dtau_v
+        schedule = ProtocolSchedule(body, h=np.array([1.0, 1e300]), d=1.0, dt_v=0.0, dt_s=1.0,
+                                    dt_c=1.0)
+        with pytest.raises(DomainError, match=re.escape(text)) as caught:
+            schedule.dtau_v
+        assert caught.value.index == 1
+
 
 class TestProperTimeDifference:
     def test_shared_ascent_cancels_exactly(self, earth):
@@ -200,6 +212,23 @@ class TestSolveMatching:
         # an infinite h once gave ratio_exact nan in the small-mass regime
         with pytest.raises(DomainError, match=re.escape(text)):
             solve_matching(earth, *args)
+
+    def test_rejects_overflowing_solved_dt_r(self):
+        # (dt_r/dt_c) dt_c = 3.3e94 * 1.2e291 once failed as an infinite dt_s
+        body = CentralBody(1.55e-78, 3.77e-11)
+        text = ("solved dt_r = (dt_r/dt_c) dt_c overflows at dt_r/dt_c=3.27526e+94, "
+                "dt_c=1.20083e+291 s")
+        solution = solve_matching(body, 9.4e5, 3.6e299)
+        for solved in (lambda: solution.dt_r, solution.schedule):
+            with pytest.raises(DomainError, match=re.escape(text)):
+                solved()
+        with pytest.raises(DomainError, match=re.escape(text)) as caught:
+            solve_matching(body, 9.4e5, np.array([1.0, 3.6e299])).dt_r
+        assert caught.value.index == 1
+        # an explicit dt_s does not use the solved head start
+        explicit = ProtocolSchedule(body, h=9.4e5, d=3.6e299, dt_v=0.0, dt_s=1.0,
+                                    dt_c=solution.dt_c)
+        assert explicit.dt_r == 1.0
 
     def test_schedule_rejects_nan_dt_v(self, earth):
         with pytest.raises(ValueError, match=r"dt_v must lie in \[0, dt_r=.*\], got nan"):
@@ -302,6 +331,28 @@ class TestWindows:
         # an infinite dtau_1 once gave margin_flight 0.0
         with pytest.raises(DomainError, match=text):
             validate_windows(solved_schedule(earth, 1.0, 0.3e-6), *args)
+
+    def test_rejects_overflowing_decay_margin(self, earth):
+        # dtau_1/eps once gave margin_decay inf, which JSON cannot hold
+        schedule = solved_schedule(earth, 1.0, 0.3e-6)
+        text = "margin dtau_1/eps overflows at dtau_1=1e+300 s, eps=1e-300 s"
+        with pytest.raises(DomainError, match=re.escape(text)):
+            validate_windows(schedule, 1e300, 1e-300)
+        with pytest.raises(DomainError, match=re.escape(text)) as caught:
+            validate_windows(schedule, 1e300, np.array([1.0, 1e-300]))
+        assert caught.value.index == 1
+
+    def test_rejects_overflowing_crossing_margin(self, earth):
+        # t3/dt_c once gave margin_crossing inf
+        text = "margin t3/dt_c overflows at t3=1e+300 s, dt_c=1e-300 s"
+        schedule = ProtocolSchedule(earth, h=1.0, d=0.3e-6, dt_v=0.1, dt_s=1e300, dt_c=1e-300)
+        with pytest.raises(DomainError, match=re.escape(text)):
+            validate_windows(schedule, 1e-17, 1e-19)
+        columns = ProtocolSchedule(earth, h=1.0, d=0.3e-6, dt_v=0.1, dt_s=1e300,
+                                   dt_c=np.array([1.0, 1e-300]))
+        with pytest.raises(DomainError, match=re.escape(text)) as caught:
+            validate_windows(columns, 1e-17, 1e-19)
+        assert caught.value.index == 1
 
 
 class TestSchedulesAndPaths:
