@@ -25,7 +25,6 @@ from .switch_model import (
     diagonal_measure,
     interaction_a,
     interaction_b,
-    postselect,
     run_switch,
 )
 from .trigger import (

@@ -142,10 +142,6 @@ def format_csv(columns, rows):
     return "".join(_csv_pieces(columns, rows))
 
 
-def format_json(columns, rows):
-    return "".join(_json_pieces(columns, rows))
-
-
 class SweepTable:
     """A sweep's rows, computed a chunk of CHUNK_ROWS at a time.
 
@@ -240,7 +236,7 @@ def _timing_columns(config, constants):
         "ratio_curvature_form": solution.ratio_curvature_form,
         "weak_field_gap": abs(solution.ratio_weak_field / solution.ratio_exact - 1.0),
         "dt_r": schedule.dt_r,
-        "dt_exp": schedule.dt_exp,
+        "dt_exp": schedule.t4,
         "tau_star": tau_star,
         "dtau_v": schedule.dtau_v,
         "dtau_c": schedule.dtau_c,

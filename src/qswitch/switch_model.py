@@ -387,11 +387,13 @@ class Postselection:
 class SwitchOutcome:
     """Full result of one run: pre-measurement state plus all postselections."""
 
-    model: AmplitudeModel
     pre_measurement: StateVector
     postselections: tuple
 
     def postselection(self, zeta):
+        """The Postselection of detector pattern zeta."""
+        if zeta not in DETECTOR_PATTERNS:
+            raise ValueError(f"zeta must be in 0..3, got {zeta}")
         return self.postselections[zeta]
 
     @property
@@ -428,15 +430,7 @@ def run_switch(input_state, model):
         Postselection(zeta, p, StateVector(CLASS_FACTORS, classes[..., zeta] / math.sqrt(p))
                       if p > 0.0 else None)
         for zeta, p in enumerate(_class_probabilities(np.zeros((1, 4)), keep, amps)[0].tolist()))
-    return SwitchOutcome(model=model, pre_measurement=pre, postselections=selections)
-
-
-def postselect(outcome, zeta):
-    """Normalized surviving state and probability for detector pattern zeta."""
-    if zeta not in DETECTOR_PATTERNS:
-        raise ValueError(f"zeta must be in 0..3, got {zeta}")
-    sel = outcome.postselection(zeta)
-    return sel.state, sel.probability
+    return SwitchOutcome(pre_measurement=pre, postselections=selections)
 
 
 @dataclass(frozen=True)

@@ -52,14 +52,19 @@ def _ascent_proper_time(radius, r_s, h, dt_v):
     rate sqrt(1 - R_S/R) dt_v.
     """
     u0 = radius - r_s
-    with np.errstate(over="ignore"):  # rejected at its point below
+    with np.errstate(over="ignore"):  # each rejected at its point below
         top = (u0 + h) / r_s
-    # h >= 0, so this also bounds u0/R_S
-    check_domain((np.logical_not(top < np.inf),
-                  "(R - R_S + h)/R_S overflows at R={:g} m, R_S={:g} m, h={:g} m",
-                  radius, r_s, h))
-    a = sqrt(top)
-    b = sqrt(u0 / r_s)
+        a = sqrt(top)
+        b = sqrt(u0 / r_s)
+        square = (a + b) * (a + b)
+    # h >= 0, so the first also bounds u0/R_S
+    check_domain(
+        (np.logical_not(top < np.inf),
+         "(R - R_S + h)/R_S overflows at R={:g} m, R_S={:g} m, h={:g} m", radius, r_s, h),
+        (np.logical_not(square < np.inf),
+         "(sqrt((R - R_S + h)/R_S) + sqrt((R - R_S)/R_S))^2 overflows at R={:g} m, "
+         "R_S={:g} m, h={:g} m", radius, r_s, h),
+    )
     cosh_a = sqrt(1.0 + a * a)
     cosh_b = sqrt(1.0 + b * b)
     w = 1.0 / (a * cosh_b + b * cosh_a)
@@ -99,6 +104,8 @@ class ProtocolSchedule:
 
     def __post_init__(self):
         h, d, dt_v, dt_s, dt_c = values = (self.h, self.d, self.dt_v, self.dt_s, self.dt_c)
+        with np.errstate(over="ignore", invalid="ignore"):  # each rejected at its point below
+            t4 = self.t4
         check_domain(
             (~(np.isfinite(h) & np.isfinite(d) & np.isfinite(dt_v) & np.isfinite(dt_s)
                & np.isfinite(dt_c)),
@@ -106,6 +113,9 @@ class ProtocolSchedule:
             ((h < 0) | (d <= 0), "require h >= 0 and d > 0, got h={}, d={}", h, d),
             ((dt_v < 0) | (dt_s < 0) | (dt_c <= 0),
              "require dt_v >= 0, dt_s >= 0, dt_c > 0, got dt_v={}, dt_s={}, dt_c={}",
+             dt_v, dt_s, dt_c),
+            (np.logical_not(t4 < np.inf),
+             "t4 = 2 dt_v + dt_s + dt_c overflows at dt_v={:g} s, dt_s={:g} s, dt_c={:g} s",
              dt_v, dt_s, dt_c),
         )
 
@@ -136,13 +146,8 @@ class ProtocolSchedule:
 
     @property
     def t4(self):
-        """Target crosses the late path."""
+        """Target crosses the late path; the total coordinate duration dt_exp."""
         return self.t3 + self.dt_c
-
-    @property
-    def dt_exp(self):
-        """Total coordinate duration t4 of the experiment."""
-        return self.t4
 
     @cached_property
     def dtau_v(self):

@@ -337,7 +337,6 @@ def _validate_grid(params, grid, tau_end):
 class TriggerTrajectory:
     """Sampled observables of a numeric run, plus the final channel state."""
 
-    params: TriggerParams
     grid: GridSpec
     taus: np.ndarray
     x_mean: np.ndarray
@@ -347,18 +346,6 @@ class TriggerTrajectory:
     norm: np.ndarray
     final: ChannelState
     n_steps: int  # Strang steps the run took
-
-    def at(self, tau):
-        """Sampled values at the stored time closest to tau."""
-        i = int(np.argmin(np.abs(self.taus - tau)))
-        return {
-            "tau": float(self.taus[i]),
-            "x_mean": float(self.x_mean[i]),
-            "p_mean": float(self.p_mean[i]),
-            "p_off": float(self.p_off[i]),
-            "p_on": float(self.p_on[i]),
-            "norm": float(self.norm[i]),
-        }
 
 
 def _x_range(amp, start, stop):
@@ -508,12 +495,11 @@ def numeric_evolve(params, grid=None, tau_end=None, sample_times=(), n_samples=2
     total = np.sum(density, axis=-1)
     spectrum = np.sum(np.abs(np.fft.fft(states, axis=-1)) ** 2, axis=1)
     return TriggerTrajectory(
-        params=params,
         grid=grid,
         taus=taus,
-        x_mean=amp * np.cos(omega * taus) + (density @ y / total)[rows],
+        x_mean=amp * np.cos(omega * taus) + (np.sum(density * y, axis=-1) / total)[rows],
         p_mean=(-m * omega * amp * np.sin(omega * taus)
-                + (hbar * (spectrum @ k) / np.sum(spectrum, axis=-1))[rows]),
+                + (hbar * np.sum(spectrum * k, axis=-1) / np.sum(spectrum, axis=-1))[rows]),
         p_off=(np.sum(np.abs(states[:, 0] + states[:, 1]) ** 2, axis=-1) * dx / 2.0)[rows],
         p_on=(np.sum(np.abs(states[:, 0] - states[:, 1]) ** 2, axis=-1) * dx / 2.0)[rows],
         norm=np.sqrt(total * dx)[rows],
@@ -566,6 +552,7 @@ def condition_from_trajectory(params, trajectory):
     The trajectory must contain samples at (or near) params.probe_time and
     tau_star; :func:`numeric_evolve` lands exactly on requested sample_times.
     """
-    return _report(params, trajectory.at(params.probe_time)["p_off"],
-                   trajectory.at(params.tau_star)["p_on"],
+    probe, star = (int(np.argmin(np.abs(trajectory.taus - t)))
+                   for t in (params.probe_time, params.tau_star))
+    return _report(params, float(trajectory.p_off[probe]), float(trajectory.p_on[star]),
                    float(np.max(np.abs(trajectory.norm - 1.0))))

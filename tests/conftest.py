@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,17 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     [SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
 )
+
+
+def run_qswitch(*args, env=None, child=None, **kwargs):
+    """subprocess.run of `qswitch args` in a child of this interpreter, which
+    fails on any RuntimeWarning as the tests do in process, with `env` added
+    to this process's environment.  `child` is Python source to run in place
+    of qswitch.cli; it reads the args from sys.argv[1:]."""
+    program = ["-m", "qswitch.cli"] if child is None else ["-c", child]
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *program, *args],
+                          env={**os.environ, **(env or {})}, **kwargs)
+
 
 EARTH_MASS = 5.9722e24
 EARTH_RADIUS = 6.371e6

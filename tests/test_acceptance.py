@@ -12,8 +12,6 @@ wrong, see test_spacetime.)
 """
 
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -28,7 +26,6 @@ from qswitch.switch_model import (
     AmplitudeModel,
     build_input,
     diagonal_measure,
-    postselect,
     run_switch,
 )
 from qswitch.timing import solve_matching, solved_schedule, static_agent_tau
@@ -41,7 +38,7 @@ from qswitch.trigger import (
     numeric_evolve,
 )
 
-from conftest import EARTH_RADIUS, random_alphas, random_model
+from conftest import EARTH_RADIUS, random_alphas, random_model, run_qswitch
 from test_spacetime import naive_difference, oracle_difference
 from test_switch_model import DIMS, dense_oracle_state
 
@@ -165,7 +162,7 @@ def test_criterion_07_matching_residual_sweep(earth):
 
 def test_criterion_08_switch_algebra():
     outcome = run_switch(build_input([1, 0, 0, 0, 0]), AmplitudeModel())
-    state3, _ = postselect(outcome, 3)
+    state3 = outcome.postselection(3).state
     results, _ = diagonal_measure(state3, "agents")
     probs_ok = all(abs(r.probability - 0.5) <= 1e-12 for r in results)
     targets_ok = True
@@ -177,9 +174,9 @@ def test_criterion_08_switch_algebra():
 
     outcome4 = run_switch(build_input([0, 0, 0, 1, 0]), AmplitudeModel())
     entropy = entanglement_entropy(outcome4.pre_measurement, ("target",))
-    state2, prob2 = postselect(outcome4, 2)
-    _, on_e5 = project(state2, {"target": E5})
-    e4_ok = entropy < 1e-12 and abs(prob2 - 1.0) < 1e-12 and abs(on_e5 - 1.0) < 1e-12
+    sel2 = outcome4.postselection(2)
+    _, on_e5 = project(sel2.state, {"target": E5})
+    e4_ok = entropy < 1e-12 and abs(sel2.probability - 1.0) < 1e-12 and abs(on_e5 - 1.0) < 1e-12
     ok = probs_ok and targets_ok and e4_ok
     report(
         8, ok,
@@ -234,12 +231,12 @@ def test_criterion_10_zeta3_universality():
             rest = rng.normal(size=4) + 1j * rng.normal(size=4)
             rest *= math.sqrt(1.0 - alpha1**2) / np.linalg.norm(rest)
             alphas = np.concatenate([[alpha1], rest])
-            state3, prob3 = postselect(run_switch(build_input(alphas), model), 3)
-            assert prob3 > 0.0
+            sel3 = run_switch(build_input(alphas), model).postselection(3)
+            assert sel3.probability > 0.0
             if reference is None:
-                reference = state3.amps
+                reference = sel3.state.amps
             else:
-                worst = max(worst, float(np.max(np.abs(state3.amps - reference))))
+                worst = max(worst, float(np.max(np.abs(sel3.state.amps - reference))))
     ok = worst < 1e-12
     report(10, ok, f"no-witness state drift {worst:.1e} under spectator changes")
     assert ok
@@ -314,11 +311,7 @@ def test_criterion_12_determinism(tmp_path):
         outputs = []
         for attempt in (1, 2):
             out_dir = tmp_path / f"{name}_{attempt}"
-            result = subprocess.run(
-                [sys.executable, "-W", "error::RuntimeWarning", "-m", "qswitch.cli", *args,
-                 "--out", str(out_dir)],
-                capture_output=True,
-            )
+            result = run_qswitch(*args, "--out", str(out_dir), capture_output=True)
             assert result.returncode == 0, result.stderr
             files = {
                 p.name: p.read_bytes() for p in sorted(out_dir.iterdir())

@@ -1,8 +1,7 @@
 import dataclasses
 import json
+import platform
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +24,7 @@ from qswitch.spacetime import CODATA2018, CentralBody, schwarzschild_radius
 from qswitch.switch_model import AmplitudeModel
 from qswitch.trigger import TriggerParams, default_grid
 
+from conftest import run_qswitch
 from test_timing import oracle_ascent
 from test_trigger import steps_by_rule
 
@@ -47,17 +47,7 @@ README_COMMANDS = [line.split("#")[0].split()[1:]
 
 
 def run_cli(*args, env=None):
-    import os
-
-    merged = dict(os.environ)
-    if env:
-        merged.update(env)
-    return subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "qswitch.cli", *args],
-        capture_output=True,
-        text=True,
-        env=merged,
-    )
+    return run_qswitch(*args, env=env, capture_output=True, text=True)
 
 
 def run_main(argv, capsys):
@@ -397,6 +387,8 @@ OVERFLOWS = {
     "dt_r": "[body]\nmass = 1.55e-78\nradius = 3.77e-11\n[protocol]\nh = 9.4e5\nd = 3.6e299\n",
     "decay": "[body]\npreset = earth\n[protocol]\ndtau_1 = 1e300\neps = 1e-300\n",
     "crossing": "[body]\npreset = earth\n[protocol]\ndt_s = 1e300\ndt_v = 0.1\ndt_c = 1e-300\n",
+    "t4": "[body]\nmass = 5.9722e24\nradius = 6.371e6\n[protocol]\nh = 1\nd = 3e-7\n"
+          "dt_s = 1.7e308\ndt_v = 1e308\n",
 }
 
 
@@ -460,7 +452,7 @@ class TestCliCommands:
         for code in ("import sys, qswitch.cli; " + loaded,
                      "import sys, qswitch.cli; qswitch.cli.main(['trigger', '--config', "
                      f"{str(cfg)!r}]); " + loaded):
-            result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+            result = run_qswitch(child=code, capture_output=True, text=True)
             assert result.returncode == 0, result.stderr
             assert result.stdout.strip().split("\n")[-1] == "[]"
 
@@ -520,6 +512,9 @@ class TestCliCommands:
          "margin dtau_1/eps overflows at dtau_1=1e+300 s, eps=1e-300 s"),
         ("timing", OVERFLOWS["crossing"],
          "margin t3/dt_c overflows at t3=1e+300 s, dt_c=1e-300 s"),
+        # once a numpy RuntimeWarning and exit 0 with inf and nan cells
+        ("timing", OVERFLOWS["t4"], "t4 = 2 dt_v + dt_s + dt_c overflows at dt_v=1e+308 s, "
+         "dt_s=1.7e+308 s, dt_c=1.00069e-15 s"),
     ], ids=["trigger-hbar", "trigger-m", "trigger-delta", "trigger-epsilon", "timing-mass",
             "timing-radius", "timing-h", "timing-cube", "timing-small-mass", "timing-flight",
             *(f"timing-{name}" for name in OVERFLOWS)])
@@ -803,6 +798,10 @@ class TestSweep:
          "sweep_eps=1e-300: margin dtau_1/eps overflows at dtau_1=1e+300 s, eps=1e-300 s"),
         ("crossing", "parameter = dt_c\nmin = 1e-300\nmax = 1\ncount = 3\n",
          "sweep_dt_c=1e-300: margin t3/dt_c overflows at t3=1e+300 s, dt_c=1e-300 s"),
+        # once numpy overflow and invalid-value RuntimeWarnings and exit 0 with inf cells
+        ("t4", "parameter = dt_v\nmin = 0\nmax = 1e308\ncount = 3\n",
+         "sweep_dt_v=5.0000000000000001e+307: t4 = 2 dt_v + dt_s + dt_c overflows at "
+         "dt_v=5e+307 s, dt_s=1.7e+308 s, dt_c=1.00069e-15 s"),
     ], ids=list(OVERFLOWS))
     def test_overflowing_derived_point_named(self, tmp_path, capsys, name, grid, message):
         cfg = tmp_path / "extreme.cfg"
@@ -964,18 +963,24 @@ class TestOneTimeStructures:
         }
 
 
-@pytest.mark.parametrize("argv, pin", [
-    (["switch"], "switch.csv"),
-    (["sweep", "--config", str(PINS / "switch_sweep.cfg")], "switch_sweep.csv"),
-], ids=["switch", "switch-sweep"])
-def test_stdout_matches_pinned_bytes(argv, pin, capsys):
+#: runs whose stdout is pinned; they use only correctly rounded operations
+SWITCH_PINS = {
+    "switch": (["switch"], "switch.csv"),
+    "switch-sweep": (["sweep", "--config", str(PINS / "switch_sweep.cfg")], "switch_sweep.csv"),
+}
+
+
+@pytest.mark.parametrize("name", SWITCH_PINS)
+def test_stdout_matches_pinned_bytes(name, capsys):
+    argv, pin = SWITCH_PINS[name]
     assert main(argv) == 0
     assert capsys.readouterr().out == (PINS / pin).read_text()
 
 
-#: the clock's output is made with exp, cos and FFTs, which are not correctly
-#: rounded, so these bytes hold for the libm and numpy (2.4, x86-64) that wrote
-#: them: they pin that a change to the integrator leaves every bit in place
+#: the clock's output is made with exp, arccos, cos and FFTs, which are not
+#: correctly rounded, so these bytes hold for the libm and numpy (2.4, x86-64)
+#: that wrote them: they pin that a change to the integrator leaves every bit
+#: in place
 TRIGGER_PINS = {
     "gate12": ["--config", str(PINS / "trigger_gate12.cfg")],  # gate 12's [trigger]
     "earth": ["--preset", "earth"],
@@ -989,6 +994,59 @@ def test_trigger_matches_pinned_bytes(name, tmp_path, capsys):
     assert capsys.readouterr().out.encode() == (PINS / f"trigger_{name}.csv").read_bytes()
     (trajectory,) = tmp_path.glob("*_trigger_trajectory.csv")
     assert trajectory.read_bytes() == (PINS / f"trigger_{name}_trajectory.csv").read_bytes()
+
+
+def _other_math_path(variant):
+    """The environment that sends a child down another machine's math path:
+    OpenBLAS's oldest x86-64 kernel ("prescott"), or numpy's dispatch capped at
+    AVX2 ("avx2") or at its baseline ("baseline"); a skip where this machine
+    has no such path."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    if variant == "prescott":
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if platform.machine() not in ("x86_64", "AMD64") or "DYNAMIC_ARCH" not in blas.get(
+                "openblas configuration", ""):
+            pytest.skip("numpy's BLAS is not an x86-64 OpenBLAS whose kernel "
+                        "OPENBLAS_CORETYPE selects")
+        return {"OPENBLAS_CORETYPE": "Prescott"}
+    # numpy lists its dispatch targets from the lowest up
+    targets = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    if variant == "avx2":
+        targets = targets[targets.index("X86_V3") + 1:] if "X86_V3" in targets else []
+    if not targets:
+        pytest.skip(f"this machine runs no numpy dispatch target above {variant}")
+    return {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
+
+
+#: every pin under the other OpenBLAS kernel; only the switch pins under numpy's
+#: other dispatch levels, where the clock's np.exp and np.arccos round differently
+OTHER_MATH_PATHS = [("prescott", name) for name in [*SWITCH_PINS, *TRIGGER_PINS]] + [
+    (variant, name) for variant in ("avx2", "baseline") for name in SWITCH_PINS]
+
+
+@pytest.mark.parametrize("variant, name", OTHER_MATH_PATHS)
+def test_pins_hold_on_other_math_paths(variant, name, tmp_path):
+    if name in SWITCH_PINS:
+        argv, pin = SWITCH_PINS[name]
+        trajectory_pin = None
+    else:
+        argv, pin = ["trigger", *TRIGGER_PINS[name]], f"trigger_{name}.csv"
+        trajectory_pin = f"trigger_{name}_trajectory.csv"
+    result = run_qswitch(*argv, "--out", str(tmp_path), env=_other_math_path(variant),
+                         capture_output=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (PINS / pin).read_bytes()
+    if trajectory_pin:
+        (trajectory,) = tmp_path.glob("*_trigger_trajectory.csv")
+        assert trajectory.read_bytes() == (PINS / trajectory_pin).read_bytes()
+
+
+def test_readme_python_prints_its_comment(capsys):
+    # the README's Python example runs and prints the line its last comment shows
+    (example,) = _readme_blocks("python")
+    exec(example, {})
+    assert capsys.readouterr().out == example.splitlines()[-1].lstrip("# ") + "\n"
 
 
 def test_readme_lists_every_command():

@@ -13,8 +13,6 @@ and the same errors, at any chunk size.
 import itertools
 import json
 import math
-import subprocess
-import sys
 from contextlib import contextmanager
 
 import pytest
@@ -24,6 +22,8 @@ from hypothesis import strategies as st
 from qswitch import cli
 from qswitch.config import SWEEPABLE, ConfigError, parse_config, with_sweep_value
 from qswitch.spacetime import CODATA2018
+
+from conftest import run_qswitch
 
 # derandomized so that every run checks the same examples
 PROPERTY = dict(deadline=None, database=None, derandomize=True)
@@ -110,7 +110,7 @@ def assert_matches_oracle(text):
     assert columns == expected[0]
     assert list(warnings) == expected[2]
     assert cli.format_csv(columns, rows) == oracle_csv(*expected[:2])
-    assert cli.format_json(columns, rows) == oracle_json(*expected[:2])
+    assert "".join(cli.WRITERS["json"](columns, rows)) == oracle_json(*expected[:2])
     assert list(rows) == expected[1]
     return rows
 
@@ -217,7 +217,7 @@ def test_row_dicts_stream_in_chunks(count):
     columns = ["a", "b", "c", "d", "e", "f", "missing", "a"]
     with chunk_rows(5):
         assert cli.format_csv(columns, rows) == oracle_csv(columns, rows)
-        assert cli.format_json(columns, rows) == oracle_json(columns, rows)
+        assert "".join(cli.WRITERS["json"](columns, rows)) == oracle_json(columns, rows)
 
 
 def test_sweep_table_rows_are_python_values():
@@ -369,11 +369,8 @@ def run_child(tmp_path, text, fmt, name="big"):
     cfg.write_text(text)
     table, errors = tmp_path / f"{name}.{fmt}", tmp_path / f"{name}.err"
     with open(table, "w") as stdout, open(errors, "w") as stderr:
-        subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-c", CHILD,
-             "sweep", "--config", str(cfg), "--format", fmt],
-            stdout=stdout, stderr=stderr,
-        )
+        run_qswitch("sweep", "--config", str(cfg), "--format", fmt, child=CHILD,
+                    stdout=stdout, stderr=stderr)
     with open(errors) as lines:
         *_, last = lines
     code, peak_kb = last.split()

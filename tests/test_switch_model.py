@@ -37,7 +37,6 @@ from qswitch.switch_model import (
     interaction,
     interaction_a,
     interaction_b,
-    postselect,
     run_switch,
 )
 
@@ -328,7 +327,7 @@ class TestIdealRuns:
 
     def test_e1_diagonal_measurement(self):
         outcome = run_switch(build_input([1, 0, 0, 0, 0]), AmplitudeModel())
-        state3, _ = postselect(outcome, 3)
+        state3 = outcome.postselection(3).state
         results, remainder = diagonal_measure(state3, "agents")
         assert remainder == pytest.approx(0.0, abs=1e-12)
         for res, sign in zip(results, (1.0, -1.0)):
@@ -345,7 +344,7 @@ class TestIdealRuns:
         # agent B's witness out, target already disentangled
         assert outcome.zeta_probabilities[2] == pytest.approx(1.0, abs=1e-12)
         assert entanglement_entropy(outcome.pre_measurement, ("target",)) < 1e-12
-        state2, _ = postselect(outcome, 2)
+        state2 = outcome.postselection(2).state
         target_block, prob = project(state2, {"target": E5})
         assert prob == pytest.approx(1.0, abs=1e-12)
 
@@ -353,7 +352,7 @@ class TestIdealRuns:
         # path-only diagonal readout already lands on the + branch with
         # certainty: nothing left to erase
         outcome = run_switch(build_input([0, 0, 0, 1, 0]), AmplitudeModel())
-        state2, _ = postselect(outcome, 2)
+        state2 = outcome.postselection(2).state
         results, _ = diagonal_measure(state2, "path")
         assert results[0].probability == pytest.approx(1.0, abs=1e-12)
         assert results[1].probability == pytest.approx(0.0, abs=1e-12)
@@ -428,12 +427,12 @@ class TestGenericModels:
             rest = rest * math.sqrt(1.0 - alpha1**2) / np.linalg.norm(rest)
             alphas = np.concatenate([[alpha1], rest])
             outcome = run_switch(build_input(alphas), model)
-            state3, prob3 = postselect(outcome, 3)
-            assert prob3 > 0
+            sel3 = outcome.postselection(3)
+            assert sel3.probability > 0
             if reference is None:
-                reference = state3.amps
+                reference = sel3.state.amps
             else:
-                assert np.allclose(state3.amps, reference, atol=1e-12)
+                assert np.allclose(sel3.state.amps, reference, atol=1e-12)
 
     def test_zeta3_probability_tracks_e1_weight(self):
         rng = np.random.default_rng(39)
@@ -450,9 +449,9 @@ class TestGenericModels:
 
     def test_zero_probability_class_flagged(self):
         outcome = run_switch(build_input([1, 0, 0, 0, 0]), AmplitudeModel())
-        state0, prob0 = postselect(outcome, 0)
-        assert prob0 == pytest.approx(0.0, abs=1e-12)
-        assert state0 is None
+        sel0 = outcome.postselection(0)
+        assert sel0.probability == pytest.approx(0.0, abs=1e-12)
+        assert sel0.state is None
 
     def test_generic_postselected_diagonal_residuals(self):
         # path-mode residual must reproduce (early block +/- late block),
@@ -464,7 +463,7 @@ class TestGenericModels:
             outcome = run_switch(build_input(alphas), model)
             oracle = oracle_pre_measurement(alphas, model).reshape(DIMS)
             for zeta, (det_a, det_b) in ((0, (1, 1)), (1, (1, 0)), (2, (0, 1)), (3, (0, 0))):
-                state, prob = postselect(outcome, zeta)
+                state = outcome.postselection(zeta).state
                 if state is None:
                     continue
                 block = oracle[:, :, :, :, det_a, det_b]
@@ -481,8 +480,9 @@ class TestGenericModels:
 
     def test_postselect_rejects_bad_zeta(self):
         outcome = run_switch(build_input([1, 0, 0, 0, 0]), AmplitudeModel())
-        with pytest.raises(ValueError):
-            postselect(outcome, 4)
+        for zeta in (4, -1):
+            with pytest.raises(ValueError, match="zeta must be in 0..3"):
+                outcome.postselection(zeta)
 
 
 #: the factors and the (early, late) rows each diagonal-measurement mode reads
@@ -551,6 +551,6 @@ class TestReadout:
             assert remainder == 0.0
 
     def test_unknown_mode_rejected(self):
-        state, _ = postselect(run_switch(build_input([1, 0, 0, 0, 0]), AmplitudeModel()), 3)
+        state = run_switch(build_input([1, 0, 0, 0, 0]), AmplitudeModel()).postselection(3).state
         with pytest.raises(ValueError, match="mode"):
             diagonal_measure(state, "detectors")

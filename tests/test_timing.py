@@ -130,6 +130,18 @@ class TestProperTime:
             schedule.dtau_v
         assert caught.value.index == 1
 
+    def test_rejects_overflowing_ascent_square(self):
+        # (a + b)^2 with a ~ b ~ 2.3e153 once raised a bare OverflowError
+        body = CentralBody(1.55e-78, 1.2e203)
+        text = ("(sqrt((R - R_S + h)/R_S) + sqrt((R - R_S)/R_S))^2 overflows at R=1.2e+203 m, "
+                "R_S=2.30211e-105 m, h=1 m")
+        with pytest.raises(DomainError, match=re.escape(text)):
+            ascent(body, 1.0, 1.0).dtau_v
+        body = CentralBody(1.55e-78, np.array([1.0, 1.2e203]))
+        with pytest.raises(DomainError, match=re.escape(text)) as caught:
+            ascent(body, 1.0, 1.0).dtau_v
+        assert caught.value.index == 1
+
 
 class TestProperTimeDifference:
     def test_shared_ascent_cancels_exactly(self, earth):
@@ -147,7 +159,7 @@ class TestSolveMatching:
         solution = solve_matching(earth, 1.0, 0.3e-6)
         schedule = solution.schedule()
         assert solution.dt_r == pytest.approx(9.158348562456938, rel=1e-12)
-        assert 8.0 <= schedule.dt_exp <= 10.5
+        assert 8.0 <= schedule.t4 <= 10.5
         assert solution.regime == "near-surface"
         assert schedule.tau_star == pytest.approx(9.158348556081528, rel=1e-12)
 
@@ -370,7 +382,16 @@ class TestSchedulesAndPaths:
         assert schedule.t2 == 4.0
         assert schedule.t3 == 5.0
         assert schedule.t4 == 5.5
-        assert schedule.dt_exp == 5.5
+
+    def test_schedule_rejects_overflowing_t4(self, earth):
+        # dt_v + dt_s = inf once ran on to inf and nan cells
+        text = "t4 = 2 dt_v + dt_s + dt_c overflows at dt_v=1e+308 s, dt_s=1.7e+308 s, dt_c=1 s"
+        with pytest.raises(DomainError, match=re.escape(text)):
+            ProtocolSchedule(earth, h=1.0, d=3e-7, dt_v=1e308, dt_s=1.7e308, dt_c=1.0)
+        with pytest.raises(DomainError, match=re.escape(text)) as caught:
+            ProtocolSchedule(earth, h=1.0, d=3e-7, dt_v=np.array([1.0, 1e308]),
+                             dt_s=np.array([1.0, 1.7e308]), dt_c=1.0)
+        assert caught.value.index == 1
 
     def test_solved_schedule_residual_instant_ascent(self, earth):
         schedule = solved_schedule(earth, 1.0, 0.3e-6)

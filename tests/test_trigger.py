@@ -351,7 +351,8 @@ class TestNumeric:
 
     def test_armed_two_crossing_times_early(self, fast_trajectory):
         assert FAST.probe_time == FAST.tau_star - 2.0 * FAST.epsilon
-        assert fast_trajectory.at(FAST.probe_time)["p_off"] >= 0.99
+        (probe,) = np.flatnonzero(fast_trajectory.taus == FAST.probe_time)
+        assert fast_trajectory.p_off[probe] >= 0.99
 
     def test_free_evolution_matches_coherent_motion(self):
         # the lab-frame oracle with no coupling: <x> and <p> must follow the
