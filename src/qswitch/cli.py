@@ -31,7 +31,7 @@ from .config import (
     parse_constants,
     with_sweep_value,
 )
-from .hilbert import DUMP_CUTOFF, state_csv_rows
+from .hilbert import DUMP_CUTOFF
 from .spacetime import CODATA2018, check_domain, point_message, value_at
 from .switch_model import (
     AmplitudeModel,
@@ -354,6 +354,13 @@ def switch_report_text(config, outcome):
     return "\n".join(lines) + "\n"
 
 
+def state_csv(state):
+    """The register dump: one row per amplitude above DUMP_CUTOFF."""
+    columns = list(state.factors) + ["re", "im"]
+    return format_csv(columns, [dict(zip(columns, (*idx, amp.real, amp.imag)))
+                                for idx, amp in state.nonzero_rows()])
+
+
 SWITCH_SUMMARY_COLUMNS = [
     "zeta0_probability", "zeta1_probability", "zeta2_probability",
     "zeta3_probability", "zeta3_plus_probability", "zeta3_minus_probability",
@@ -448,7 +455,7 @@ TRAJECTORY_COLUMNS = [
 
 
 def trajectory_rows(trajectory, params):
-    p_off, p_on, x_mean = analytic_columns(params, np.minimum(trajectory.taus, params.tau_star))
+    p_off, p_on, x_mean = analytic_columns(params, trajectory.taus)
     t = trajectory
     columns = (t.taus, t.x_mean, t.p_mean, t.p_off, t.p_on, t.norm, x_mean, p_off, p_on)
     return [dict(zip(TRAJECTORY_COLUMNS, row)) for row in zip(*(c.tolist() for c in columns))]
@@ -643,7 +650,7 @@ def main(argv=None):
                 (f"{config.scenario}_switch_report.txt",
                  switch_report_text(config, outcome)),
                 (f"{config.scenario}_switch_state.csv",
-                 state_csv_rows(outcome.pre_measurement)),
+                 state_csv(outcome.pre_measurement)),
             ] if args.out else ()
             warnings = []
             _emit(args, config, "switch", SWITCH_COLUMNS, rows, extras)

@@ -71,31 +71,6 @@ class StateVector:
     def dims(self):
         return factor_dims(self.factors)
 
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.amps))
-
-    def overlap(self, other):
-        """<self|other> for states on the same factors."""
-        if self.factors != other.factors:
-            raise ValueError("overlap requires identical factor lists")
-        return complex(np.vdot(self.amps, other.amps))
-
-    def __add__(self, other):
-        if self.factors != other.factors:
-            raise ValueError("sum requires identical factor lists")
-        return StateVector(self.factors, self.amps + other.amps)
-
-    def __sub__(self, other):
-        if self.factors != other.factors:
-            raise ValueError("difference requires identical factor lists")
-        return StateVector(self.factors, self.amps - other.amps)
-
-    def __mul__(self, scalar):
-        return StateVector(self.factors, self.amps * scalar)
-
-    __rmul__ = __mul__
-
     def nonzero_rows(self):
         """(index tuple, amplitude) pairs with |amplitude| above DUMP_CUTOFF."""
         keep = np.flatnonzero(np.abs(self.amps) > DUMP_CUTOFF)
@@ -157,11 +132,6 @@ class SparseOperator:
         for fin, fout, amp in self._flat:
             mat[fout, fin] += amp
         return mat
-
-    def is_isometry(self):
-        """Columns with any entry are mutually orthonormal within ORTHONORMALITY_ATOL."""
-        sub = self.as_matrix()[:, sorted({fin for fin, _, _ in self._flat})]
-        return _orthonormal(sub.conj().T @ sub)
 
 
 def _moved_block(state, op_factors):
@@ -258,21 +228,3 @@ def measure_in_basis(state, basis):
             collapsed = None
         outcomes.append(MeasurementOutcome(probability=prob, collapsed=collapsed))
     return outcomes
-
-
-def entanglement_entropy(state, factors):
-    """Von Neumann entropy (nats) of the reduced state on `factors`."""
-    block, _, _ = _moved_block(state, tuple(factors))
-    evals = np.linalg.eigvalsh(block @ block.conj().T)
-    evals = evals[evals > 1e-15]
-    return float(-np.sum(evals * np.log(evals)))
-
-
-def state_csv_rows(state):
-    """CSV dump: one row per amplitude above DUMP_CUTOFF, header included."""
-    header = ",".join(list(state.factors) + ["re", "im"])
-    lines = [header]
-    for idx, amp in state.nonzero_rows():
-        cells = [str(k) for k in idx] + [f"{amp.real:.17g}", f"{amp.imag:.17g}"]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"

@@ -130,16 +130,6 @@ class ProtocolSchedule:
 
     # event times, from the start of the experiment at 0
     @property
-    def t1(self):
-        """Early path reaches R+h."""
-        return self.dt_v
-
-    @property
-    def t2(self):
-        """Late path starts its ascent."""
-        return self.dt_v + self.dt_s
-
-    @property
     def t3(self):
         """Target crosses the early path."""
         return self.dt_v + self.dt_r

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qswitch import hilbert
 from qswitch.spacetime import CentralBody
 from qswitch.switch_model import AmplitudeModel
 
@@ -57,3 +58,18 @@ def random_model(rng):
 def random_alphas(rng):
     raw = rng.normal(size=5) + 1j * rng.normal(size=5)
     return raw / np.linalg.norm(raw)
+
+
+def is_isometry(op):
+    """Columns of a SparseOperator with any entry are mutually orthonormal
+    within ORTHONORMALITY_ATOL, by the check measure_in_basis makes."""
+    sub = op.as_matrix()[:, sorted({fin for fin, _, _ in op._flat})]
+    return hilbert._orthonormal(sub.conj().T @ sub)
+
+
+def entanglement_entropy(state, factors):
+    """Von Neumann entropy (nats) of the reduced state on `factors`."""
+    block, _, _ = hilbert._moved_block(state, tuple(factors))
+    evals = np.linalg.eigvalsh(block @ block.conj().T)
+    evals = evals[evals > 1e-15]
+    return float(-np.sum(evals * np.log(evals)))

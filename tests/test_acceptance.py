@@ -18,7 +18,7 @@ import numpy as np
 
 from qswitch.config import ScenarioConfig, apply_preset
 from qswitch.cli import compute_timing
-from qswitch.hilbert import PATH_EARLY, PATH_LATE, entanglement_entropy, project
+from qswitch.hilbert import PATH_EARLY, PATH_LATE, project
 from qswitch.spacetime import CODATA2018, CentralBody, dilation_difference, dilation_factor
 from qswitch.switch_model import (
     E3,
@@ -38,7 +38,7 @@ from qswitch.trigger import (
     numeric_evolve,
 )
 
-from conftest import EARTH_RADIUS, random_alphas, random_model, run_qswitch
+from conftest import EARTH_RADIUS, entanglement_entropy, random_alphas, random_model, run_qswitch
 from test_spacetime import naive_difference, oracle_difference
 from test_switch_model import DIMS, dense_oracle_state
 

