@@ -52,6 +52,7 @@ from .trigger import (
     check_trigger_condition,
     condition_from_trajectory,
     numeric_evolve,
+    reflection_bound,
 )
 
 CONSTANTS_ENV = "QSWITCH_CONSTANTS"
@@ -327,12 +328,12 @@ def compute_switch(config):
     modes = ("agents", "path")
     readouts = [outcome.readout(mode) for mode in modes]
     rows = []
-    for sel in outcome.postselections:
+    for zeta, sel in enumerate(outcome.postselections):
         for mode, readout in zip(modes, readouts):
-            results, remainder = readout[sel.zeta]
+            results, remainder = readout[zeta]
             rows += [dict(zip(SWITCH_COLUMNS, (
-                config.scenario, sel.zeta, sel.probability, mode, res.sign, res.probability,
-                remainder, _serialize_state(res.residual)))) for res in results]
+                config.scenario, zeta, sel.probability, mode, sign, res.probability,
+                remainder, _serialize_state(res.state)))) for sign, res in zip("+-", results)]
     return outcome, rows
 
 
@@ -349,8 +350,8 @@ def switch_report_text(config, outcome):
         lines.append(f"  {_state_label(pre.factors, idx):28s} {amp:.12g}")
     lines.append("")
     lines.append("postselection probabilities:")
-    for sel in outcome.postselections:
-        lines.append(f"  zeta={sel.zeta}: {sel.probability:.12g}")
+    for zeta, sel in enumerate(outcome.postselections):
+        lines.append(f"  zeta={zeta}: {sel.probability:.12g}")
     return "\n".join(lines) + "\n"
 
 
@@ -430,7 +431,7 @@ def compute_trigger(config, constants):
         "factor_amp_zone": amp_zone,
         "factor_zone_packet": zone_packet,
         "factor_energy": energy,
-        "reflection_bound": analytic.reflection,
+        "reflection_bound": reflection_bound(params),
         "analytic_ready": analytic.p_ready_before,
         "analytic_fired": analytic.p_fired_at_star,
         "analytic_passed": analytic.passed,

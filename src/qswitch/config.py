@@ -28,7 +28,6 @@ class ConfigError(ValueError):
 
 @dataclass
 class BodyConfig:
-    preset: str | None = None
     mass: float | None = None
     radius: float | None = None
 
@@ -133,17 +132,14 @@ class ScenarioConfig:
 
 #: scenario presets; trigger defaults are derived from the active constants
 #: at resolve time so the parameter hierarchy stays exact under overrides.
-PRESET_NAMES = ("earth", "small-mass")
-
-_PRESET_BODY = {
-    "earth": dict(mass=5.9722e24, radius=6.371e6),
-    "small-mass": dict(mass=1e-10, radius=1e-15),
+#: name -> (body values, protocol values)
+_PRESETS = {
+    "earth": (dict(mass=5.9722e24, radius=6.371e6),
+              dict(h=1.0, d=0.3e-6, dt_v=0.0, dtau_1=1e-17, eps=1e-19)),
+    "small-mass": (dict(mass=1e-10, radius=1e-15),
+                   dict(h=1e-7, d=1e-15, dt_v=0.0, dtau_1=3e-26, eps=3e-28)),
 }
-
-_PRESET_PROTOCOL = {
-    "earth": dict(h=1.0, d=0.3e-6, dt_v=0.0, dtau_1=1e-17, eps=1e-19),
-    "small-mass": dict(h=1e-7, d=1e-15, dt_v=0.0, dtau_1=3e-26, eps=3e-28),
-}
+PRESET_NAMES = tuple(_PRESETS)
 
 TRIGGER_PRESET_M = 1e-25       # kg
 TRIGGER_PRESET_OMEGA = 1e3     # rad/s
@@ -167,8 +163,9 @@ def apply_preset(config, name, constants):
         raise ConfigError(
             f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
         )
-    config.body = BodyConfig(preset=name, **_PRESET_BODY[name])
-    config.protocol = ProtocolConfig(**_PRESET_PROTOCOL[name])
+    body, protocol = _PRESETS[name]
+    config.body = BodyConfig(**body)
+    config.protocol = ProtocolConfig(**protocol)
     config.trigger = default_trigger_config(constants)
     if config.scenario == "run":
         config.scenario = name
@@ -218,12 +215,8 @@ _SECTIONS = {"body": BodyConfig, "protocol": ProtocolConfig,
 _READERS = {"float": _parse_float, "float | None": _parse_float,
             "complex": _parse_complex, "tuple": _parse_alpha}
 
-#: section -> {key: reader} of every key a section's dataclass declares;
-#: [body] preset applies a preset rather than setting a value
-_KEYS = {
-    name: {f.name: _READERS[f.type] for f in fields(cls) if f.name != "preset"}
-    for name, cls in _SECTIONS.items()
-}
+#: section -> {key: reader} of every key a section's dataclass declares
+_KEYS = {name: {f.name: _READERS[f.type] for f in fields(cls)} for name, cls in _SECTIONS.items()}
 
 #: the section that declares each key; no key is declared by two sections
 SECTION_OF = {key: name for name, keys in _KEYS.items() for key in keys}
@@ -289,6 +282,7 @@ def parse_config(text, constants, config=None):
                 raise ConfigError(f"{where}: sweep target must be 'timing' or 'switch'")
             config.sweep.target = value
         elif section == "sweep" and key.removesuffix("2") in _RANGE_KEYS:
+            sweep_parts.pop(key, None)  # keep the parts in the order of their lines
             sweep_parts[key] = (value, where)
         else:
             raise ConfigError(f"{where}: unknown [{section}] key {key!r}")
@@ -296,6 +290,9 @@ def parse_config(text, constants, config=None):
     for suffix in ("", "2"):
         parts = {key: sweep_parts.get(key + suffix) for key in _RANGE_KEYS}
         if parts["parameter"] is None:
+            for key, (_, where) in sweep_parts.items():
+                if key.removesuffix("2") + suffix == key:
+                    raise ConfigError(f"{where}: sweep {key} needs parameter{suffix}")
             continue
         for key in ("min", "max", "count"):
             if parts[key] is None:

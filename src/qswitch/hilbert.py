@@ -116,7 +116,6 @@ class SparseOperator:
     def __init__(self, factors, triples):
         self.factors = tuple(factors)
         self.dims = factor_dims(self.factors)
-        self.dim = math.prod(self.dims)
         flat = {}
         for idx_in, idx_out, amp in triples:
             fin = int(np.ravel_multi_index(tuple(idx_in), self.dims))
@@ -125,13 +124,6 @@ class SparseOperator:
         self._flat = sorted(
             (fin, fout, amp) for (fin, fout), amp in flat.items() if amp != 0.0
         )
-
-    def as_matrix(self):
-        """Dense matrix on the operator's factor subspace."""
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
-        for fin, fout, amp in self._flat:
-            mat[fout, fin] += amp
-        return mat
 
 
 def _moved_block(state, op_factors):
@@ -192,8 +184,11 @@ def project(state, selector):
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
+    """One Born-rule outcome: its probability and the normalized state it
+    leaves (None at probability 0)."""
+
     probability: float
-    collapsed: StateVector | None
+    state: StateVector | None
 
 
 def measure_in_basis(state, basis):
@@ -201,8 +196,8 @@ def measure_in_basis(state, basis):
 
     All basis vectors must live on the same factor subset and be mutually
     orthonormal (checked to 1e-12).  Returns one MeasurementOutcome per
-    basis vector; the collapsed state is the normalized residual on the
-    remaining factors (None when the outcome has zero probability).
+    basis vector; its state is the normalized residual on the remaining
+    factors (None when the outcome has zero probability).
     Probabilities sum to at most 1; the deficit is the overlap with the
     orthogonal complement of the spanned subspace.
     """
@@ -222,9 +217,6 @@ def measure_in_basis(state, basis):
     for vec in basis:
         residual = vec.amps.conj() @ block
         prob = float(np.vdot(residual, residual).real)
-        if prob > 0.0:
-            collapsed = StateVector(rest_factors, residual / math.sqrt(prob))
-        else:
-            collapsed = None
-        outcomes.append(MeasurementOutcome(probability=prob, collapsed=collapsed))
+        outcomes.append(MeasurementOutcome(
+            prob, StateVector(rest_factors, residual / math.sqrt(prob)) if prob > 0.0 else None))
     return outcomes

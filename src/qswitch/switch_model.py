@@ -28,6 +28,7 @@ from .hilbert import (
     PATH_EARLY,
     PATH_LATE,
     SWITCH_FACTORS,
+    MeasurementOutcome,
     SparseOperator,
     StateVector,
     factor_dims,
@@ -375,23 +376,16 @@ def build_input(alphas):
 
 
 @dataclass(frozen=True)
-class Postselection:
-    """One detector pattern: probability and the surviving register state."""
-
-    zeta: int
-    probability: float
-    state: StateVector | None  # normalized, on CLASS_FACTORS
-
-
-@dataclass(frozen=True)
 class SwitchOutcome:
-    """Full result of one run: pre-measurement state plus all postselections."""
+    """Full result of one run: pre-measurement state plus all postselections,
+    a MeasurementOutcome per detector pattern in zeta order, its state on
+    CLASS_FACTORS."""
 
     pre_measurement: StateVector
     postselections: tuple
 
     def postselection(self, zeta):
-        """The Postselection of detector pattern zeta."""
+        """The MeasurementOutcome of detector pattern zeta."""
         if zeta not in DETECTOR_PATTERNS:
             raise ValueError(f"zeta must be in 0..3, got {zeta}")
         return self.postselections[zeta]
@@ -427,17 +421,10 @@ def run_switch(input_state, model):
     pre = StateVector(SWITCH_FACTORS, pre)
     classes = _classes(pre)
     selections = tuple(
-        Postselection(zeta, p, StateVector(CLASS_FACTORS, classes[..., zeta] / math.sqrt(p))
-                      if p > 0.0 else None)
+        MeasurementOutcome(p, StateVector(CLASS_FACTORS, classes[..., zeta] / math.sqrt(p))
+                           if p > 0.0 else None)
         for zeta, p in enumerate(_class_probabilities(np.zeros((1, 4)), keep, amps)[0].tolist()))
     return SwitchOutcome(pre_measurement=pre, postselections=selections)
-
-
-@dataclass(frozen=True)
-class DiagonalResult:
-    sign: str  # "+" or "-"
-    probability: float
-    residual: StateVector | None
 
 
 def _measure(tensor, factors, mode, probability):
@@ -453,9 +440,9 @@ def _measure(tensor, factors, mode, probability):
     readouts = []
     for k, class_probability in enumerate(probability.tolist()):
         results = []
-        for sign, (part, norm2, p) in zip("+-", outcomes):
-            residual = StateVector(rest, part[:, k] / math.sqrt(norm2[k])) if p[k] > 0.0 else None
-            results.append(DiagonalResult(sign, float(p[k]), residual))
+        for part, norm2, p in outcomes:
+            state = StateVector(rest, part[:, k] / math.sqrt(norm2[k])) if p[k] > 0.0 else None
+            results.append(MeasurementOutcome(float(p[k]), state))
         remainder = 1.0 - results[0].probability - results[1].probability
         readouts.append((results, max(0.0, remainder) if class_probability > 0.0 else 0.0))
     return readouts
@@ -467,8 +454,8 @@ def diagonal_measure(state, mode="agents"):
     Mode "agents" reads the rows of the doubly scattered branches,
     DIAGONAL_BRANCHES, leaving a residual on the target and any remaining
     factors; mode "path" reads the two rows of the path factor.  Outcome ±
-    has probability ½‖early ± late‖² and residual (early ± late)/‖early ± late‖,
-    None at probability 0.  Returns the two DiagonalResults followed by the
-    probability left in the unspanned complement.
+    has probability ½‖early ± late‖² and state (early ± late)/‖early ± late‖,
+    None at probability 0.  Returns the + and - MeasurementOutcomes, in that
+    order, followed by the probability left in the unspanned complement.
     """
     return _measure(state.amps.reshape(state.dims + (1,)), state.factors, mode, np.ones(1))[0]

@@ -514,7 +514,6 @@ class TriggerConditionReport:
 
     p_ready_before: float   # not-fired population at params.probe_time
     p_fired_at_star: float  # fired population at tau_star
-    reflection: float
     norm_drift: float
     validity_failures: tuple
 
@@ -535,8 +534,7 @@ def _report(params, p_ready_before, p_fired_at_star, norm_drift):
     if params.probe_time == 0.0:
         failures += (f"crossing time epsilon={params.epsilon:g} too close to "
                      f"tau_star={params.tau_star:g}",)
-    return TriggerConditionReport(p_ready_before, p_fired_at_star,
-                                  reflection_bound(params), norm_drift, failures)
+    return TriggerConditionReport(p_ready_before, p_fired_at_star, norm_drift, failures)
 
 
 def check_trigger_condition(params):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -60,10 +61,19 @@ def random_alphas(rng):
     return raw / np.linalg.norm(raw)
 
 
+def as_matrix(op):
+    """Dense matrix of a SparseOperator on its factor subspace."""
+    dim = math.prod(op.dims)
+    mat = np.zeros((dim, dim), dtype=complex)
+    for fin, fout, amp in op._flat:
+        mat[fout, fin] += amp
+    return mat
+
+
 def is_isometry(op):
     """Columns of a SparseOperator with any entry are mutually orthonormal
     within ORTHONORMALITY_ATOL, by the check measure_in_basis makes."""
-    sub = op.as_matrix()[:, sorted({fin for fin, _, _ in op._flat})]
+    sub = as_matrix(op)[:, sorted({fin for fin, _, _ in op._flat})]
     return hilbert._orthonormal(sub.conj().T @ sub)
 
 

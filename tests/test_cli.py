@@ -230,8 +230,16 @@ class TestSweepRanges:
         ("count2 = 501\nparameter = h\nmin = 1\nmax = 2\ncount = 2000\n"
          "parameter2 = d\nmin2 = 1\nmax2 = 2\n", 5,
          "sweep grid of 1002000 points exceeds 1000000"),
+        # once ignored: the run printed the one-axis table and exited 0
+        ("parameter = h\nmin = 1\nmax = 2\ncount = 3\nmin2 = 5\nscale2 = bogus\n", 9,
+         "sweep min2 needs parameter2"),
+        ("scale = log\nparameter2 = h\nmin2 = 1\nmax2 = 2\ncount2 = 3\n", 5,
+         "sweep scale needs parameter"),
+        ("max2 = 4\ncount2 = 3\nparameter = h\nmin = 1\nmax = 2\ncount = 3\nmax2 = 5\n", 6,
+         "sweep count2 needs parameter2"),
     ], ids=["scale", "scale count 1", "count 0", "log min 0", "log max < 0 count 1",
-            "log max/min past the range", "log max/min below the range", "not sweepable", "scale2", "grid", "grid count2", "grid count2 first"])
+            "log max/min past the range", "log max/min below the range", "not sweepable", "scale2", "grid", "grid count2", "grid count2 first",
+            "orphan min2", "orphan scale", "orphan after a repeated key"])
     def test_bad_range_reports_its_line(self, lines, line, message):
         with pytest.raises(ConfigError, match=f"^line {line}: {re.escape(message)}$"):
             parse_config(SWEEP_HEAD + lines, CODATA2018)
@@ -368,7 +376,7 @@ class TestConfigSchema:
                 elif section == "sweep":
                     assert str(sweep_values[key]) == value or sweep_values[key] == float(value)
                 elif key == "preset":
-                    assert config.body.preset == value
+                    assert config.body == apply_preset(ScenarioConfig(), value, CODATA2018).body
                 else:
                     got = getattr(getattr(config, section), key)
                     if declared[key] == "tuple":

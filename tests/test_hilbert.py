@@ -14,7 +14,7 @@ from qswitch.hilbert import (
     project,
 )
 
-from conftest import entanglement_entropy, is_isometry
+from conftest import as_matrix, entanglement_entropy, is_isometry
 
 DIMS = tuple(FACTOR_DIMS[f] for f in SWITCH_FACTORS)
 FULL_DIM = int(np.prod(DIMS))
@@ -27,7 +27,7 @@ def dense_full_matrix(op):
     transplants the operator's subspace action index by index.
     """
     positions = [SWITCH_FACTORS.index(f) for f in op.factors]
-    sub = op.as_matrix()
+    sub = as_matrix(op)
     full = np.zeros((FULL_DIM, FULL_DIM), dtype=complex)
     for flat_in in range(FULL_DIM):
         idx_in = list(np.unravel_index(flat_in, DIMS))
@@ -223,8 +223,8 @@ class TestMeasureInBasis:
         outcomes = measure_in_basis(state, basis)
         assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-12)
         for o in outcomes:
-            assert np.linalg.norm(o.collapsed.amps) == pytest.approx(1.0, abs=1e-12)
-            assert o.collapsed.factors == tuple(
+            assert np.linalg.norm(o.state.amps) == pytest.approx(1.0, abs=1e-12)
+            assert o.state.factors == tuple(
                 f for f in SWITCH_FACTORS if f != "path"
             )
 

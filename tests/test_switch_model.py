@@ -40,7 +40,7 @@ from qswitch.switch_model import (
     run_switch,
 )
 
-from conftest import entanglement_entropy, is_isometry, random_alphas, random_model
+from conftest import as_matrix, entanglement_entropy, is_isometry, random_alphas, random_model
 
 DIMS = tuple(FACTOR_DIMS[f] for f in SWITCH_FACTORS)
 
@@ -231,7 +231,7 @@ class TestAmplitudeModel:
 class TestInteractionOperators:
     def test_a_full_absorption_limits(self):
         op = interaction_a(AmplitudeModel(), "first")
-        mat = op.as_matrix()
+        mat = as_matrix(op)
         src = np.ravel_multi_index((1, E1, 0), op.dims)
         dst = np.ravel_multi_index((A3, E2, 0), op.dims)
         assert mat[dst, src] == pytest.approx(1.0)
@@ -241,14 +241,14 @@ class TestInteractionOperators:
 
     def test_a_witness_on_unabsorbable_photon(self):
         op = interaction_a(AmplitudeModel(), "first")
-        mat = op.as_matrix()
+        mat = as_matrix(op)
         src = np.ravel_multi_index((1, E3, 0), op.dims)
         dst = np.ravel_multi_index((A5, E3, 1), op.dims)
         assert mat[dst, src] == pytest.approx(1.0)  # photon untouched, witness out
 
     def test_b_full_absorption_limits(self):
         op = interaction_b(AmplitudeModel(), "first")
-        mat = op.as_matrix()
+        mat = as_matrix(op)
         src = np.ravel_multi_index((0, E2, 0), op.dims)
         dst = np.ravel_multi_index((B5, E3, 0), op.dims)
         assert mat[dst, src] == pytest.approx(1.0)
@@ -258,7 +258,7 @@ class TestInteractionOperators:
 
     def test_b_witness_on_unabsorbable_photon(self):
         op = interaction_b(AmplitudeModel(), "first")
-        mat = op.as_matrix()
+        mat = as_matrix(op)
         src = np.ravel_multi_index((0, E5, 0), op.dims)
         dst = np.ravel_multi_index((B5, E5, 1), op.dims)
         assert mat[dst, src] == pytest.approx(1.0)
@@ -266,7 +266,7 @@ class TestInteractionOperators:
     def test_second_pass_uses_double_scattering_amplitude(self):
         model = AmplitudeModel(f_ba=0.5j, c2b=0.25)
         op = interaction_b(model, "after_a")
-        mat = op.as_matrix()
+        mat = as_matrix(op)
         # photon re-emitted by A (marker level A3): f amplitude
         src = np.ravel_multi_index((A3, 0, E2, 0), op.dims)
         dst = np.ravel_multi_index((A3, B5, E3, 0), op.dims)
@@ -335,8 +335,8 @@ class TestIdealRuns:
             expected = np.zeros(5, dtype=complex)
             expected[E3] = 1 / math.sqrt(2)
             expected[E5] = sign / math.sqrt(2)
-            assert res.residual.factors == ("target",)
-            assert np.allclose(res.residual.amps, expected, atol=1e-12)
+            assert res.state.factors == ("target",)
+            assert np.allclose(res.state.amps, expected, atol=1e-12)
 
     def test_e4_trivial_switch(self):
         outcome = run_switch(build_input([0, 0, 0, 1, 0]), AmplitudeModel())
@@ -475,7 +475,7 @@ class TestGenericModels:
                         assert res.probability == pytest.approx(0.0, abs=1e-12)
                         continue
                     assert np.allclose(
-                        res.residual.amps, combo / norm, atol=1e-12
+                        res.state.amps, combo / norm, atol=1e-12
                     )
 
     def test_postselect_rejects_bad_zeta(self):
@@ -518,9 +518,9 @@ class TestReadout:
                             prob, residual = _mp_outcome(early, late, sign, p)
                             assert abs(res.probability - prob) <= 4e-15 * prob
                             if residual is None:
-                                assert res.residual is None
+                                assert res.state is None
                                 continue
-                            for got, want in zip(res.residual.amps.tolist(), residual):
+                            for got, want in zip(res.state.amps.tolist(), residual):
                                 assert abs(got - want) <= 4e-15 * abs(want)
 
     def test_diagonal_measure_matches_measure_in_basis(self):
@@ -540,8 +540,8 @@ class TestReadout:
                         # the basis overlap's residual is off by about 1e-16/sqrt(p)
                         if expected.probability < 1e-6:
                             continue
-                        assert res.residual.factors == expected.collapsed.factors
-                        assert np.allclose(res.residual.amps, expected.collapsed.amps,
+                        assert res.state.factors == expected.state.factors
+                        assert np.allclose(res.state.amps, expected.state.amps,
                                            rtol=0.0, atol=1e-12)
                     assert abs(remainder - max(0.0, 1.0 - plus.probability - minus.probability)) <= 1e-12
 
@@ -549,7 +549,7 @@ class TestReadout:
         outcome = run_switch(build_input([1, 0, 0, 0, 0]), AmplitudeModel())
         for mode in MODE_ROWS:
             results, remainder = outcome.readout(mode)[0]
-            assert [(r.sign, r.probability, r.residual) for r in results] == [("+", 0.0, None), ("-", 0.0, None)]
+            assert [(r.probability, r.state) for r in results] == [(0.0, None), (0.0, None)]
             assert remainder == 0.0
 
     def test_unknown_mode_rejected(self):
