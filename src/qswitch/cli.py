@@ -97,10 +97,8 @@ def _cells(column, n, cell, float_cell):
         # distinct by bit pattern, so that 0.0 and -0.0 stay apart
         distinct, where = np.unique(column.view(np.int64), return_inverse=True)
         distinct, cell = distinct.view(float), float_cell
-    elif column.dtype.kind in "bU":
-        distinct, where = np.unique(column, return_inverse=True)
     else:
-        return list(map(cell, column.tolist()))
+        distinct, where = np.unique(column, return_inverse=True)
     return np.array(list(map(cell, distinct.tolist())), dtype=object)[where].tolist()
 
 
@@ -144,30 +142,25 @@ def format_csv(columns, rows):
 
 
 class SweepTable:
-    """A sweep's rows, computed a chunk of CHUNK_ROWS at a time.
+    """A sweep's rows, computed as they are read.
 
-    Indexing (0 <= i < len) and iteration give rows as dicts of Python values.
-    Only the last chunk computed is kept, so memory stays bounded by the
-    chunk whatever the grid.
+    chunks() computes each chunk of CHUNK_ROWS rows as it is read, and
+    iteration gives its rows as dicts of Python values; indexing
+    (0 <= i < len) computes point i alone.  Nothing is kept between reads,
+    so memory stays bounded by the chunk being read whatever the grid.
     """
 
     def __init__(self, n, compute):
         self._n = n
         self._compute = compute  # (lo, hi) -> {column: numpy column of hi - lo points}
-        self._kept = (None, None)
 
     def __len__(self):
         return self._n
 
-    def _chunk(self, k):
-        if self._kept[0] != k:
-            lo = k * CHUNK_ROWS
-            self._kept = (k, self._compute(lo, min(lo + CHUNK_ROWS, self._n)))
-        return self._kept[1]
-
     def chunks(self):
-        for k in range(-(-self._n // CHUNK_ROWS)):
-            yield min(CHUNK_ROWS, self._n - k * CHUNK_ROWS), self._chunk(k)
+        for lo in range(0, self._n, CHUNK_ROWS):
+            hi = min(lo + CHUNK_ROWS, self._n)
+            yield hi - lo, self._compute(lo, hi)
 
     def __iter__(self):
         for _, chunk in self.chunks():
@@ -178,8 +171,7 @@ class SweepTable:
     def __getitem__(self, i):
         if not 0 <= i < self._n:
             raise IndexError("sweep row index out of range")
-        k, j = divmod(i, CHUNK_ROWS)
-        return {name: column[j:j + 1].tolist()[0] for name, column in self._chunk(k).items()}
+        return {name: column.tolist()[0] for name, column in self._compute(i, i + 1).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -229,9 +229,10 @@ def _lines(text, sections, fold_case):
 
     '#' starts a comment; section is the lower-cased name of the last
     `[section]` header, which must be one of `sections`, or None before the
-    first header; keys are lower-cased when fold_case is true.
+    first header; keys are lower-cased when fold_case is true.  A key given
+    twice in one section is rejected at its second line.
     """
-    section = None
+    section, seen = None, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -252,6 +253,9 @@ def _lines(text, sections, fold_case):
             key = key.lower()
         if not value:
             raise ConfigError(f"{where}: empty value for key {key!r}")
+        first = seen.setdefault((section, key), where)
+        if first != where:
+            raise ConfigError(f"{where}: key {key!r} repeats {first}")
         yield where, section, key, value
 
 
@@ -282,7 +286,6 @@ def parse_config(text, constants, config=None):
                 raise ConfigError(f"{where}: sweep target must be 'timing' or 'switch'")
             config.sweep.target = value
         elif section == "sweep" and key.removesuffix("2") in _RANGE_KEYS:
-            sweep_parts.pop(key, None)  # keep the parts in the order of their lines
             sweep_parts[key] = (value, where)
         else:
             raise ConfigError(f"{where}: unknown [{section}] key {key!r}")

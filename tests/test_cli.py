@@ -142,6 +142,23 @@ class TestConfigParsing:
         assert config.protocol.h == 5.0
         assert config.protocol.d == 0.3e-6  # preset value survives
 
+    @pytest.mark.parametrize("text, line, key, first", [
+        ("[body]\npreset = earth\n[protocol]\nh = 1\nh = 5\n", 5, "h", 4),
+        # the same section opened again, the key in another case
+        ("[protocol]\nh = 1\n[body]\nmass = 1\n[protocol]\nH = 1\n", 6, "h", 2),
+        ("scenario = a\n# again\nscenario = b\n[body]\nmass = 1\n", 3, "scenario", 1),
+        ("[body]\npreset = earth\npreset = small-mass\n", 3, "preset", 2),
+        ("[sweep]\ntarget = timing\nparameter = h\ntarget = switch\n", 4, "target", 2),
+        ("[sweep]\nparameter = h\nmin = 1\nmax = 2\ncount = 3\nparameter = d\n", 6,
+         "parameter", 2),
+        ("[sweep]\nparameter2 = h\nmin2 = 1\nmax2 = 2\ncount2 = 3\nscale2 = log\n"
+         "scale2 = log\n", 7, "scale2", 6),
+    ], ids=["protocol key", "reopened section", "scenario", "preset", "sweep target",
+            "range key", "second range key"])
+    def test_repeated_key_reports_its_line(self, text, line, key, first):
+        with pytest.raises(ConfigError, match=f"^line {line}: key '{key}' repeats line {first}$"):
+            parse_config(text, CODATA2018)
+
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="^line 3: unknown preset 'moon'; "
                                               "available: earth, small-mass$"):
@@ -163,6 +180,9 @@ class TestConfigParsing:
         ("c = 3e8\nc =\n", "line 2: empty value for key 'c'"),
         ("c\n", "line 1: expected 'key = value', got 'c'"),
         ("c = 3e8\nhbar = nan\n", "line 2: value must be finite"),
+        ("c = 3e8\nG = 6.7e-11\nc = 2e8\n", "line 3: key 'c' repeats line 1"),
+        ("G = 6.7e-11\nG = 6.7e-11\n", "line 2: key 'G' repeats line 1"),
+        ("hbar = 1e-34\n# again\nhbar = 2e-34\n", "line 3: key 'hbar' repeats line 1"),
     ])
     def test_constants_file_errors_read_like_scenario_errors(self, text, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
@@ -235,8 +255,9 @@ class TestSweepRanges:
          "sweep min2 needs parameter2"),
         ("scale = log\nparameter2 = h\nmin2 = 1\nmax2 = 2\ncount2 = 3\n", 5,
          "sweep scale needs parameter"),
-        ("max2 = 4\ncount2 = 3\nparameter = h\nmin = 1\nmax = 2\ncount = 3\nmax2 = 5\n", 6,
-         "sweep count2 needs parameter2"),
+        # a repeated key is rejected before the orphan is found
+        ("max2 = 4\ncount2 = 3\nparameter = h\nmin = 1\nmax = 2\ncount = 3\nmax2 = 5\n", 11,
+         "key 'max2' repeats line 5"),
     ], ids=["scale", "scale count 1", "count 0", "log min 0", "log max < 0 count 1",
             "log max/min past the range", "log max/min below the range", "not sweepable", "scale2", "grid", "grid count2", "grid count2 first",
             "orphan min2", "orphan scale", "orphan after a repeated key"])

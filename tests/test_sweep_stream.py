@@ -238,6 +238,38 @@ def test_sweep_table_rows_are_python_values():
         assert all(type(value) in (float, bool, str) for value in row.values())
 
 
+def hex_row(row):
+    return {name: value.hex() if type(value) is float else value for name, value in row.items()}
+
+
+@pytest.mark.parametrize("target, base", [("timing", BASES[0]), ("timing", BASES[3]),
+                                          ("switch", SWITCH)],
+                         ids=["earth", "unchecked-windows", "switch"])
+@pytest.mark.parametrize("chunk", [2, 5, cli.CHUNK_ROWS])
+def test_row_read_computes_its_point_alone(monkeypatch, target, base, chunk):
+    calls = []
+
+    class Recorded(cli.SweepTable):
+        def __init__(self, n, compute):
+            def recorded(lo, hi):
+                calls.append((lo, hi))
+                return compute(lo, hi)
+            super().__init__(n, recorded)
+
+    monkeypatch.setattr(cli, "SweepTable", Recorded)
+    second = ("dt_v", 0.0, 0.5, 4, "linear") if target == "timing" else ("c4a", 0.0, 1.0, 4, "linear")
+    parameter = "h" if target == "timing" else "c1a"
+    text = sweep_text(base, target, [(parameter, 0.1, 0.9, 3, "linear"), second])
+    with chunk_rows(chunk):
+        _, rows, _ = cli.compute_sweep(parse_config(text, CODATA2018), CODATA2018)
+        every = [hex_row(row) for row in rows]
+        for i in range(len(rows)):
+            calls.clear()
+            assert hex_row(rows[i]) == every[i]
+            assert calls == [(i, i + 1)]
+    assert len(every) == 12
+
+
 def test_switch_summary_is_a_one_point_sweep_row():
     text = sweep_text(SWITCH, "switch", [("c1a", 0.3, 0.3, 1, "linear")])
     config = parse_config(text, CODATA2018)
