@@ -32,7 +32,7 @@ from .config import (
     with_sweep_value,
 )
 from .hilbert import DUMP_CUTOFF
-from .spacetime import CODATA2018, check_domain, point_message, value_at
+from .spacetime import CODATA2018, check_domain, each_distinct, point_message, value_at
 from .switch_model import (
     AmplitudeModel,
     build_input,
@@ -91,15 +91,7 @@ def _cells(column, n, cell, float_cell):
         return list(map(cell, column))
     if column is None:
         return [cell(None)] * n
-    if column.strides == (0,):
-        return [cell(column[:1].tolist()[0])] * n
-    if column.dtype == float:
-        # distinct by bit pattern, so that 0.0 and -0.0 stay apart
-        distinct, where = np.unique(column.view(np.int64), return_inverse=True)
-        distinct, cell = distinct.view(float), float_cell
-    else:
-        distinct, where = np.unique(column, return_inverse=True)
-    return np.array(list(map(cell, distinct.tolist())), dtype=object)[where].tolist()
+    return each_distinct(float_cell if column.dtype == float else cell, column, object).tolist()
 
 
 def _chunks(columns, rows):

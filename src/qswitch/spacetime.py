@@ -86,17 +86,27 @@ def check_domain(*checks):
         raise DomainError(next(point_message(c, i) for bad, c in zip(bads, checks) if bad[i]), i)
 
 
-def libm(fn, x):
-    """fn (a function of one double) at each point of x.
+def each_distinct(fn, column, dtype):
+    """fn at each point of a 1-D column, as an array of dtype, called once per
+    distinct value: floats by bit pattern (so 0.0 and -0.0 apart), other
+    dtypes by value, and a stride-0 (broadcast) column once, into a stride-0
+    result."""
+    if column.strides == (0,):
+        return np.broadcast_to(np.array(fn(column[:1].tolist()[0]), dtype), column.shape)
+    floats = column.dtype == float
+    distinct, where = np.unique(column.view(np.int64) if floats else column, return_inverse=True)
+    values = (distinct.view(float) if floats else distinct).tolist()
+    return np.array(list(map(fn, values)), dtype)[where]
 
-    numpy's vectorized power and inverse hyperbolic functions round the last
-    bit differently from the C library for some inputs (from 1 in 1,000 for
-    x**2 to 1 in 5 for asinh of large arguments), so a column would not
-    reproduce its points' single results.
-    """
+
+def libm(fn, x):
+    """fn, a C library function of one double, once per distinct value of x,
+    for what no single IEEE operation gives (squares are products x*x): asinh,
+    whose numpy form would round some points unlike their single runs (1 in 5
+    large arguments), and R^3, which pow rounds once and r*r*r twice."""
     if np.ndim(x) == 0:
         return fn(float(x))
-    return np.fromiter(map(fn, x.tolist()), float, count=x.size)
+    return each_distinct(fn, x, float)
 
 
 def sqrt(x):

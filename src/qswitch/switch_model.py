@@ -33,7 +33,7 @@ from .hilbert import (
     StateVector,
     factor_dims,
 )
-from .spacetime import check_domain
+from .spacetime import check_domain, each_distinct
 
 # target indices (photon energies e1..e5)
 E1, E2, E3, E4, E5 = range(5)
@@ -117,13 +117,13 @@ AMPLITUDES = (("c1a", "delta_1a"), ("c4a", "delta_4a"), ("c1b", "delta_1b"),
 def complement(c, phase):
     """d = exp(i phase) sqrt(1 - |c|^2), the no-absorption partner of amplitude c.
 
-    Of a column, the scalar formula once per distinct value: numpy's abs and
-    power round some inputs differently, which would change a point's bits.
+    Of a column, the scalar formula once per distinct value: numpy's complex
+    abs and exp round some inputs differently, which would change a point's bits.
     """
     if isinstance(c, np.ndarray):
-        distinct, where = np.unique(c, return_inverse=True)
-        return np.array([complement(v, phase) for v in distinct.tolist()])[where]
-    return cmath.exp(1j * phase) * math.sqrt(max(0.0, 1.0 - abs(c) ** 2))
+        return each_distinct(lambda v: complement(v, phase), c, complex)
+    modulus = abs(c)
+    return cmath.exp(1j * phase) * math.sqrt(max(0.0, 1.0 - modulus * modulus))
 
 
 @dataclass(frozen=True)

@@ -68,9 +68,7 @@ def _ascent_proper_time(radius, r_s, h, dt_v):
     cosh_a = sqrt(1.0 + a * a)
     cosh_b = sqrt(1.0 + b * b)
     w = 1.0 / (a * cosh_b + b * cosh_a)
-    cosh_sum_m1 = libm(lambda x: x**2, a + b) / (
-        1.0 + (1.0 + a * a + b * b) / (cosh_a * cosh_b + a * b)
-    )
+    cosh_sum_m1 = square / (1.0 + (1.0 + a * a + b * b) / (cosh_a * cosh_b + a * b))
     z = np.asarray(w * h / r_s)
     near = np.minimum(z, _GAP_SERIES_LIMIT)  # far entries are replaced below
     z2 = near * near

@@ -29,8 +29,8 @@ from conftest import run_qswitch
 from test_timing import oracle_ascent
 from test_trigger import steps_by_rule
 
-#: committed expected output of runs that use only correctly rounded
-#: operations (products, sums, sqrt, exp(0)), so it holds on any platform
+#: committed expected output of pinned runs; the comment on each set of
+#: pins says which math its bytes rest on
 PINS = Path(__file__).resolve().parent / "pins"
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -1012,16 +1012,23 @@ class TestOneTimeStructures:
         }
 
 
-#: runs whose stdout is pinned; they use only correctly rounded operations
-SWITCH_PINS = {
+#: runs whose stdout is pinned.  The switch runs take real amplitudes and zero
+#: phases, so every operation is a correctly rounded IEEE sum, product,
+#: quotient or square root (exp(i 0) is exactly 1 and |x + 0i| exactly |x|),
+#: and their bytes hold on any IEEE-754 platform.  The timing sweep (earth,
+#: 2 h x 3 dt_v) squares by IEEE products too and stays inside dtau_v's
+#: series, but ratio_curvature_form divides by R^3 from the C library's pow,
+#: so its bytes also rest on the libm (glibc) that wrote them.
+STDOUT_PINS = {
     "switch": (["switch"], "switch.csv"),
     "switch-sweep": (["sweep", "--config", str(PINS / "switch_sweep.cfg")], "switch_sweep.csv"),
+    "timing-sweep": (["sweep", "--config", str(PINS / "timing_sweep.cfg")], "timing_sweep.csv"),
 }
 
 
-@pytest.mark.parametrize("name", SWITCH_PINS)
+@pytest.mark.parametrize("name", STDOUT_PINS)
 def test_stdout_matches_pinned_bytes(name, capsys):
-    argv, pin = SWITCH_PINS[name]
+    argv, pin = STDOUT_PINS[name]
     assert main(argv) == 0
     assert capsys.readouterr().out == (PINS / pin).read_text()
 
@@ -1068,16 +1075,16 @@ def _other_math_path(variant):
     return {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
 
 
-#: every pin under the other OpenBLAS kernel; only the switch pins under numpy's
+#: every pin under the other OpenBLAS kernel; only the stdout pins under numpy's
 #: other dispatch levels, where the clock's np.exp and np.arccos round differently
-OTHER_MATH_PATHS = [("prescott", name) for name in [*SWITCH_PINS, *TRIGGER_PINS]] + [
-    (variant, name) for variant in ("avx2", "baseline") for name in SWITCH_PINS]
+OTHER_MATH_PATHS = [("prescott", name) for name in [*STDOUT_PINS, *TRIGGER_PINS]] + [
+    (variant, name) for variant in ("avx2", "baseline") for name in STDOUT_PINS]
 
 
 @pytest.mark.parametrize("variant, name", OTHER_MATH_PATHS)
 def test_pins_hold_on_other_math_paths(variant, name, tmp_path):
-    if name in SWITCH_PINS:
-        argv, pin = SWITCH_PINS[name]
+    if name in STDOUT_PINS:
+        argv, pin = STDOUT_PINS[name]
         trajectory_pin = None
     else:
         argv, pin = ["trigger", *TRIGGER_PINS[name]], f"trigger_{name}.csv"

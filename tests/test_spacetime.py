@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from qswitch.spacetime import (
@@ -9,6 +10,7 @@ from qswitch.spacetime import (
     PhysicalConstants,
     dilation_difference,
     dilation_factor,
+    each_distinct,
     schwarzschild_radius,
 )
 
@@ -178,3 +180,45 @@ class TestPhysicalConstants:
         k = PhysicalConstants(c=1.0, G=1.0, hbar=1.0)
         body = CentralBody(0.1, 10.0, k)
         assert body.schwarzschild_radius == pytest.approx(0.2, rel=1e-15)
+
+
+class TestEachDistinct:
+    @staticmethod
+    def counted(fn):
+        """fn, and the list of arguments it was called with."""
+        calls = []
+
+        def wrapped(value):
+            calls.append(value)
+            return fn(value)
+
+        return wrapped, calls
+
+    def test_one_call_per_distinct_value(self):
+        fn, calls = self.counted(math.asinh)
+        column = np.array([3.0, 1.5, 3.0, 7.0, 1.5, 3.0])
+        result = each_distinct(fn, column, float)
+        assert sorted(calls) == [1.5, 3.0, 7.0]
+        assert result.tobytes() == np.array([math.asinh(x) for x in column.tolist()]).tobytes()
+
+    def test_signed_zeros_get_separate_calls(self):
+        fn, calls = self.counted(lambda x: math.copysign(1.0, x))
+        result = each_distinct(fn, np.array([0.0, -0.0, 0.0, -0.0]), float)
+        assert len(calls) == 2
+        assert result.tolist() == [1.0, -1.0, 1.0, -1.0]
+
+    def test_stride_zero_column_makes_one_call(self):
+        fn, calls = self.counted(math.asinh)
+        column = np.broadcast_to(np.array(2.0), (5,))
+        result = each_distinct(fn, column, float)
+        assert result.tolist() == [math.asinh(2.0)] * 5
+        assert calls == [2.0]
+        assert result.strides == (0,)  # the broadcast value, not a copy per point
+
+    @pytest.mark.parametrize("column", [np.array([True, False, True, True]),
+                                        np.array(["b", "a", "b", "a"])])
+    def test_other_dtypes_keyed_by_value(self, column):
+        fn, calls = self.counted(repr)
+        result = each_distinct(fn, column, object)
+        assert sorted(calls) == sorted(set(column.tolist()))
+        assert result.tolist() == [repr(v) for v in column.tolist()]

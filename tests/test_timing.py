@@ -5,6 +5,8 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from qswitch import cli
+from qswitch.config import parse_config
 from qswitch.spacetime import (
     CODATA2018,
     CentralBody,
@@ -141,6 +143,21 @@ class TestProperTime:
         with pytest.raises(DomainError, match=re.escape(text)) as caught:
             ascent(body, 1.0, 1.0).dtau_v
         assert caught.value.index == 1
+
+
+    def test_ascent_squares_a_plus_b_as_an_ieee_product(self, earth):
+        # glibc's pow(x, 2) rounds (a + b)^2 here one ulp away from x*x, which
+        # gave dtau_v ...273; a single run and a sweep column both keep x*x
+        solution = solve_matching(earth, 2.859, 0.3e-6)
+        dt_v = 0.5 * solution.ratio_exact * solution.dt_c
+        expected = 1.6016703792242268
+        assert float(solution.schedule(dt_v).dtau_v) == expected
+        text = f"[body]\npreset = earth\n[protocol]\nh = 2.859\ndt_v = {dt_v!r}\n"
+        row, _ = cli.compute_timing(parse_config(text, CODATA2018), CODATA2018)
+        assert row["dtau_v"] == expected
+        sweep = text + "[sweep]\ntarget = timing\nparameter = h\nmin = 2.859\nmax = 2.9\ncount = 3\n"
+        _, rows, _ = cli.compute_sweep(parse_config(sweep, CODATA2018), CODATA2018)
+        assert list(rows)[0]["dtau_v"] == expected
 
 
 class TestProperTimeDifference:
