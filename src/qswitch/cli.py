@@ -32,7 +32,7 @@ from .config import (
     with_sweep_value,
 )
 from .hilbert import DUMP_CUTOFF
-from .spacetime import CODATA2018, check_domain, each_distinct, point_message, value_at
+from .spacetime import CODATA2018, broadcast_checks, check_domain, each_distinct, point_failures
 from .switch_model import (
     AmplitudeModel,
     build_input,
@@ -250,26 +250,12 @@ def _timing_columns(config, constants):
     return columns, checks
 
 
-def _warned(checks, n):
-    """Which of n points fail any of the warning checks."""
-    hit = np.zeros(n, dtype=bool)
-    for check in checks:
-        hit |= check[0]
-    return hit
-
-
-def _point_warnings(checks, n):
-    """(point, its warning messages) for each of n points that has any."""
-    return [(i, [point_message(check, i) for check in checks if value_at(check[0], i)])
-            for i in np.flatnonzero(_warned(checks, n)).tolist()]
-
-
 def compute_timing(config, constants):
     """One point's row and warnings: a batch of one through the sweep's columns."""
     columns, checks = _timing_columns(config, constants)
     row = {name: value.item() if isinstance(value, (np.ndarray, np.generic)) else value
            for name, value in columns.items()}
-    warnings = [message for _, messages in _point_warnings(checks, 1) for message in messages]
+    warnings = [message for _, messages in point_failures(checks, 1) for message in messages]
     row["warnings"] = "; ".join(warnings)
     return row, warnings
 
@@ -529,18 +515,18 @@ def compute_sweep(config, constants):
 
     warned = False
     for lo, hi in spans:
-        warned |= _warned(_checked(compute, lo, hi, name_of)[1], hi - lo).any()
+        warned |= broadcast_checks(_checked(compute, lo, hi, name_of)[1], hi - lo)[1].any()
 
     def warnings():
         for lo, hi in spans:
             chunk, checks = compute(lo, hi)
-            for i, messages in _point_warnings(checks, hi - lo):
+            for i, messages in point_failures(checks, hi - lo):
                 yield from (f"{point_name(chunk, i)}: {message}" for message in messages)
 
     def rows(lo, hi):
         chunk, checks = compute(lo, hi)
         texts = [""] * (hi - lo)
-        for i, messages in _point_warnings(checks, hi - lo):
+        for i, messages in point_failures(checks, hi - lo):
             texts[i] = "; ".join(messages)
         chunk["warnings"] = np.array(texts)
         return chunk

@@ -106,6 +106,8 @@ def _range_fault(parameter, lo, hi, count, scale):
                 return key, "log sweeps need positive bounds"
         if not 0 < hi / lo < math.inf:
             return "max", f"log sweep max/min = {hi / lo:g} leaves the float range"
+    elif not math.isfinite(hi - lo):
+        return "max", f"linear sweep max - min = {hi - lo:g} leaves the float range"
     return None
 
 
@@ -221,7 +223,8 @@ _KEYS = {name: {f.name: _READERS[f.type] for f in fields(cls)} for name, cls in 
 #: the section that declares each key; no key is declared by two sections
 SECTION_OF = {key: name for name, keys in _KEYS.items() for key in keys}
 
-_RANGE_KEYS = ("parameter", "min", "max", "count", "scale")
+#: [sweep] range key -> its reader, None for text; a second range's keys end in "2"
+_RANGE_KEYS = dict(parameter=None, min=_parse_float, max=_parse_float, count=_parse_int, scale=None)
 
 
 def _lines(text, sections, fold_case):
@@ -286,7 +289,8 @@ def parse_config(text, constants, config=None):
                 raise ConfigError(f"{where}: sweep target must be 'timing' or 'switch'")
             config.sweep.target = value
         elif section == "sweep" and key.removesuffix("2") in _RANGE_KEYS:
-            sweep_parts[key] = (value, where)
+            read = _RANGE_KEYS[key.removesuffix("2")]
+            sweep_parts[key] = (read(value, where) if read else value, where)
         else:
             raise ConfigError(f"{where}: unknown [{section}] key {key!r}")
 
@@ -300,8 +304,7 @@ def parse_config(text, constants, config=None):
         for key in ("min", "max", "count"):
             if parts[key] is None:
                 raise ConfigError(f"{parts['parameter'][1]}: sweep {key}{suffix} is required")
-        bounds = (parts["parameter"][0], _parse_float(*parts["min"]),
-                  _parse_float(*parts["max"]), _parse_int(*parts["count"]),
+        bounds = (parts["parameter"][0], parts["min"][0], parts["max"][0], parts["count"][0],
                   parts["scale"][0] if parts["scale"] else "linear")
         fault = _range_fault(*bounds)
         if fault is not None:

@@ -79,11 +79,24 @@ def check_domain(*checks):
             if check[0]:
                 raise DomainError(point_message(check, 0))
         return
-    bads = np.broadcast_arrays(*(np.asarray(check[0]) for check in checks))
-    hit = np.logical_or.reduce(bads)
-    if hit.any():
-        i = int(np.argmax(hit))
-        raise DomainError(next(point_message(c, i) for bad, c in zip(bads, checks) if bad[i]), i)
+    for i, messages in point_failures(checks, len(bad)):
+        raise DomainError(messages[0], i)
+
+
+def broadcast_checks(checks, n):
+    """Each check's `bad` as a row over n points, and the points failing any."""
+    bads = np.empty((len(checks), n), dtype=bool)
+    for k, check in enumerate(checks):
+        bads[k] = check[0]
+    return bads, np.logical_or.reduce(bads)
+
+
+def point_failures(checks, n):
+    """(point, the messages of the checks it fails, in check order) of each of
+    n points that fails any, made as they are read; a scalar check covers all n."""
+    bads, hit = broadcast_checks(checks, n)
+    for i in np.flatnonzero(hit).tolist():
+        yield i, [point_message(c, i) for bad, c in zip(bads, checks) if bad[i]]
 
 
 def each_distinct(fn, column, dtype):

@@ -258,9 +258,16 @@ class TestSweepRanges:
         # a repeated key is rejected before the orphan is found
         ("max2 = 4\ncount2 = 3\nparameter = h\nmin = 1\nmax = 2\ncount = 3\nmax2 = 5\n", 11,
          "key 'max2' repeats line 5"),
+        # once sweep_dt_v=nan at a point: max - min = 2e308 is past the float range
+        ("parameter = dt_v\nmin = -1e308\nmax = 1e308\ncount = 3\n", 7,
+         "linear sweep max - min = inf leaves the float range"),
+        # a malformed value is rejected at its line, before an error on a later line
+        ("parameter = h\nmin = abc\nmax = 2\ncount = 3\nbogus = 1\n", 6,
+         "cannot parse number 'abc'"),
     ], ids=["scale", "scale count 1", "count 0", "log min 0", "log max < 0 count 1",
             "log max/min past the range", "log max/min below the range", "not sweepable", "scale2", "grid", "grid count2", "grid count2 first",
-            "orphan min2", "orphan scale", "orphan after a repeated key"])
+            "orphan min2", "orphan scale", "orphan after a repeated key",
+            "linear max - min past the range", "bad min before a later unknown key"])
     def test_bad_range_reports_its_line(self, lines, line, message):
         with pytest.raises(ConfigError, match=f"^line {line}: {re.escape(message)}$"):
             parse_config(SWEEP_HEAD + lines, CODATA2018)
@@ -277,6 +284,7 @@ class TestSweepRanges:
         (("h", -1.0, 2.0, 1, "log"), "log sweeps need positive bounds"),
         (("scenario", 1.0, 2.0, 3, "linear"), "not sweepable"),
         (("mass", 1e-300, 1e24, 3, "log"), "log sweep max/min = inf"),
+        (("h", -1e308, 1e308, 3, "linear"), "linear sweep max - min = inf"),
     ])
     def test_bad_range_built_directly(self, args, message):
         with pytest.raises(ConfigError, match=message):

@@ -7,10 +7,13 @@ import pytest
 from qswitch.spacetime import (
     CODATA2018,
     CentralBody,
+    DomainError,
     PhysicalConstants,
+    check_domain,
     dilation_difference,
     dilation_factor,
     each_distinct,
+    point_failures,
     schwarzschild_radius,
 )
 
@@ -222,3 +225,55 @@ class TestEachDistinct:
         result = each_distinct(fn, column, object)
         assert sorted(calls) == sorted(set(column.tolist()))
         assert result.tolist() == [repr(v) for v in column.tolist()]
+
+
+class TestPointFailures:
+    """point_failures: each failing point of n with its checks' messages."""
+
+    X = np.array([1.0, -2.0, 3.0, -4.0])
+
+    def test_scalar_checks(self):
+        checks = [(False, "never"), (True, "always {}", 7.5)]
+        assert list(point_failures(checks, 1)) == [(0, ["always 7.5"])]
+        assert list(point_failures([(False, "never")], 1)) == []
+
+    def test_column_checks(self):
+        checks = [(self.X < 0, "negative {}", self.X), (self.X > 2, "large {}", self.X)]
+        assert list(point_failures(checks, 4)) == [
+            (1, ["negative -2.0"]), (2, ["large 3.0"]), (3, ["negative -4.0"])]
+
+    def test_mixed_checks(self):
+        checks = [(self.X < 0, "negative {} of {}", self.X, 4), (False, "never")]
+        assert list(point_failures(checks, 4)) == [(1, ["negative -2.0 of 4"]),
+                                                   (3, ["negative -4.0 of 4"])]
+
+    def test_scalar_true_covers_every_point(self):
+        checks = [(self.X > 2, "large {}", self.X), (True, "unchecked")]
+        assert list(point_failures(checks, 4)) == [
+            (0, ["unchecked"]), (1, ["unchecked"]), (2, ["large 3.0", "unchecked"]),
+            (3, ["unchecked"])]
+
+    def test_zero_d_numpy_booleans_at_one_point(self):
+        x = np.float64(-1.0)
+        checks = [(np.logical_not(x > 0), "not positive {}", x), (np.bool_(False), "never")]
+        assert list(point_failures(checks, 1)) == [(0, ["not positive -1.0"])]
+
+    def test_messages_in_check_order(self):
+        checks = [(self.X < 5, "first {}", self.X), (True, "second"),
+                  (self.X != 0, "third {}", self.X)]
+        assert [messages for _, messages in point_failures(checks, 4)] == [
+            [f"first {x}", "second", f"third {x}"] for x in self.X.tolist()]
+
+    @pytest.mark.parametrize("checks, index, message", [
+        ([(X > 2, "large {}", X), (X < 0, "negative {}", X)], 1, "negative -2.0"),
+        ([(X < 0, "negative {}", X), (X > 0, "positive {}", X)], 0, "positive 1.0"),
+        ([(X < 0, "negative {}", X), (True, "always")], 0, "always"),
+        ([(np.bool_(True), "always"), (X < 0, "negative {}", X)], 0, "always"),
+        ([(X > 0, "positive {}", X), (X > 2, "large {}", X)], 0, "positive 1.0"),
+    ])
+    def test_first_failure_is_what_check_domain_raises(self, checks, index, message):
+        i, messages = next(point_failures(checks, len(self.X)))
+        assert (i, messages[0]) == (index, message)
+        with pytest.raises(DomainError) as caught:
+            check_domain(*checks)
+        assert (caught.value.index, str(caught.value)) == (index, message)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qswitch import cli
+from qswitch import cli, spacetime
 from qswitch.config import SWEEPABLE, ConfigError, parse_config, with_sweep_value
 from qswitch.spacetime import CODATA2018
 
@@ -289,8 +289,8 @@ def test_check_pass_formats_no_warning(monkeypatch):
         calls.append(i)
         return message(check, i)
 
-    message = cli.point_message
-    monkeypatch.setattr(cli, "point_message", counted)
+    message = spacetime.point_message
+    monkeypatch.setattr(spacetime, "point_message", counted)
     text = sweep_text(BASES[3], "timing", [("h", 0.5, 5.0, 4, "log"), ("dt_v", 0.0, 0.5, 3, "linear")])
     with chunk_rows(5):
         _, rows, warnings = cli.compute_sweep(parse_config(text, CODATA2018), CODATA2018)

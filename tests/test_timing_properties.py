@@ -2,7 +2,6 @@
 
 import math
 
-import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
