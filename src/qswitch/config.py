@@ -83,13 +83,18 @@ class SweepRange:
             raise ConfigError(fault[1])
 
     def values(self):
-        if self.count == 1:
-            return [self.lo]
-        if self.scale == "log":
-            ratio = math.log(self.hi / self.lo) / (self.count - 1)
-            return [self.lo * math.exp(ratio * i) for i in range(self.count)]
-        step = (self.hi - self.lo) / (self.count - 1)
-        return [self.lo + step * i for i in range(self.count)]
+        return _points(self.lo, self.hi, self.count, self.scale, range(self.count))
+
+
+def _points(lo, hi, count, scale, indices):
+    """The points of a range at `indices`."""
+    if count == 1:
+        return [lo for _ in indices]
+    if scale == "log":
+        ratio = math.log(hi / lo) / (count - 1)
+        return [lo * math.exp(ratio * i) for i in indices]
+    step = (hi - lo) / (count - 1)
+    return [lo + step * i for i in indices]
 
 
 def _range_fault(parameter, lo, hi, count, scale):
@@ -108,6 +113,12 @@ def _range_fault(parameter, lo, hi, count, scale):
             return "max", f"log sweep max/min = {hi / lo:g} leaves the float range"
     elif not math.isfinite(hi - lo):
         return "max", f"linear sweep max - min = {hi - lo:g} leaves the float range"
+    try:
+        (last,) = _points(lo, hi, count, scale, [count - 1])
+    except OverflowError:  # math.exp past the float range
+        last = math.inf
+    if not math.isfinite(last):
+        return "max", f"{scale} sweep last point = {last:g} leaves the float range"
     return None
 
 
@@ -308,8 +319,7 @@ def parse_config(text, constants, config=None):
                   parts["scale"][0] if parts["scale"] else "linear")
         fault = _range_fault(*bounds)
         if fault is not None:
-            key, message = fault
-            raise ConfigError(f"{parts[key][1]}: {message}")
+            raise ConfigError(f"{parts[fault[0]][1]}: {fault[1]}")
         config.sweep.ranges.append(SweepRange(*bounds))
         total = math.prod(rng.count for rng in config.sweep.ranges)
         if total > MAX_SWEEP_POINTS:

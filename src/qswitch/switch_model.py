@@ -52,54 +52,49 @@ NORMALIZATION_ATOL = 1e-9
 
 @dataclass(frozen=True)
 class Absorption:
-    """One absorb-and-decay channel: photon_in -> photon_out, agent -> level_out."""
+    """One absorb-and-decay channel: photon out, agent level out, its amplitude's name."""
 
-    photon_in: int
     photon_out: int
     level_out: int
+    amplitude: str
 
 
 @dataclass(frozen=True)
-class EnergyLevelMap:
-    """Level diagram of the two agents as absorption channels.
+class Agent:
+    """One agent: its level and witness-detector factors, its ready and rest
+    levels, its absorption channels by photon in, and the amplitude `double`
+    with which, acting second, it absorbs the other agent's e1 re-emission."""
 
-    Agents start in their ready level; any photon not listed in the
-    absorption table leaves the agent to fall to its rest level while the
-    matching witness detector flips.
-    """
-
-    ready_a: int
-    rest_a: int
-    absorb_a: dict
-    ready_b: int
-    rest_b: int
-    absorb_b: dict
+    factor: str
+    detector: str
+    ready: int
+    rest: int
+    absorb: dict
+    double: str
 
 
-ENERGY_LEVELS = EnergyLevelMap(
-    ready_a=A1,
-    rest_a=A5,
-    absorb_a={
-        E1: Absorption(E1, E2, A3),  # A1 -e1-> A2, decays to A3 emitting e2
-        E4: Absorption(E4, E5, A5),  # A1 -e4-> A4, decays to A5 emitting e5
-    },
-    ready_b=B1,
-    rest_b=B5,
-    absorb_b={
-        E1: Absorption(E1, E4, B3),  # B1 -e1-> B2, decays to B3 emitting e4
-        E2: Absorption(E2, E3, B5),  # B1 -e2-> B4, decays to B5 emitting e3
-    },
-)
+#: the two agents by the letter ORDERS and interaction() use
+ENERGY_LEVELS = {
+    "a": Agent("agentA", "detA", ready=A1, rest=A5, double="f_ab", absorb={
+        E1: Absorption(E2, A3, "c1a"),  # A1 -e1-> A2, decays to A3 emitting e2
+        E4: Absorption(E5, A5, "c4a"),  # A1 -e4-> A4, decays to A5 emitting e5
+    }),
+    "b": Agent("agentB", "detB", ready=B1, rest=B5, double="f_ba", absorb={
+        E1: Absorption(E4, B3, "c1b"),  # B1 -e1-> B2, decays to B3 emitting e4
+        E2: Absorption(E3, B5, "c2b"),  # B1 -e2-> B4, decays to B5 emitting e3
+    }),
+}
 
 #: (path, agentA, agentB) of the doubly scattered early (A's e1, then B's e2
 #: channel) and late (B's e1, then A's e4) branches the "agents" readout mixes
 DIAGONAL_BRANCHES = (
-    (PATH_EARLY, ENERGY_LEVELS.absorb_a[E1].level_out, ENERGY_LEVELS.absorb_b[E2].level_out),
-    (PATH_LATE, ENERGY_LEVELS.absorb_a[E4].level_out, ENERGY_LEVELS.absorb_b[E1].level_out),
+    (PATH_EARLY, ENERGY_LEVELS["a"].absorb[E1].level_out, ENERGY_LEVELS["b"].absorb[E2].level_out),
+    (PATH_LATE, ENERGY_LEVELS["a"].absorb[E4].level_out, ENERGY_LEVELS["b"].absorb[E1].level_out),
 )
 
-#: amplitudes an interaction entry can carry; "1" is the witness emission
-#: for a photon outside the agent's absorption table
+#: amplitudes an interaction entry can carry: "1", the witness emission for a
+#: photon outside the agent's absorption table, then the scattering amplitudes
+#: and their complements, each in AMPLITUDES' order
 COEFFICIENTS = ("1", "c1a", "c4a", "c1b", "c2b", "f_ba", "f_ab",
                 "d1a", "d4a", "d1b", "d2b", "g_ba", "g_ab")
 
@@ -183,36 +178,25 @@ class AmplitudeModel:
         return columns.T
 
 
-def _index(name):
-    """Position of a name in COEFFICIENTS; the complement of a photon outside
-    the agent's absorption table ("d3a") is not there: it is exactly 1."""
-    return COEFFICIENTS.index(name) if name in COEFFICIENTS else 0
-
-
 def _compile_interaction(agent, context):
     """(factors, triples) of one agent's operator; see :func:`interaction`."""
-    other = "b" if agent == "a" else "a"
-    own, det, outside = f"agent{agent.upper()}", f"det{agent.upper()}", f"agent{other.upper()}"
-    lv = ENERGY_LEVELS
-    ready, rest, absorb = (getattr(lv, f"{key}_{agent}") for key in ("ready", "rest", "absorb"))
-    if context == "first":
-        factors, prefixes, marker = (own, "target", det), [()], None
-    else:
-        factors = (outside, own, "target", det)
-        prefixes = [(level,) for level in range(FACTOR_DIMS[outside])]
-        first = getattr(lv, f"absorb_{other}")[E1]
-        marker = ((first.level_out,), first.photon_out)
+    me, them = ENERGY_LEVELS[agent], ENERGY_LEVELS["b" if agent == "a" else "a"]
+    factors, prefixes, marker = (me.factor, "target", me.detector), [()], None
+    if context != "first":
+        factors = (them.factor, *factors)
+        prefixes = [(level,) for level in range(FACTOR_DIMS[them.factor])]
+        marker = ((them.absorb[E1].level_out,), them.absorb[E1].photon_out)
     triples = []
     for prefix in prefixes:
         for photon in range(FACTOR_DIMS["target"]):
-            src = prefix + (ready, photon, 0)
-            c, d = f"c{photon + 1}{agent}", f"d{photon + 1}{agent}"
-            if (prefix, photon) == marker:
-                c, d = f"f_{agent}{other}", f"g_{agent}{other}"
-            if photon in absorb:
-                ch = absorb[photon]
-                triples.append((src, prefix + (ch.level_out, ch.photon_out, 0), _index(c)))
-            triples.append((src, prefix + (rest, photon, 1), _index(d)))
+            src, witness = prefix + (me.ready, photon, 0), prefix + (me.rest, photon, 1)
+            if photon not in me.absorb:  # the witness emission, amplitude "1"
+                triples.append((src, witness, 0))
+                continue
+            ch = me.absorb[photon]
+            k = COEFFICIENTS.index(me.double if (prefix, photon) == marker else ch.amplitude)
+            triples.append((src, prefix + (ch.level_out, ch.photon_out, 0), k))
+            triples.append((src, witness, k + len(AMPLITUDES)))  # its complement
     return factors, tuple(triples)
 
 
@@ -366,12 +350,12 @@ def build_input(alphas):
     total = float(np.vdot(alphas, alphas).real)
     if not abs(total - 1.0) <= NORMALIZATION_ATOL:
         raise ValueError(f"target amplitudes must be normalized, got |alpha|^2={total!r}")
-    lv = ENERGY_LEVELS
+    a, b = ENERGY_LEVELS["a"], ENERGY_LEVELS["b"]
     amps = np.zeros(factor_dims(SWITCH_FACTORS), dtype=complex)
     for path in (PATH_EARLY, PATH_LATE):
         for photon, amp in enumerate(alphas):
             if amp != 0.0:
-                amps[path, lv.ready_a, lv.ready_b, photon, 0, 0] = amp / math.sqrt(2.0)
+                amps[path, a.ready, b.ready, photon, 0, 0] = amp / math.sqrt(2.0)
     return StateVector(SWITCH_FACTORS, amps)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import platform
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +216,7 @@ class TestConfigParsing:
 
 
 SWEEP_HEAD = "[body]\npreset = earth\n[sweep]\ntarget = timing\n"
+MAX_DOUBLE = sys.float_info.max
 
 
 class TestSweepRanges:
@@ -264,10 +266,24 @@ class TestSweepRanges:
         # a malformed value is rejected at its line, before an error on a later line
         ("parameter = h\nmin = abc\nmax = 2\ncount = 3\nbogus = 1\n", 6,
          "cannot parse number 'abc'"),
+        ("parameter = h\nmin = 1\nmax = 2\ncount = 2.5\n", 8, "cannot parse integer '2.5'"),
+        # once sweep_eps=inf at a point: max - min is finite, min + 3 (max - min)/3 is not
+        ("parameter = eps\nmin = 1e-19\nmax = 1.7976931348623157e308\ncount = 4\n", 7,
+         "linear sweep last point = inf leaves the float range"),
+        ("parameter = h\nmin = -1.7976931348623157e308\nmax = 0\ncount = 4\n", 7,
+         "linear sweep last point = inf leaves the float range"),
+        ("parameter = h\nmin = 1e300\nmax = 1.7976931348623157e308\ncount = 7\nscale = log\n", 7,
+         "log sweep last point = inf leaves the float range"),
+        # once an OverflowError traceback from math.exp
+        ("parameter = h\nmin = 1\nmax = 1.7976931348623157e308\ncount = 12\nscale = log\n", 7,
+         "log sweep last point = inf leaves the float range"),
     ], ids=["scale", "scale count 1", "count 0", "log min 0", "log max < 0 count 1",
             "log max/min past the range", "log max/min below the range", "not sweepable", "scale2", "grid", "grid count2", "grid count2 first",
             "orphan min2", "orphan scale", "orphan after a repeated key",
-            "linear max - min past the range", "bad min before a later unknown key"])
+            "linear max - min past the range", "bad min before a later unknown key",
+            "count not an integer", "linear last point past the range",
+            "negative linear last point past the range", "log last point past the range",
+            "log last point past math.exp"])
     def test_bad_range_reports_its_line(self, lines, line, message):
         with pytest.raises(ConfigError, match=f"^line {line}: {re.escape(message)}$"):
             parse_config(SWEEP_HEAD + lines, CODATA2018)
@@ -285,6 +301,10 @@ class TestSweepRanges:
         (("scenario", 1.0, 2.0, 3, "linear"), "not sweepable"),
         (("mass", 1e-300, 1e24, 3, "log"), "log sweep max/min = inf"),
         (("h", -1e308, 1e308, 3, "linear"), "linear sweep max - min = inf"),
+        (("h", 0.0, MAX_DOUBLE, 4, "linear"), "linear sweep last point = inf"),
+        (("h", -MAX_DOUBLE, 0.0, 4, "linear"), "linear sweep last point = inf"),
+        (("h", 1e300, MAX_DOUBLE, 7, "log"), "log sweep last point = inf"),
+        (("h", 1.0, MAX_DOUBLE, 12, "log"), "log sweep last point = inf"),
     ])
     def test_bad_range_built_directly(self, args, message):
         with pytest.raises(ConfigError, match=message):
@@ -553,9 +573,17 @@ class TestCliCommands:
         # once a numpy RuntimeWarning and exit 0 with inf and nan cells
         ("timing", OVERFLOWS["t4"], "t4 = 2 dt_v + dt_s + dt_c overflows at dt_v=1e+308 s, "
          "dt_s=1.7e+308 s, dt_c=1.00069e-15 s"),
+        # input that names no run
+        ("timing", "[body\n", "line 1: malformed section header '[body'"),
+        ("sweep", "[sweep]\ntarget = clock\n", "line 2: sweep target must be 'timing' or 'switch'"),
+        ("switch", "[switch]\nc1a = 1+\n", "line 2: cannot parse complex value '1+'"),
+        ("sweep", "[body]\npreset = earth\n", "sweep needs one or two parameter ranges"),
+        ("timing", "[body]\nmass = 5.9722e24\nradius = 6.371e6\n",
+         "protocol h and d are required for timing"),
     ], ids=["trigger-hbar", "trigger-m", "trigger-delta", "trigger-epsilon", "timing-mass",
             "timing-radius", "timing-h", "timing-cube", "timing-small-mass", "timing-flight",
-            *(f"timing-{name}" for name in OVERFLOWS)])
+            *(f"timing-{name}" for name in OVERFLOWS), "timing-header", "sweep-target",
+            "switch-complex", "sweep-no-range", "timing-no-h"])
     def test_derived_quantity_out_of_range_exits_2(self, tmp_path, capsys, command, text,
                                                       message):
         cfg = tmp_path / "extreme.cfg"
@@ -687,6 +715,43 @@ class TestCliCommands:
         taus = [float(line.split(",")[0]) for line in trajectory.splitlines()[1:]]
         assert (cells["n_points"], int(cells["n_steps"]), float(cells["dt_max"])) == (
             "256", steps_by_rule(params, grid, taus), grid.dt_max)
+
+    @staticmethod
+    def _unit_clock(tmp_path, capsys, lines, *flags):
+        """(exit code, row cells, stderr) of an in-process trigger run of a
+        clock with m = omega = hbar = 1 and the given [trigger] lines."""
+        cfg = tmp_path / "clock.cfg"
+        cfg.write_text("[trigger]\nm = 1.0\nomega = 1.0\nhbar = 1.0\n" + lines)
+        code, out, err = run_main(["trigger", "--config", str(cfg), *flags], capsys)
+        return code, dict(zip(*(line.split(",") for line in out.splitlines()))), err
+
+    def test_free_motion_deviation_only_at_rest(self, tmp_path, capsys):
+        # released at rest, the clock's mean follows A cos(omega tau) within
+        # acceptance criterion 11's 1e-6 of A
+        code, cells, _ = self._unit_clock(tmp_path, capsys,
+                                          "delta = 14.0\nv0 = 0.0\namplitude = 20.0\n")
+        assert code == 0
+        assert 0.0 <= float(cells["free_motion_max_dev"]) < 1e-6
+        # a moving clock has no free-motion reference: the cell is empty
+        code, cells, _ = self._unit_clock(tmp_path, capsys,
+                                          "delta = 10.0\nv0 = 15.707963267948966\n")
+        assert code == 0 and cells["free_motion_max_dev"] == ""
+
+    def test_failed_numeric_condition_warns(self, tmp_path, capsys):
+        code, cells, err = self._unit_clock(tmp_path, capsys, "delta = 3.0\nv0 = 3.0\n")
+        assert code == 0
+        assert cells["numeric_passed"] == "false"
+        assert cells["warnings"].endswith("; numeric trigger condition failed")
+        assert err.endswith("warning: numeric trigger condition failed\n")
+        code, cells, err = self._unit_clock(tmp_path, capsys, "delta = 3.0\nv0 = 3.0\n",
+                                            "--strict")
+        assert code == 1 and cells["numeric_passed"] == "false"
+        assert err.endswith("warning: numeric trigger condition failed\n")
+
+    def test_oversized_clock_grid_rejected(self, tmp_path, capsys):
+        assert self._unit_clock(tmp_path, capsys,
+                                "delta = 6.283185307179586e-6\nv0 = 2.5e11\n") == (
+            2, {}, "error: the clock grid needs 1.86e+06 points, more than 1048576\n")
 
     def test_explicit_schedule_with_zero_tau_star_rejected(self, tmp_path):
         cfg = tmp_path / "zero.cfg"

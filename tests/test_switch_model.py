@@ -108,8 +108,7 @@ def _stage_matrix(model, agent, second):
     second, it meets the photon the other agent re-emitted from its e1
     absorption with the double-scattering pair (f, g) instead.
     """
-    lv = ENERGY_LEVELS
-    other = "b" if agent == "a" else "a"
+    me, them = ENERGY_LEVELS[agent], ENERGY_LEVELS["b" if agent == "a" else "a"]
     fresh = {
         "a": {E1: (model.c1a, _complement(model.c1a, model.delta_1a)),
               E4: (model.c4a, _complement(model.c4a, model.delta_4a))},
@@ -119,9 +118,8 @@ def _stage_matrix(model, agent, second):
     double = {"a": (model.f_ab, _complement(model.f_ab, model.gamma_ab)),
               "b": (model.f_ba, _complement(model.f_ba, model.gamma_ba))}[agent]
     own, det, outside, target = (SWITCH_FACTORS.index(name) for name in (
-        f"agent{agent.upper()}", f"det{agent.upper()}", f"agent{other.upper()}", "target"))
-    ready, rest, absorb = (getattr(lv, f"{key}_{agent}") for key in ("ready", "rest", "absorb"))
-    marker = getattr(lv, f"absorb_{other}")[E1]
+        me.factor, me.detector, them.factor, "target"))
+    ready, rest, absorb, marker = me.ready, me.rest, me.absorb, them.absorb[E1]
     matrix = np.zeros((math.prod(DIMS),) * 2, dtype=complex)
 
     def add(src, changes, amp):
@@ -158,22 +156,24 @@ def dense_oracle_state(alphas, model):
 
 class TestEnergyLevelMap:
     def test_agent_a_channels(self):
-        assert ENERGY_LEVELS.absorb_a[E1].photon_out == E2
-        assert ENERGY_LEVELS.absorb_a[E1].level_out == A3
-        assert ENERGY_LEVELS.absorb_a[E4].photon_out == E5
-        assert ENERGY_LEVELS.absorb_a[E4].level_out == A5
-        assert set(ENERGY_LEVELS.absorb_a) == {E1, E4}
+        absorb = ENERGY_LEVELS["a"].absorb
+        assert absorb[E1].photon_out == E2
+        assert absorb[E1].level_out == A3
+        assert absorb[E4].photon_out == E5
+        assert absorb[E4].level_out == A5
+        assert set(absorb) == {E1, E4}
 
     def test_agent_b_channels(self):
-        assert ENERGY_LEVELS.absorb_b[E1].photon_out == E4
-        assert ENERGY_LEVELS.absorb_b[E1].level_out == B3
-        assert ENERGY_LEVELS.absorb_b[E2].photon_out == E3
-        assert ENERGY_LEVELS.absorb_b[E2].level_out == B5
-        assert set(ENERGY_LEVELS.absorb_b) == {E1, E2}
+        absorb = ENERGY_LEVELS["b"].absorb
+        assert absorb[E1].photon_out == E4
+        assert absorb[E1].level_out == B3
+        assert absorb[E2].photon_out == E3
+        assert absorb[E2].level_out == B5
+        assert set(absorb) == {E1, E2}
 
     def test_rest_levels(self):
-        assert ENERGY_LEVELS.rest_a == A5
-        assert ENERGY_LEVELS.rest_b == B5
+        assert ENERGY_LEVELS["a"].rest == A5
+        assert ENERGY_LEVELS["b"].rest == B5
 
 
 class TestAmplitudeModel:
@@ -188,7 +188,7 @@ class TestAmplitudeModel:
 
     def test_off_channel_complements_are_unity(self):
         for agent, context in (("a", "first"), ("b", "first"), ("a", "after_b"), ("b", "after_a")):
-            absorb = getattr(ENERGY_LEVELS, f"absorb_{agent}")
+            absorb = ENERGY_LEVELS[agent].absorb
             _, triples = interaction(agent, context)
             for src, dst, k in triples:
                 if src[-2] not in absorb:

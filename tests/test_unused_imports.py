@@ -2,7 +2,8 @@
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree: a name bound by an import must be read somewhere in the
-module.  The package's __init__.py is exempt, since its imports are its
+module.  The package's modules, the tests and the benchmark's modules
+are read; the package's __init__.py is exempt, since its imports are its
 public re-exports, as are `from __future__` imports.
 """
 
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted([*(ROOT / "src" / "qswitch").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+MODULES = sorted(path for folder in ("src/qswitch", "tests", "bench")
+                 for path in (ROOT / folder).glob("*.py"))
 
 
 def unused_imports(source):
