@@ -11,6 +11,7 @@ dumps, trajectory samples, a readable report).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -83,15 +84,89 @@ def _json_cell(value):
     return json.dumps(value)
 
 
-def _cells(column, n, cell, float_cell):
+def _cells(column, n, cell, float_cells=None):
     """The n cells of a column: a tuple of values, or a numpy column whose
     values are each formatted once however often they repeat (floats by
-    float_cell)."""
+    float_cells, which takes them as one array, where given)."""
     if isinstance(column, tuple):
         return list(map(cell, column))
     if column is None:
         return [cell(None)] * n
-    return each_distinct(float_cell if column.dtype == float else cell, column, object).tolist()
+    if float_cells is None or column.dtype != float:
+        return each_distinct(lambda values: list(map(cell, values.tolist())), column, object).tolist()
+    return each_distinct(float_cells, column, object).tolist()
+
+
+#: arrays shorter than this go to Python's "%.17g", faster below about 200 values
+VECTOR_MIN = 200
+_POWERS = range(-300, 301)  # the s of each 10**s that _format_17g scales by
+
+
+@cache  # built on the first call, not at import, and kept for the process
+def _digit_tables():
+    """10**s = hi + lo for each s in _POWERS (each rounded correctly from integers),
+    the text of 0000..9999, and the characters to print of each layout."""
+    ratios = [(10**s, 1) if s >= 0 else (1, 10**-s) for s in _POWERS]
+    his = [num / den for num, den in ratios]
+    los = [(num * d - n * den) / (den * d)
+           for (num, den), (n, d) in zip(ratios, map(float.as_integer_ratio, his))]
+    # a row indexes a value's 28 characters: 0-2 "000", 3-19 its digits, 20 the
+    # exponent's sign, 21-23 its digits, 24-26 "e-." and 27 none; one row per
+    # sign, exponent e from -4 (17, 18: scientific with 2, 3 exponent digits)
+    # and count k of digits kept
+    digits, rows = list(range(3, 20)), []
+    for sign, e, k in itertools.product(([], [25]), range(-4, 19), range(1, 18)):
+        whole, part, tail = ((digits[:1], digits[1:k], [24, 20] + [21, 22, 23][18 - e:]) if e > 16
+                             else ([0], [0] * (-1 - e) + digits[:k], []) if e < 0
+                             else (digits[:e + 1], digits[e + 1:k], []))
+        row = sign + whole + [26] * bool(part) + part + tail
+        rows.append(row + [27] * (24 - len(row)))
+    return (np.array(his), np.array(los), np.array([f"{g:04d}" for g in range(10**4)], "S4"),
+            np.array(rows, np.intp))
+
+
+def _split(v):
+    """v = hi + lo, each of 26 significant bits at most (Dekker)."""
+    big = v * 134217729.0  # 2**27 + 1
+    hi = big - (big - v)
+    return hi, v - hi
+
+
+def _format_17g(x):
+    """["%.17g" % v for v in x] of a float64 array, in numpy: y = |x| 10**s is
+    yh + yl by Dekker's exact product with 10**s = hi + lo (error below
+    2**-46), and its digits are y rounded to an integer.  Python formats short
+    arrays, values outside [1e-280, 1e280] (zeros, inf, nan), and any y not
+    strictly between 1e16 and 1e17 or within 2**-30 of a rounding tie."""
+    if len(x) < VECTOR_MIN:
+        return list(map("%.17g".__mod__, x.tolist()))
+    his, los, quads, layouts = _digit_tables()
+    ok = (abs(x) >= 1e-280) & (abs(x) <= 1e280)
+    a = np.where(ok, abs(x), 1.0)
+    ah, al = _split(a)
+    s = 16 - np.floor(np.log10(a)).astype(int)  # one off next to a power of ten
+    hi, lo = his[s - _POWERS.start], los[s - _POWERS.start]
+    hh, hl = _split(hi)
+    p = a * hi
+    t = ((ah * hh - p) + ah * hl + al * hh) + al * hl + a * lo
+    yh = p + t
+    yl = t - (yh - p)
+    ok &= (1e16 < yh) & (yh < 1e17) & (abs(yl - np.floor(yl) - 0.5) >= 2.0**-30)
+    n, e = yh.astype(np.int64) + np.rint(yl).astype(np.int64), 16 - s
+    blocks = np.empty((len(x), 7), "S4")  # the characters _digit_tables' rows index
+    for j in range(4, 0, -1):
+        q = n // 10**4
+        blocks[:, j], n = quads[n - q * 10**4], q
+    blocks[:, 0], blocks[:, 5], blocks[:, 6] = quads[n], quads[abs(e)], b"e-."
+    chars = blocks.view(np.uint8)
+    chars[:, 20] = np.where(e < 0, ord("-"), ord("+"))
+    k = 17 - np.argmax(chars[:, 19:2:-1] != ord("0"), axis=1)
+    layout = np.where((e < -4) | (e > 16), 17 + (abs(e) > 99), e) + 4
+    index = layouts.take(((x < 0) * 23 + layout) * 17 + k - 1, axis=0)
+    index += np.arange(0, chars.size, 28)[:, None]
+    out = chars.ravel().take(index).astype("<u4").view("<U24").ravel()
+    out[~ok] = ["%.17g" % v for v in x[~ok].tolist()]
+    return out.tolist()
 
 
 def _chunks(columns, rows):
@@ -108,7 +183,7 @@ def _chunks(columns, rows):
 def _csv_pieces(columns, rows):
     yield ",".join(columns) + "\n"
     for n, chunk in _chunks(columns, rows):
-        cells = [_cells(chunk.get(col), n, _cell, "%.17g".__mod__) for col in columns]
+        cells = [_cells(chunk.get(col), n, _cell, _format_17g) for col in columns]
         yield "".join(",".join(row) + "\n" for row in zip(*cells))
 
 
@@ -120,7 +195,7 @@ def _json_pieces(columns, rows):
     ) + "\n  }"
     opening = "[\n"
     for n, chunk in _chunks(columns, rows):
-        cells = [_cells(chunk.get(key), n, _json_cell, _json_cell) for key in keys]
+        cells = [_cells(chunk.get(key), n, _json_cell) for key in keys]
         yield opening + ",\n".join(map(template.__mod__, zip(*cells)))
         opening = ",\n"
     yield "[]\n" if opening == "[\n" else "\n]\n"

@@ -100,16 +100,16 @@ def point_failures(checks, n):
 
 
 def each_distinct(fn, column, dtype):
-    """fn at each point of a 1-D column, as an array of dtype, called once per
-    distinct value: floats by bit pattern (so 0.0 and -0.0 apart), other
-    dtypes by value, and a stride-0 (broadcast) column once, into a stride-0
-    result."""
+    """fn at each point of a 1-D column, as an array of dtype: fn is called
+    once, on the column's distinct values as an array, and gives their
+    results in that order.  Floats are distinct by bit pattern (so 0.0 and
+    -0.0 apart), other dtypes by value; a stride-0 (broadcast) column has its
+    one value, and gives a stride-0 result."""
     if column.strides == (0,):
-        return np.broadcast_to(np.array(fn(column[:1].tolist()[0]), dtype), column.shape)
+        return np.broadcast_to(np.array(fn(column[:1]), dtype), column.shape)
     floats = column.dtype == float
     distinct, where = np.unique(column.view(np.int64) if floats else column, return_inverse=True)
-    values = (distinct.view(float) if floats else distinct).tolist()
-    return np.array(list(map(fn, values)), dtype)[where]
+    return np.array(fn(distinct.view(float) if floats else distinct), dtype)[where]
 
 
 def libm(fn, x):
@@ -119,7 +119,7 @@ def libm(fn, x):
     large arguments), and R^3, which pow rounds once and r*r*r twice."""
     if np.ndim(x) == 0:
         return fn(float(x))
-    return each_distinct(fn, x, float)
+    return each_distinct(lambda values: list(map(fn, values.tolist())), x, float)
 
 
 def sqrt(x):

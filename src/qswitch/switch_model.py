@@ -116,7 +116,7 @@ def complement(c, phase):
     abs and exp round some inputs differently, which would change a point's bits.
     """
     if isinstance(c, np.ndarray):
-        return each_distinct(lambda v: complement(v, phase), c, complex)
+        return each_distinct(lambda cs: [complement(v, phase) for v in cs.tolist()], c, complex)
     modulus = abs(c)
     return cmath.exp(1j * phase) * math.sqrt(max(0.0, 1.0 - modulus * modulus))
 
@@ -234,17 +234,22 @@ def interaction_b(model, context="first"):
     return _operator("b", model, context)
 
 
+def _armed(path, photon):
+    """The index of a photon on a path, both agents ready, detectors clear."""
+    return (path, ENERGY_LEVELS["a"].ready, ENERGY_LEVELS["b"].ready, photon, 0, 0)
+
+
 def _compile_histories():
-    """Every scattering history of a run, as columns: the register index it
-    ends on (ascending, distinct: each amplitude is a single product), the
-    index it starts from, its coefficient index in each interaction, its
-    postselection class, and its slot in the (early/late, target) block the
-    "agents" diagonal measurement reads (-1 off that block)."""
+    """Every scattering history of a run from an armed index, as columns: the
+    register index it ends on (ascending, distinct: each amplitude is a
+    single product), the index it starts from, its coefficient index in each
+    interaction, its postselection class, and its slot in the (early/late,
+    target) block the "agents" diagonal measurement reads (-1 off that block)."""
     dims = factor_dims(SWITCH_FACTORS)
     zeta_of = {pattern: zeta for zeta, pattern in DETECTOR_PATTERNS.items()}
     rows = []
     for path, stages in ORDERS.items():
-        walks = ((idx, idx, ()) for idx in np.ndindex(*dims) if idx[0] == path)
+        walks = [(idx, idx, ()) for idx in (_armed(path, photon) for photon in range(dims[3]))]
         for stage in stages:
             factors, triples = interaction(*stage)
             axes = [SWITCH_FACTORS.index(name) for name in factors]
@@ -350,12 +355,11 @@ def build_input(alphas):
     total = float(np.vdot(alphas, alphas).real)
     if not abs(total - 1.0) <= NORMALIZATION_ATOL:
         raise ValueError(f"target amplitudes must be normalized, got |alpha|^2={total!r}")
-    a, b = ENERGY_LEVELS["a"], ENERGY_LEVELS["b"]
     amps = np.zeros(factor_dims(SWITCH_FACTORS), dtype=complex)
     for path in (PATH_EARLY, PATH_LATE):
         for photon, amp in enumerate(alphas):
             if amp != 0.0:
-                amps[path, a.ready, b.ready, photon, 0, 0] = amp / math.sqrt(2.0)
+                amps[_armed(path, photon)] = amp / math.sqrt(2.0)
     return StateVector(SWITCH_FACTORS, amps)
 
 

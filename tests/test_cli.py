@@ -1148,24 +1148,36 @@ def _other_math_path(variant):
     return {"NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
 
 
+#: a sweep with more distinct values in some float columns than cli.VECTOR_MIN,
+#: which are formatted in numpy: its np.log10 rounds differently by dispatch level
+VECTORIZED_SWEEP = ["sweep", "--config", str(PINS / "vectorized_sweep.cfg")]
+
 #: every pin under the other OpenBLAS kernel; only the stdout pins under numpy's
-#: other dispatch levels, where the clock's np.exp and np.arccos round differently
+#: other dispatch levels, where the clock's np.exp and np.arccos round
+#: differently; and under all three, the vectorized sweep's in-process bytes
 OTHER_MATH_PATHS = [("prescott", name) for name in [*STDOUT_PINS, *TRIGGER_PINS]] + [
-    (variant, name) for variant in ("avx2", "baseline") for name in STDOUT_PINS]
+    (variant, name) for variant in ("avx2", "baseline") for name in STDOUT_PINS] + [
+    (variant, "vectorized-sweep") for variant in ("prescott", "avx2", "baseline")]
 
 
 @pytest.mark.parametrize("variant, name", OTHER_MATH_PATHS)
-def test_pins_hold_on_other_math_paths(variant, name, tmp_path):
-    if name in STDOUT_PINS:
+def test_pins_hold_on_other_math_paths(variant, name, tmp_path, capsys):
+    trajectory_pin = None
+    if name == "vectorized-sweep":
+        argv = VECTORIZED_SWEEP
+        assert main(argv) == 0
+        expected = capsys.readouterr().out.encode()
+    elif name in STDOUT_PINS:
         argv, pin = STDOUT_PINS[name]
-        trajectory_pin = None
+        expected = (PINS / pin).read_bytes()
     else:
         argv, pin = ["trigger", *TRIGGER_PINS[name]], f"trigger_{name}.csv"
+        expected = (PINS / pin).read_bytes()
         trajectory_pin = f"trigger_{name}_trajectory.csv"
     result = run_qswitch(*argv, "--out", str(tmp_path), env=_other_math_path(variant),
                          capture_output=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == (PINS / pin).read_bytes()
+    assert result.stdout == expected
     if trajectory_pin:
         (trajectory,) = tmp_path.glob("*_trigger_trajectory.csv")
         assert trajectory.read_bytes() == (PINS / trajectory_pin).read_bytes()

@@ -188,12 +188,14 @@ class TestPhysicalConstants:
 class TestEachDistinct:
     @staticmethod
     def counted(fn):
-        """fn, and the list of arguments it was called with."""
+        """fn of each value of an array, and the list of values it was called
+        with; it may be called once only."""
         calls = []
 
-        def wrapped(value):
-            calls.append(value)
-            return fn(value)
+        def wrapped(values):
+            assert not calls
+            calls.extend(values.tolist())
+            return list(map(fn, values.tolist()))
 
         return wrapped, calls
 

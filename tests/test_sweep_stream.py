@@ -209,6 +209,24 @@ def test_full_size_chunk_boundary():
     assert len(rows) > cli.CHUNK_ROWS
 
 
+@pytest.mark.parametrize("target, base, ranges", [
+    ("timing", BASES[0], [("h", 0.5, 5.0, 20, "log"), ("dt_v", 0.0, 0.5, 20, "linear")]),
+    ("switch", SWITCH, [("c1a", 0.0, 1.0, 20, "linear"), ("f_ba", 0.0, 1.0, 20, "linear")]),
+], ids=["earth", "switch"])
+def test_vectorized_floats_match_per_point_oracle(monkeypatch, target, base, ranges):
+    # 20 x 20 points: columns over both axes reach the numpy %.17g
+    lengths = []
+
+    def recorded(values):
+        lengths.append(len(values))
+        return format_17g(values)
+
+    format_17g = cli._format_17g
+    monkeypatch.setattr(cli, "_format_17g", recorded)
+    assert len(assert_matches_oracle(sweep_text(base, target, ranges))) == 400
+    assert max(lengths) >= cli.VECTOR_MIN
+
+
 @pytest.mark.parametrize("count", [0, 1, 4, 5, 6, 11])
 def test_row_dicts_stream_in_chunks(count):
     # the single commands' tables go through the same writer, transposed
