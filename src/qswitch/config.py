@@ -1,9 +1,12 @@
 """Scenario configuration: line-oriented key = value files with [sections].
 
 The keys of a section are the fields of its dataclass, each read as the
-finite float or complex number its field declares.  Numbers accept
-scientific notation, comments run from '#' to end of line, unknown
-sections or keys are rejected with the offending line number.
+finite float or complex number its field declares.  Numbers are ASCII
+literals in Python's syntax, scientific notation included, without '_'
+digit groups; a non-zero literal must not underflow to 0, and a complex
+value holds spaces only around the sign that joins its real and imaginary
+parts.  Comments run from '#' to end of line; unknown sections or keys and
+malformed numbers are rejected with the offending line number.
 Presets are constant sets shipped in code so the headline scenarios
 reproduce without external files.
 """
@@ -13,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import re
 from dataclasses import dataclass, field, fields, make_dataclass, replace
 
 import numpy as np
@@ -185,27 +189,58 @@ def apply_preset(config, name, constants):
     return config
 
 
-def _parse_complex(text, where):
-    try:
-        value = complex(text.replace(" ", ""))
-    except ValueError:
-        raise ConfigError(f"{where}: cannot parse complex value {text!r}") from None
+def _plain(text, where, kind):
+    """Reject what Python's number parsers read but a config does not: digits
+    grouped by '_', and non-ASCII digits such as Arabic-Indic or fullwidth ones."""
+    if "_" in text or not text.isascii():
+        raise ConfigError(f"{where}: cannot parse {kind} {text!r}")
+
+
+def _in_range(value, literals, text, where):
+    """`value` if finite and, for each of `literals` with a non-zero digit before
+    its exponent, non-zero there: 1e-400 underflows to 0, 5e-324 and 0e5 do not."""
     if not cmath.isfinite(value):
         raise ConfigError(f"{where}: value must be finite, got {text!r}")
+    for literal in literals:
+        # a mantissa of only zeros, point, sign, parentheses and j strips to ''
+        mantissa = literal.lower().partition("e")[0]
+        if complex(literal.strip("()")) == 0 and mantissa.strip("0.+-()j"):
+            raise ConfigError(f"{where}: non-zero value {text!r} underflows to 0")
     return value
 
 
+def _complex_parts(text):
+    """The literals of a complex value: where a sign joins a real and an
+    imaginary part (only a text with a j has one), the two, the spaces around
+    that sign dropped; else the whole text."""
+    joined = ("j" in text or "J" in text) and re.fullmatch(r"(\S*[^\seE+-]) *([+-]) *(\S+)", text)
+    return (joined[1], joined[2] + joined[3]) if joined else (text,)
+
+
+def _parse_complex(text, where):
+    """A complex literal; spaces may stand only around the sign that joins its
+    real and imaginary parts, as in 0.5 - 0.3j."""
+    text = text.strip()
+    _plain(text, where, "complex value")
+    try:
+        value = complex("".join(_complex_parts(text)) if " " in text else text)
+    except ValueError:
+        raise ConfigError(f"{where}: cannot parse complex value {text!r}") from None
+    # only a part that reads as 0 can have underflowed
+    return _in_range(value, () if value.real and value.imag else _complex_parts(text), text, where)
+
+
 def _parse_float(text, where):
+    _plain(text, where, "number")
     try:
         value = float(text)
     except ValueError:
         raise ConfigError(f"{where}: cannot parse number {text!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}: value must be finite, got {text!r}")
-    return value
+    return _in_range(value, () if value else (text,), text, where)
 
 
 def _parse_int(text, where):
+    _plain(text, where, "integer")
     try:
         return int(text)
     except ValueError:

@@ -271,38 +271,37 @@ def _step_ceilings(params):
     return coarse, coarse
 
 
-def _max_wavenumber(params):
-    """Momentum content of the co-moving packet: a few packet widths of
-    spread plus the slow-down k - k' of the barrier channel in the zone."""
-    k, k_prime = _wavenumbers(params)
-    return 6.0 / params.sigma + (k - k_prime)
+def _grid_needs(params, tau_end):
+    """(reach, spacing, ceiling) a co-moving grid for a run up to tau_end needs.
 
-
-def _reach(params, tau_end):
-    """Half-width in y the grid must cover: 10 sigma of tails plus the lag
-    delta (k/k' - 1) that each zone passage up to tau_end leaves behind
-    (the well channel's lead is smaller); never more than the orbit, 2A."""
+    reach: the half-width in y to cover, 10 sigma of tails plus the lag
+    delta (k/k' - 1) that each zone passage leaves behind (the well channel's
+    lead is smaller), never more than the orbit, 2A.  spacing: the stricter of
+    sigma / POINTS_PER_SIGMA and pi over the momentum content, a few packet
+    widths of spread plus the barrier channel's slow-down k - k' in the zone.
+    ceiling: the zone's step ceiling of _step_ceilings.
+    """
     k, k_prime = _wavenumbers(params)
     lag = params.delta * (k / k_prime - 1.0) if k_prime > 0 else math.inf
     passages = max(1, math.floor(2.0 * tau_end / params.period + 0.5))
-    return 10.0 * params.sigma + min(passages * lag, 2.0 * params.amp)
+    reach = 10.0 * params.sigma + min(passages * lag, 2.0 * params.amp)
+    spacing = min(params.sigma / POINTS_PER_SIGMA, math.pi / (6.0 / params.sigma + (k - k_prime)))
+    return reach, spacing, _step_ceilings(params)[0]
 
 
 def default_grid(params, tau_end=None):
-    """Co-moving grid [-r, r], r the packet's reach up to tau_end (default
-    tau_star), resolving both width and momentum: spacing the stricter of
-    sigma / POINTS_PER_SIGMA and pi/(6/sigma + k - k'), a 5-smooth point
-    count, and the zone's step ceiling of _step_ceilings.
+    """Co-moving grid [-r, r] at the needs of _grid_needs for a run up to tau_end
+    (default tau_star): r the reach, the spacing at most the needed one with a
+    5-smooth point count, and the zone's step ceiling.
     """
-    reach = _reach(params, params.tau_star if tau_end is None else tau_end)
-    dx_req = min(params.sigma / POINTS_PER_SIGMA, math.pi / _max_wavenumber(params))
-    if not dx_req > 0:
-        raise ValueError(f"require a grid spacing > 0, got {dx_req:g}")
-    if not 2.0 * reach / dx_req <= MAX_GRID_POINTS:
-        raise ValueError(f"the clock grid needs {2.0 * reach / dx_req:.3g} points, "
+    reach, spacing, ceiling = _grid_needs(params, params.tau_star if tau_end is None else tau_end)
+    if not spacing > 0:
+        raise ValueError(f"require a grid spacing > 0, got {spacing:g}")
+    if not 2.0 * reach / spacing <= MAX_GRID_POINTS:
+        raise ValueError(f"the clock grid needs {2.0 * reach / spacing:.3g} points, "
                          f"more than {MAX_GRID_POINTS}")
-    n_points = _fft_friendly(max(256, math.ceil(2.0 * reach / dx_req)))
-    return GridSpec(-reach, reach, n_points, _step_ceilings(params)[0])
+    n_points = _fft_friendly(max(256, math.ceil(2.0 * reach / spacing)))
+    return GridSpec(-reach, reach, n_points, ceiling)
 
 
 def _validate_grid(params, grid, tau_end):
@@ -310,25 +309,15 @@ def _validate_grid(params, grid, tau_end):
         raise ValueError(f"require integer n_points > 0, got {grid.n_points}")
     if not 0 < grid.dt_max < math.inf:
         raise ValueError(f"require finite dt_max > 0, got {grid.dt_max}")
-    reach = _reach(params, tau_end)
+    reach, spacing, ceiling = _grid_needs(params, tau_end)
     if grid.x_min > -reach or grid.x_max < reach:
         raise ValueError(
             f"grid [{grid.x_min:g}, {grid.x_max:g}] does not cover the packet's "
             f"co-moving reach [{-reach:g}, {reach:g}]"
         )
-    dx_max = params.sigma / POINTS_PER_SIGMA
-    if grid.dx > dx_max * (1 + 1e-12):
-        raise ValueError(
-            f"grid spacing {grid.dx:g} exceeds sigma/{POINTS_PER_SIGMA:g} = {dx_max:g}"
-        )
-    k_nyquist = math.pi / grid.dx
-    k_needed = _max_wavenumber(params)
-    if k_nyquist < k_needed * (1 - 1e-12):
-        raise ValueError(
-            f"grid spacing {grid.dx:g} cannot represent the packet momentum: "
-            f"Nyquist {k_nyquist:g} < required {k_needed:g} rad/m"
-        )
-    ceiling = _step_ceilings(params)[0]
+    if grid.dx > spacing * (1 + 1e-12):
+        raise ValueError(f"grid spacing {grid.dx:g} exceeds the {spacing:g} that the "
+                         f"packet's width and momentum need")
     if grid.dt_max > ceiling * (1 + 1e-12):
         raise ValueError(f"time step {grid.dt_max:g} exceeds the clock's ceiling {ceiling:g}")
 

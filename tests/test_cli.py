@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qswitch.config import (
     SECTION_OF,
@@ -84,6 +86,7 @@ class TestConfigParsing:
         h = 2.0
         d = 1e-6   # photon separation
         dt_v = 0.5
+        eps = 0e-400  # a literal zero, not an underflow
         [switch]
         alpha = 0.6, 0, 0, 0.8, 0
         c1a = 0.8+0.6j
@@ -101,6 +104,7 @@ class TestConfigParsing:
         assert config.body.mass == 5.9722e24
         assert config.protocol.h == 2.0
         assert config.protocol.dt_v == 0.5
+        assert config.protocol.eps == 0.0
         assert config.switch.alpha == (0.6, 0, 0, 0.8, 0)
         assert config.switch.c1a == 0.8 + 0.6j
         assert config.sweep.ranges[0].parameter == "h"
@@ -132,6 +136,20 @@ class TestConfigParsing:
     def test_non_finite_value_reports_line(self, text, line):
         with pytest.raises(ConfigError, match=f"line {line}: value must be finite"):
             parse_config(text, CODATA2018)
+
+    # derandomized so that every run checks the same examples
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @example(5e-324)
+    @example(-0.0)
+    @example(1e16)
+    @example(-1.7976931348623157e308)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_float_repr_reads_back(self, x):
+        text = f"[protocol]\nh = {x!r}\n[switch]\nc1a = {complex(x, -x)!r}\n"
+        config = parse_config(text, CODATA2018)
+        # repr tells every pair of floats apart, -0.0 from 0.0 included
+        assert repr(config.protocol.h) == repr(x)
+        assert repr(config.switch.c1a) == repr(complex(x, -x))
 
     def test_alpha_needs_five_entries(self):
         with pytest.raises(ConfigError, match="5 comma-separated"):
@@ -580,14 +598,40 @@ class TestCliCommands:
         ("sweep", "[body]\npreset = earth\n", "sweep needs one or two parameter ranges"),
         ("timing", "[body]\nmass = 5.9722e24\nradius = 6.371e6\n",
          "protocol h and d are required for timing"),
+        # numbers that Python's parsers read and a config does not: each once ran
+        # (as 10, 0.5, 1+2j or 0.5+0j) or stopped on a domain error of h=0.0
+        ("timing", "[body]\npreset = earth\n[protocol]\nh = 1_0\n",
+         "line 4: cannot parse number '1_0'"),
+        ("timing", "[body]\npreset = earth\n[protocol]\nh = \u0661\u0660\n",
+         "line 4: cannot parse number '\u0661\u0660'"),
+        ("timing", "[body]\npreset = earth\n[protocol]\nh = \uff11\uff10\n",
+         "line 4: cannot parse number '\uff11\uff10'"),
+        ("sweep", SWEEP_HEAD + "parameter = h\nmin = 1\nmax = 2\ncount = 1_0\n",
+         "line 8: cannot parse integer '1_0'"),
+        ("timing", ("[body]\npreset = earth\n", "G = 6.6743e-11\nc = 1_0\n"),
+         "line 2: cannot parse number '1_0'"),
+        ("switch", "[switch]\nc1a = 0. 5\n", "line 2: cannot parse complex value '0. 5'"),
+        ("switch", "[switch]\nc1a = 1 + 2 j\n", "line 2: cannot parse complex value '1 + 2 j'"),
+        ("timing", "[body]\npreset = earth\n[protocol]\nh = 1e-400\n",
+         "line 4: non-zero value '1e-400' underflows to 0"),
+        ("switch", "[switch]\nc1a = 0.5 + 1e-400j\n",
+         "line 2: non-zero value '0.5 + 1e-400j' underflows to 0"),
     ], ids=["trigger-hbar", "trigger-m", "trigger-delta", "trigger-epsilon", "timing-mass",
             "timing-radius", "timing-h", "timing-cube", "timing-small-mass", "timing-flight",
             *(f"timing-{name}" for name in OVERFLOWS), "timing-header", "sweep-target",
-            "switch-complex", "sweep-no-range", "timing-no-h"])
-    def test_derived_quantity_out_of_range_exits_2(self, tmp_path, capsys, command, text,
-                                                      message):
+            "switch-complex", "sweep-no-range", "timing-no-h", "number-underscore",
+            "number-arabic-indic", "number-fullwidth", "count-underscore",
+            "constant-underscore", "complex-inner-space", "complex-spaced-j",
+            "number-underflow", "complex-underflow"])
+    def test_derived_quantity_out_of_range_exits_2(self, tmp_path, capsys, monkeypatch, command,
+                                                      text, message):
+        # text is the config, or (config, QSWITCH_CONSTANTS file)
+        text, constants = text if isinstance(text, tuple) else (text, None)
         cfg = tmp_path / "extreme.cfg"
         cfg.write_text(text)
+        if constants is not None:
+            (tmp_path / "constants.txt").write_text(constants)
+            monkeypatch.setenv(cli.CONSTANTS_ENV, str(tmp_path / "constants.txt"))
         assert run_main([command, "--config", str(cfg)], capsys) == (2, "", f"error: {message}\n")
 
     def test_far_climb_runs_without_numpy_warnings(self, tmp_path, capsys):

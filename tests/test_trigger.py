@@ -284,6 +284,21 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="spacing"):
             numeric_evolve(FAST, grid=grid)
 
+    def test_spacing_short_of_the_momentum_rejected(self):
+        # E = 3 v0: the barrier channel slows by k - k' ~ 37/sigma in the zone, so
+        # pi/(6/sigma + k - k') is the stricter bound; dx = sigma/10 keeps sigma/8
+        p = TriggerParams(m=1.0, omega=1.0, delta=1.0, v0=20000.0 / 3.0, hbar=1.0,
+                          amplitude=200.0)
+        k = p.m * p.speed / p.hbar
+        k_prime = math.sqrt(2.0 * p.m * (p.kinetic_energy - p.v0)) / p.hbar
+        good = default_grid(p)
+        grid = GridSpec(good.x_min, good.x_max, round((good.x_max - good.x_min) / 0.1),
+                        good.dt_max)
+        assert grid.dx <= p.sigma / 8.0
+        assert math.pi / grid.dx < 6.0 / p.sigma + (k - k_prime)
+        with pytest.raises(ValueError, match="spacing"):
+            numeric_evolve(p, grid=grid)
+
     def test_coarse_time_step_rejected(self):
         good = default_grid(FAST)
         bad = GridSpec(good.x_min, good.x_max, good.n_points, FAST.period / 10.0)

@@ -1,13 +1,16 @@
-"""Every imported name is used by the module that imports it.
+"""Every imported name is used, and no private definition of the package is dead.
 
 No linter ships with the test dependencies, so this walks each module's
 syntax tree: a name bound by an import must be read somewhere in the
 module.  The package's modules, the tests and the benchmark's modules
 are read; the package's __init__.py is exempt, since its imports are its
-public re-exports, as are `from __future__` imports.
+public re-exports, as are `from __future__` imports.  Each private
+module-level function, class and constant of the package must be read
+somewhere in those modules, as a name, an attribute or an imported name.
 """
 
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(path for folder in ("src/qswitch", "tests", "bench")
                  for path in (ROOT / folder).glob("*.py"))
+PACKAGE = [path for path in MODULES if path.parent.name == "qswitch"]
 
 
 def unused_imports(source):
@@ -41,3 +45,59 @@ def test_every_import_is_used(path):
 def test_finds_an_unused_import():
     source = "import math\nimport mpmath as mp\nfrom os import path, sep\nprint(math.pi, sep)\n"
     assert unused_imports(source) == [(2, "mp"), (3, "path")]
+
+
+def private_definitions(source):
+    """(line, name) of each private function, class and constant `source`
+    defines at module level; dunder names are not private."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        found += [(node.lineno, name) for name in targets
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def names_read(source):
+    """Each name `source` reads, as a name, an attribute or an imported name."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+@cache
+def read_anywhere():
+    return set().union(*(names_read(path.read_text()) for path in MODULES))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_private_definition_is_read(path):
+    unread = [(line, name) for line, name in private_definitions(path.read_text())
+              if name not in read_anywhere()]
+    assert unread == []
+
+
+def test_finds_an_unread_private_definition():
+    source = ("_LIMIT = 2\n_SPARE: int = 3\n__all__ = []\n"
+              "def _used():\n    return _LIMIT\n"
+              "def _max_wavenumber():\n    pass\n"
+              "class _Record:\n    pass\n"
+              "print(_used())\n")
+    assert private_definitions(source) == [(1, "_LIMIT"), (2, "_SPARE"), (4, "_used"),
+                                           (6, "_max_wavenumber"), (8, "_Record")]
+    read = names_read(source + "import qswitch\nqswitch._Record\n")
+    assert {"_LIMIT", "_used", "_Record"} <= read
+    assert not {"_SPARE", "_max_wavenumber"} & read
