@@ -1,12 +1,12 @@
 """Scenario configuration: line-oriented key = value files with [sections].
 
 The keys of a section are the fields of its dataclass, each read as the
-finite float or complex number its field declares.  Numbers are ASCII
-literals in Python's syntax, scientific notation included, without '_'
-digit groups; a non-zero literal must not underflow to 0, and a complex
-value holds spaces only around the sign that joins its real and imaginary
-parts.  Comments run from '#' to end of line; unknown sections or keys and
-malformed numbers are rejected with the offending line number.
+finite float or complex number its field declares, by one ASCII number
+grammar (`_GRAMMAR`): signed decimals, signed integers, and complex values
+of a real, an imaginary or both, in the parentheses repr writes or none; a
+non-zero literal must not underflow to 0.  Comments run from '#' to end of
+line; unknown sections or keys and malformed numbers are rejected with the
+offending line number.
 Presets are constant sets shipped in code so the headline scenarios
 reproduce without external files.
 """
@@ -117,6 +117,8 @@ def _range_fault(parameter, lo, hi, count, scale):
             return "max", f"log sweep max/min = {hi / lo:g} leaves the float range"
     elif not math.isfinite(hi - lo):
         return "max", f"linear sweep max - min = {hi - lo:g} leaves the float range"
+    if count > MAX_SWEEP_POINTS:
+        return "count", f"sweep grid of {count} points exceeds {MAX_SWEEP_POINTS}"
     try:
         (last,) = _points(lo, hi, count, scale, [count - 1])
     except OverflowError:  # math.exp past the float range
@@ -189,62 +191,59 @@ def apply_preset(config, name, constants):
     return config
 
 
-def _plain(text, where, kind):
-    """Reject what Python's number parsers read but a config does not: digits
-    grouped by '_', and non-ASCII digits such as Arabic-Indic or fullwidth ones."""
-    if "_" in text or not text.isascii():
+#: one unsigned ASCII decimal: digits with an optional point and exponent, or
+#: inf, infinity or nan, which the finite check then names
+_DECIMAL = r"(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf(?:inity)?|nan)"
+
+#: kind -> (full match of a number of that kind, Python's reader of its text
+#: with spaces removed).  A complex value is a real, an imaginary, or a real and
+#: an unsigned imaginary joined by a sign with spaces only around it, in the one
+#: pair of parentheses repr writes or none; (?=[^)]) asks for at least one part.
+#: The groups `real` and `imag` are the literals of the value's parts.
+_GRAMMAR = {kind: (re.compile(pattern, re.ASCII | re.IGNORECASE), read) for kind, pattern, read in (
+    ("number", rf"(?P<real>[+-]?{_DECIMAL})", float),
+    ("integer", r"[+-]?[0-9]+", int),
+    ("complex value", rf"(\()?(?=[^)])(?P<real>[+-]?{_DECIMAL})?"
+                      rf"(?:(?(real) *[+-] *|[+-]?)(?P<imag>{_DECIMAL})j)?(?(1)\))", complex),
+)}
+
+#: matches a literal with a non-zero digit before its exponent
+_NON_ZERO = re.compile(r"[^e]*[1-9]", re.IGNORECASE)
+
+
+def _read(kind, text, where):
+    """The value of `text` as a number of `kind`.  Each literal part must be
+    finite and, if a digit before its exponent is non-zero, non-zero:
+    1e-400 underflows to 0, 5e-324 and 0e5 do not."""
+    text = text.strip()
+    pattern, read = _GRAMMAR[kind]
+    match = pattern.fullmatch(text)
+    try:
+        value = match and read(text.replace(" ", ""))
+    except ValueError:  # an integer past Python's digit limit
+        match = None
+    if match is None:
         raise ConfigError(f"{where}: cannot parse {kind} {text!r}")
-
-
-def _in_range(value, literals, text, where):
-    """`value` if finite and, for each of `literals` with a non-zero digit before
-    its exponent, non-zero there: 1e-400 underflows to 0, 5e-324 and 0e5 do not."""
-    if not cmath.isfinite(value):
+    # an integer has no parts (cmath.isfinite(10**400) would raise OverflowError)
+    parts = pattern.groupindex
+    if parts and not cmath.isfinite(value):
         raise ConfigError(f"{where}: value must be finite, got {text!r}")
-    for literal in literals:
-        # a mantissa of only zeros, point, sign, parentheses and j strips to ''
-        mantissa = literal.lower().partition("e")[0]
-        if complex(literal.strip("()")) == 0 and mantissa.strip("0.+-()j"):
+    for part in parts:
+        if getattr(value, part) == 0 and _NON_ZERO.match(match[part] or ""):
             raise ConfigError(f"{where}: non-zero value {text!r} underflows to 0")
     return value
 
 
-def _complex_parts(text):
-    """The literals of a complex value: where a sign joins a real and an
-    imaginary part (only a text with a j has one), the two, the spaces around
-    that sign dropped; else the whole text."""
-    joined = ("j" in text or "J" in text) and re.fullmatch(r"(\S*[^\seE+-]) *([+-]) *(\S+)", text)
-    return (joined[1], joined[2] + joined[3]) if joined else (text,)
-
-
 def _parse_complex(text, where):
-    """A complex literal; spaces may stand only around the sign that joins its
-    real and imaginary parts, as in 0.5 - 0.3j."""
-    text = text.strip()
-    _plain(text, where, "complex value")
-    try:
-        value = complex("".join(_complex_parts(text)) if " " in text else text)
-    except ValueError:
-        raise ConfigError(f"{where}: cannot parse complex value {text!r}") from None
-    # only a part that reads as 0 can have underflowed
-    return _in_range(value, () if value.real and value.imag else _complex_parts(text), text, where)
+    return _read("complex value", text, where)
 
 
 def _parse_float(text, where):
-    _plain(text, where, "number")
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"{where}: cannot parse number {text!r}") from None
-    return _in_range(value, () if value else (text,), text, where)
+    return _read("number", text, where)
 
 
 def _parse_int(text, where):
-    _plain(text, where, "integer")
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"{where}: cannot parse integer {text!r}") from None
+    return _read("integer", text, where)
 
 
 def _parse_alpha(text, where):

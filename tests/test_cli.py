@@ -16,6 +16,9 @@ from qswitch.config import (
     ConfigError,
     ScenarioConfig,
     SweepRange,
+    _parse_complex,
+    _parse_float,
+    _parse_int,
     apply_preset,
     parse_config,
     parse_constants,
@@ -150,6 +153,31 @@ class TestConfigParsing:
         # repr tells every pair of floats apart, -0.0 from 0.0 included
         assert repr(config.protocol.h) == repr(x)
         assert repr(config.switch.c1a) == repr(complex(x, -x))
+
+    # derandomized, as above; the examples are texts the complex reader must
+    # read: the forms bench/ writes with repr, then parenthesized negative
+    # imaginaries, which once exited 2 with a message naming no line
+    @settings(max_examples=3000, deadline=None, database=None, derandomize=True)
+    @example("(0.3+0.5j)")
+    @example("(-0-0j)")
+    @example("-1j")
+    @example("(-0.5j)")
+    @example("(-90J)")
+    @given(st.text(alphabet="0123456789.eEjJ+-()_infaty ", max_size=10))
+    def test_grammar_never_loosens(self, text):
+        # whatever a reader accepts, Python's reader of the text without its
+        # spaces reads as the same value
+        accepted = []
+        for read, python in ((_parse_float, float), (_parse_int, int),
+                             (_parse_complex, complex)):
+            try:
+                value = read(text, "line 1")
+            except ConfigError:
+                continue
+            assert repr(value) == repr(python(text.replace(" ", "")))
+            accepted.append(read)
+        assert _parse_complex in accepted or text not in (
+            "(0.3+0.5j)", "(-0-0j)", "-1j", "(-0.5j)", "(-90J)")
 
     def test_alpha_needs_five_entries(self):
         with pytest.raises(ConfigError, match="5 comma-separated"):
@@ -295,13 +323,16 @@ class TestSweepRanges:
         # once an OverflowError traceback from math.exp
         ("parameter = h\nmin = 1\nmax = 1.7976931348623157e308\ncount = 12\nscale = log\n", 7,
          "log sweep last point = inf leaves the float range"),
+        # once blamed on max: (max - min)/(count - 1) overflowed to an infinite last point
+        (f"parameter = h\nmin = 1\nmax = 2\ncount = {10**400}\n", 8,
+         f"sweep grid of {10**400} points exceeds 1000000"),
     ], ids=["scale", "scale count 1", "count 0", "log min 0", "log max < 0 count 1",
             "log max/min past the range", "log max/min below the range", "not sweepable", "scale2", "grid", "grid count2", "grid count2 first",
             "orphan min2", "orphan scale", "orphan after a repeated key",
             "linear max - min past the range", "bad min before a later unknown key",
             "count not an integer", "linear last point past the range",
             "negative linear last point past the range", "log last point past the range",
-            "log last point past math.exp"])
+            "log last point past math.exp", "count past the float range"])
     def test_bad_range_reports_its_line(self, lines, line, message):
         with pytest.raises(ConfigError, match=f"^line {line}: {re.escape(message)}$"):
             parse_config(SWEEP_HEAD + lines, CODATA2018)
@@ -323,6 +354,7 @@ class TestSweepRanges:
         (("h", -MAX_DOUBLE, 0.0, 4, "linear"), "linear sweep last point = inf"),
         (("h", 1e300, MAX_DOUBLE, 7, "log"), "log sweep last point = inf"),
         (("h", 1.0, MAX_DOUBLE, 12, "log"), "log sweep last point = inf"),
+        (("h", 1.0, 2.0, 10**400, "linear"), f"sweep grid of {10**400} points"),
     ])
     def test_bad_range_built_directly(self, args, message):
         with pytest.raises(ConfigError, match=message):
@@ -616,13 +648,27 @@ class TestCliCommands:
          "line 4: non-zero value '1e-400' underflows to 0"),
         ("switch", "[switch]\nc1a = 0.5 + 1e-400j\n",
          "line 2: non-zero value '0.5 + 1e-400j' underflows to 0"),
+        # forms outside the number grammar: the first four once ran, as 1j, 1j,
+        # 1+1j and 1+2j, and the last exited 2 with a message naming no line
+        ("switch", "[switch]\nc1a = j\n", "line 2: cannot parse complex value 'j'"),
+        ("switch", "[switch]\nc1a = +J\n", "line 2: cannot parse complex value '+J'"),
+        ("switch", "[switch]\nc1a = 1+j\n", "line 2: cannot parse complex value '1+j'"),
+        ("switch", "[switch]\nc1a = ( 1+2j )\n",
+         "line 2: cannot parse complex value '( 1+2j )'"),
+        ("switch", "[switch]\nc1a = (-1e-400j)\n",
+         "line 2: non-zero value '(-1e-400j)' underflows to 0"),
+        # past Python's limit on the digits int() reads
+        ("sweep", SWEEP_HEAD + f"parameter = h\nmin = 1\nmax = 2\ncount = {'1' * 5001}\n",
+         f"line 8: cannot parse integer '{'1' * 5001}'"),
     ], ids=["trigger-hbar", "trigger-m", "trigger-delta", "trigger-epsilon", "timing-mass",
             "timing-radius", "timing-h", "timing-cube", "timing-small-mass", "timing-flight",
             *(f"timing-{name}" for name in OVERFLOWS), "timing-header", "sweep-target",
             "switch-complex", "sweep-no-range", "timing-no-h", "number-underscore",
             "number-arabic-indic", "number-fullwidth", "count-underscore",
             "constant-underscore", "complex-inner-space", "complex-spaced-j",
-            "number-underflow", "complex-underflow"])
+            "number-underflow", "complex-underflow", "complex-bare-j", "complex-signed-j",
+            "complex-real-plus-j", "complex-spaced-parentheses", "complex-parenthesized-underflow",
+            "count-digit-limit"])
     def test_derived_quantity_out_of_range_exits_2(self, tmp_path, capsys, monkeypatch, command,
                                                       text, message):
         # text is the config, or (config, QSWITCH_CONSTANTS file)

@@ -7,6 +7,8 @@ are read; the package's __init__.py is exempt, since its imports are its
 public re-exports, as are `from __future__` imports.  Each private
 module-level function, class and constant of the package must be read
 somewhere in those modules, as a name, an attribute or an imported name.
+Importing the command line loads no module beyond the ones the package's
+import statements name and the package's own.
 """
 
 import ast
@@ -14,6 +16,7 @@ from functools import cache
 from pathlib import Path
 
 import pytest
+from conftest import run_qswitch
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(path for folder in ("src/qswitch", "tests", "bench")
@@ -101,3 +104,28 @@ def test_finds_an_unread_private_definition():
     read = names_read(source + "import qswitch\nqswitch._Record\n")
     assert {"_LIMIT", "_used", "_Record"} <= read
     assert not {"_SPARE", "_max_wavenumber"} & read
+
+
+def imported_modules(source):
+    """The absolute module names that the import statements of `source` name."""
+    named = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            named.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            named.add(node.module)
+    return named
+
+
+def test_cli_import_loads_only_named_modules():
+    # start-up time is the benchmark's setup_s: a module that only comes along
+    # with another, such as a numpy submodule numpy loads lazily, shows here
+    named = sorted(set().union(*(imported_modules(path.read_text()) for path in PACKAGE)))
+    code = (f"import importlib, sys\nfor name in {named!r}:\n    importlib.import_module(name)\n"
+            "before = set(sys.modules)\nimport qswitch.cli\n"
+            "print(*sorted(set(sys.modules) - before))")
+    result = run_qswitch(child=code, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    added = result.stdout.split()
+    assert "qswitch.cli" in added
+    assert [name for name in added if name.partition(".")[0] != "qswitch"] == []
