@@ -84,17 +84,14 @@ def _json_cell(value):
     return json.dumps(value)
 
 
-def _cells(column, n, cell, float_cells=None):
+def _cells(column, n, cell):
     """The n cells of a column: a tuple of values, or a numpy column whose
-    values are each formatted once however often they repeat (floats by
-    float_cells, which takes them as one array, where given)."""
+    values are each formatted once however often they repeat."""
     if isinstance(column, tuple):
         return list(map(cell, column))
     if column is None:
         return [cell(None)] * n
-    if float_cells is None or column.dtype != float:
-        return each_distinct(lambda values: list(map(cell, values.tolist())), column, object).tolist()
-    return each_distinct(float_cells, column, object).tolist()
+    return each_distinct(lambda values: list(map(cell, values.tolist())), column, object).tolist()
 
 
 #: arrays shorter than this go to Python's "%.17g", faster below about 200 values
@@ -110,9 +107,9 @@ def _digit_tables():
     his = [num / den for num, den in ratios]
     los = [(num * d - n * den) / (den * d)
            for (num, den), (n, d) in zip(ratios, map(float.as_integer_ratio, his))]
-    # a row indexes a value's 28 characters: 0-2 "000", 3-19 its digits, 20 the
-    # exponent's sign, 21-23 its digits, 24-26 "e-." and 27 none; one row per
-    # sign, exponent e from -4 (17, 18: scientific with 2, 3 exponent digits)
+    # a row indexes a value's 28 characters: 0 "0", 1 the suffix, 3-19 its digits,
+    # 20 the exponent's sign, 21-23 its digits, 24-26 "e-." and 27 none; one row
+    # per sign, exponent e from -4 (17, 18: scientific with 2, 3 exponent digits)
     # and count k of digits kept
     digits, rows = list(range(3, 20)), []
     for sign, e, k in itertools.product(([], [25]), range(-4, 19), range(1, 18)):
@@ -120,7 +117,7 @@ def _digit_tables():
                              else ([0], [0] * (-1 - e) + digits[:k], []) if e < 0
                              else (digits[:e + 1], digits[e + 1:k], []))
         row = sign + whole + [26] * bool(part) + part + tail
-        rows.append(row + [27] * (24 - len(row)))
+        rows.append(row + [1] + [27] * (24 - len(row)))
     return (np.array(his), np.array(los), np.array([f"{g:04d}" for g in range(10**4)], "S4"),
             np.array(rows, np.intp))
 
@@ -132,14 +129,14 @@ def _split(v):
     return hi, v - hi
 
 
-def _format_17g(x):
-    """["%.17g" % v for v in x] of a float64 array, in numpy: y = |x| 10**s is
-    yh + yl by Dekker's exact product with 10**s = hi + lo (error below
-    2**-46), and its digits are y rounded to an integer.  Python formats short
-    arrays, values outside [1e-280, 1e280] (zeros, inf, nan), and any y not
-    strictly between 1e16 and 1e17 or within 2**-30 of a rounding tie."""
+def _format_17g(x, end=""):
+    """["%.17g" % v + end for v in x] of a float64 array, end one character at
+    most, in numpy: y = |x| 10**s is yh + yl by Dekker's exact product with 10**s
+    = hi + lo (error below 2**-46), and its digits are y rounded to an integer.
+    Python formats short arrays, values outside [1e-280, 1e280] (zeros, inf,
+    nan), and any y not strictly between 1e16 and 1e17 or within 2**-30 of a tie."""
     if len(x) < VECTOR_MIN:
-        return list(map("%.17g".__mod__, x.tolist()))
+        return list(map(("%.17g" + end).__mod__, x.tolist()))
     his, los, quads, layouts = _digit_tables()
     ok = (abs(x) >= 1e-280) & (abs(x) <= 1e280)
     a = np.where(ok, abs(x), 1.0)
@@ -159,13 +156,13 @@ def _format_17g(x):
         blocks[:, j], n = quads[n - q * 10**4], q
     blocks[:, 0], blocks[:, 5], blocks[:, 6] = quads[n], quads[abs(e)], b"e-."
     chars = blocks.view(np.uint8)
-    chars[:, 20] = np.where(e < 0, ord("-"), ord("+"))
+    chars[:, 1], chars[:, 20] = ord(end or "\0"), np.where(e < 0, ord("-"), ord("+"))
     k = 17 - np.argmax(chars[:, 19:2:-1] != ord("0"), axis=1)
     layout = np.where((e < -4) | (e > 16), 17 + (abs(e) > 99), e) + 4
     index = layouts.take(((x < 0) * 23 + layout) * 17 + k - 1, axis=0)
     index += np.arange(0, chars.size, 28)[:, None]
-    out = chars.ravel().take(index).astype("<u4").view("<U24").ravel()
-    out[~ok] = ["%.17g" % v for v in x[~ok].tolist()]
+    out = chars.ravel().take(index).astype("<u4").view("<U25").ravel()
+    out[~ok] = [("%.17g" + end) % v for v in x[~ok].tolist()]
     return out.tolist()
 
 
@@ -180,10 +177,50 @@ def _chunks(columns, rows):
         yield len(part), dict(zip(columns, zip(*([row.get(col) for col in columns] for row in part))))
 
 
+#: adjacent columns share a run group while at most 1/RUN_SHARE of the rows change one
+RUN_SHARE = 16
+
+
+def _csv_cells(column, end):
+    """Each row's CSV cell of a numpy column then end, each distinct value (floats by bits) once."""
+    floats = column.dtype == float
+    distinct, where = np.unique(column.view(np.int64) if floats else column, return_inverse=True)
+    values = column if len(distinct) == len(column) else distinct.view(column.dtype)
+    texts = _format_17g(values, end) if floats else [_cell(value) + end for value in values.tolist()]
+    return texts if values is column else np.array(texts, object)[where].tolist()
+
+
+def _csv_rows(columns, chunk, n):
+    """The CSV text of n >= 2 rows of numpy columns, one join of cells that end in their
+    separators; a run group's text is made once per run of rows none of its columns changes in."""
+    groups, few = [], n // RUN_SHARE  # [columns, the rows at which one changes]
+    for name in columns:
+        column = chunk.get(name, np.broadcast_to(np.array(""), n))
+        key = column.view(np.int64) if column.dtype == float else column
+        changed = key[1:] != key[:-1]
+        if groups and np.count_nonzero(groups[-1][1] | changed) <= few:
+            groups[-1] = [groups[-1][0] + [column], groups[-1][1] | changed]
+        else:  # a column that changes more often is a group of its own
+            groups.append([[column], changed])
+    flat = [None] * (len(groups) * n)
+    for g, (group, changed) in enumerate(groups):
+        end = "," if g < len(groups) - 1 else "\n"
+        if np.count_nonzero(changed) > few:
+            flat[g::len(groups)] = _csv_cells(group[0], end)
+            continue
+        starts = np.flatnonzero(np.concatenate(([True], changed)))
+        runs = [",".join(cells) + end for cells in zip(*(_csv_cells(c[starts], "") for c in group))]
+        flat[g::len(groups)] = np.repeat(np.array(runs, object), np.diff(starts, append=n)).tolist()
+    return "".join(flat)
+
+
 def _csv_pieces(columns, rows):
     yield ",".join(columns) + "\n"
     for n, chunk in _chunks(columns, rows):
-        cells = [_cells(chunk.get(col), n, _cell, _format_17g) for col in columns]
+        if n >= 2 and isinstance(rows, SweepTable):
+            yield _csv_rows(columns, chunk, n)
+            continue
+        cells = [_cells(chunk.get(col), n, _cell) for col in columns]  # row dicts, or one row
         yield "".join(",".join(row) + "\n" for row in zip(*cells))
 
 
@@ -603,7 +640,7 @@ def compute_sweep(config, constants):
         texts = [""] * (hi - lo)
         for i, messages in point_failures(checks, hi - lo):
             texts[i] = "; ".join(messages)
-        chunk["warnings"] = np.array(texts)
+        chunk["warnings"] = np.array(texts) if any(texts) else np.broadcast_to(np.array(""), hi - lo)
         return chunk
 
     return columns, SweepTable(total, rows), warnings() if warned else []

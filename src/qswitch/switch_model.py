@@ -116,7 +116,10 @@ def complement(c, phase):
     abs and exp round some inputs differently, which would change a point's bits.
     """
     if isinstance(c, np.ndarray):
-        return each_distinct(lambda cs: [complement(v, phase) for v in cs.tolist()], c, complex)
+        imag = c.imag[:1].tolist()
+        real = (c.imag == imag).all()  # one imaginary part (-0.0 as 0.0): sort the real parts
+        return each_distinct(lambda cs: [complement(complex(v, *imag) if real else v, phase)
+                                         for v in cs.tolist()], c.real if real else c, complex)
     modulus = abs(c)
     return cmath.exp(1j * phase) * math.sqrt(max(0.0, 1.0 - modulus * modulus))
 

@@ -7,6 +7,7 @@ vectorized path formats it, not the Python path it falls back to.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,9 +16,15 @@ from qswitch import cli
 from conftest import run_qswitch
 
 
+#: the suffixes the CSV writer gives a cell: none, a column separator, a row end
+ENDS = ("", ",", "\n")
+
+
 def assert_formats_like_python(values):
     x = np.resize(np.array(values, dtype=float), max(len(values), cli.VECTOR_MIN))
     assert cli._format_17g(x) == ["%.17g" % v for v in x.tolist()]
+    for end in ENDS:
+        assert cli._format_17g(x, end) == ["%.17g" % v + end for v in x.tolist()]
 
 
 def neighbours(*values):
@@ -48,6 +55,18 @@ def test_formats_like_python(values):
 def test_random_bit_patterns_format_like_python():
     bits = np.random.default_rng(20240531).integers(-2**63, 2**63, 100_000, dtype=np.int64)
     assert_formats_like_python(bits.view(float).tolist())
+
+
+@pytest.mark.parametrize("end", ENDS)
+@pytest.mark.parametrize("length", [1, cli.VECTOR_MIN - 1, cli.VECTOR_MIN])
+def test_suffix_follows_every_value(end, length):
+    # the Python path below VECTOR_MIN and the numpy path at it, with values
+    # of every layout: fixed and scientific, both signs, and Python's zeros,
+    # infinities and nan among them
+    pool = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, 1e300, -2.5e-5, 1e-4,
+            0.1, -1.0, 123456.789, 1e16, -9.999999999999999e16, 1e17, 3.3e-100]
+    x = np.resize(np.array(pool), length)
+    assert cli._format_17g(x, end) == ["%.17g" % v + end for v in x.tolist()]
 
 
 IMPORT_ONLY = """

@@ -10,11 +10,13 @@ on it for either target.  It must give the same bytes, the same warnings
 and the same errors, at any chunk size.
 """
 
+import cmath
 import itertools
 import json
 import math
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from qswitch import cli, spacetime
 from qswitch.config import SWEEPABLE, ConfigError, parse_config, with_sweep_value
 from qswitch.spacetime import CODATA2018
+from qswitch.switch_model import AMPLITUDES
 
 from conftest import run_qswitch
 
@@ -155,6 +158,21 @@ def axes(draw):
     return name, draw(ends), draw(ends), draw(st.integers(1, 6)), scale
 
 
+@st.composite
+def switch_sections(draw):
+    """A [switch] section of drawn fixed amplitudes, complex and at most 1 in
+    modulus, and phases; a swept amplitude's column is real, so only these
+    reach complement and the model with imaginary parts."""
+    text = "[switch]\nalpha = 0.6, 0.8j, 0, 0, 0\n"
+    for amplitude, phase in AMPLITUDES:
+        if draw(st.booleans()):
+            value = cmath.rect(draw(st.floats(0.0, 0.999)), draw(st.floats(-math.pi, math.pi)))
+            text += f"{amplitude} = {value!r}\n"
+        if draw(st.booleans()):
+            text += f"{phase} = {draw(st.floats(-7.0, 7.0))!r}\n"
+    return text
+
+
 def sweep_text(base, target, ranges):
     text = base + "[sweep]\n" + f"target = {target}\n"
     for suffix, (name, lo, hi, count, scale) in zip(("", "2"), ranges):
@@ -165,24 +183,27 @@ def sweep_text(base, target, ranges):
 
 @settings(max_examples=200, **PROPERTY)
 # the same amplitude on both axes: the later one is the point's
-@example(SWITCH, "switch", [("c1a", 0.1, 0.9, 3, "linear"), ("c1a", 1.0, 0.0, 4, "linear")], 5)
+@example(SWITCH, "switch", [("c1a", 0.1, 0.9, 3, "linear"), ("c1a", 1.0, 0.0, 4, "linear")], 5,
+         SWITCH)
 # a timing sweep leaves a swept amplitude unused, even past |c| = 1
-@example(BASES[0], "timing", [("f_ba", 0.0, 1.2, 4, "linear")], 2)
+@example(BASES[0], "timing", [("f_ba", 0.0, 1.2, 4, "linear")], 2, SWITCH)
 # a switch sweep leaves a swept timing parameter unused
-@example(BASES[0], "switch", [("h", 0.5, 5.0, 3, "log"), ("c1a", 0.0, 1.0, 4, "linear")], 5)
+@example(BASES[0], "switch", [("h", 0.5, 5.0, 3, "log"), ("c1a", 0.0, 1.0, 4, "linear")], 5,
+         SWITCH)
 # every point warns, and the later of two axes over h names it
-@example(BASES[3], "timing", [("h", 0.5, 5.0, 3, "log"), ("h", 2.0, 1.0, 4, "linear")], 5)
+@example(BASES[3], "timing", [("h", 0.5, 5.0, 3, "log"), ("h", 2.0, 1.0, 4, "linear")], 5, SWITCH)
 # one switch axis across a chunk boundary
-@example(BASES[0], "switch", [("c4a", 0.0, 1.0, 7, "linear")], 5)
+@example(BASES[0], "switch", [("c4a", 0.0, 1.0, 7, "linear")], 5, SWITCH)
 @given(
     st.sampled_from(BASES),
     st.sampled_from(["timing", "timing", "switch"]),
     st.lists(axes(), min_size=1, max_size=2),
     st.sampled_from([2, 5, cli.CHUNK_ROWS]),
+    switch_sections(),
 )
-def test_sweep_matches_per_point_oracle(base, target, ranges, chunk):
+def test_sweep_matches_per_point_oracle(base, target, ranges, chunk, switch):
     with chunk_rows(chunk):
-        assert_matches_oracle(sweep_text(base + SWITCH, target, ranges))
+        assert_matches_oracle(sweep_text(base + switch, target, ranges))
 
 
 @pytest.mark.parametrize("target, base", [("timing", BASES[0]), ("timing", BASES[3]),
@@ -217,9 +238,9 @@ def test_vectorized_floats_match_per_point_oracle(monkeypatch, target, base, ran
     # 20 x 20 points: columns over both axes reach the numpy %.17g
     lengths = []
 
-    def recorded(values):
+    def recorded(values, *args):
         lengths.append(len(values))
-        return format_17g(values)
+        return format_17g(values, *args)
 
     format_17g = cli._format_17g
     monkeypatch.setattr(cli, "_format_17g", recorded)
@@ -236,6 +257,58 @@ def test_row_dicts_stream_in_chunks(count):
     with chunk_rows(5):
         assert cli.format_csv(columns, rows) == oracle_csv(columns, rows)
         assert "".join(cli.WRITERS["json"](columns, rows)) == oracle_json(columns, rows)
+
+
+#: how a drawn column's values repeat over an outer x inner grid of points
+KINDS = ["outer", "inner", "point", "distinct", "zeros", "stride0", "missing", "again"]
+POOLS = {"float": [0.0, -0.0, 1.5, -2.5e-5, 1e300, math.nan, math.inf, -math.inf],
+         "bool": [False, True], "str": ["", "x", "two words; one, comma"]}
+
+
+def grid_column(kind, dtype, outer, inner, rng):
+    """A numpy column of a kind over the grid, its values drawn from dtype's pool."""
+    pool = np.array(POOLS[dtype])
+    if kind == "outer":  # a run per outer point: runs cross chunk boundaries
+        return np.repeat(pool[rng.integers(0, len(pool), outer)], inner)
+    if kind == "inner":
+        return np.tile(pool[rng.integers(0, len(pool), inner)], outer)
+    if kind == "distinct":  # every value distinct, in no order
+        return rng.permutation(outer * inner) * -0.37 + 11.0
+    if kind == "zeros":  # runs of 0.0 and -0.0 side by side
+        return np.repeat(np.resize([0.0, -0.0, -0.0], outer), inner)
+    if kind == "stride0":
+        return np.broadcast_to(pool[rng.integers(0, len(pool), 1)], outer * inner)
+    return pool[rng.integers(0, len(pool), outer * inner)]
+
+
+@settings(max_examples=200, **PROPERTY)
+# an all-distinct column above VECTOR_MIN, a missing column inside a run group
+# and a stride-0 last column; then an all-distinct column below VECTOR_MIN
+@example((20, 20), [("outer", "float"), ("distinct", "float"), ("inner", "str"),
+                    ("missing", "float"), ("zeros", "float"), ("stride0", "bool")], 0, cli.CHUNK_ROWS)
+@example((1, cli.VECTOR_MIN - 1), [("distinct", "float"), ("point", "str"), ("stride0", "float")],
+         1, cli.CHUNK_ROWS)
+# a 1-D sweep whose 0.0 and -0.0 alternate in runs of one and two rows
+@example((30, 1), [("zeros", "float"), ("outer", "bool")], 2, 7)
+@given(
+    st.tuples(st.sampled_from([1, 2, 3, 7, 16, 25]), st.sampled_from([1, 2, 3, 5, 13, 40])),
+    st.lists(st.tuples(st.sampled_from(KINDS), st.sampled_from(sorted(POOLS))), min_size=1, max_size=8),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 5, 7, cli.CHUNK_ROWS, cli.CHUNK_ROWS]),
+)
+def test_column_chunks_write_like_row_oracle(grid, spec, seed, chunk):
+    # the CSV writer's run groups and its columns of their own, and the JSON
+    # writer, on numpy chunks of every kind against the row-wise oracles
+    rng, columns, table = np.random.default_rng(seed), [], {}
+    for k, (kind, dtype) in enumerate(spec):
+        columns.append(columns[-1] if kind == "again" and columns else f"c{k}")
+        if kind not in ("missing", "again"):
+            table[columns[-1]] = grid_column(kind, dtype, *grid, rng)
+    rows = cli.SweepTable(math.prod(grid), lambda lo, hi: {k: v[lo:hi] for k, v in table.items()})
+    every = [{k: v[i].item() for k, v in table.items()} for i in range(len(rows))]
+    with chunk_rows(chunk):
+        assert cli.format_csv(columns, rows) == oracle_csv(columns, every)
+        assert "".join(cli.WRITERS["json"](columns, rows)) == oracle_json(columns, every)
 
 
 def test_sweep_table_rows_are_python_values():

@@ -212,9 +212,16 @@ class TestAmplitudeModel:
         values = rng.uniform(-0.8, 0.8, 60) + 1j * rng.uniform(-0.6, 0.6, 60)
         column = np.concatenate([values, values[::4], [0.0, -0.0, complex(-0.0, -0.0), 1.0, -1j]])
         rng.shuffle(column)
-        for phase in (0.0, -2.1):
-            expected = np.array([complement(c, phase) for c in column.tolist()])
-            assert complement(column, phase).tobytes() == expected.tobytes()
+        # columns of one imaginary part, whose real parts alone are sorted: a
+        # swept amplitude's (imaginary parts 0.0 and -0.0 mixed, as == sees
+        # them alike) and one whose imaginary part is not zero
+        reals = np.concatenate([values.real, values.real[::4], [0.0, -0.0, 1.0, -1.0]])
+        signed = (reals + 0j).copy()
+        signed.imag = np.where(rng.random(len(reals)) < 0.5, -0.0, 0.0)
+        for col in (column, signed, reals + 0.25j):
+            for phase in (0.0, -2.1):
+                expected = np.array([complement(c, phase) for c in col.tolist()])
+                assert complement(col, phase).tobytes() == expected.tobytes()
 
     def test_column_model_rows_are_its_points_rows(self):
         rng = np.random.default_rng(23)
