@@ -33,7 +33,8 @@ from .config import (
     with_sweep_value,
 )
 from .hilbert import DUMP_CUTOFF
-from .spacetime import CODATA2018, broadcast_checks, check_domain, each_distinct, point_failures
+from .spacetime import (CODATA2018, broadcast_checks, check_domain, check_warnings, each_distinct,
+                        point_failures)
 from .switch_model import (
     AmplitudeModel,
     build_input,
@@ -367,7 +368,7 @@ def compute_timing(config, constants):
     columns, checks = _timing_columns(config, constants)
     row = {name: value.item() if isinstance(value, (np.ndarray, np.generic)) else value
            for name, value in columns.items()}
-    warnings = [message for _, messages in point_failures(checks, 1) for message in messages]
+    warnings = check_warnings(checks)
     row["warnings"] = "; ".join(warnings)
     return row, warnings
 
@@ -479,8 +480,6 @@ def trigger_params_from_config(config, constants):
 
 def compute_trigger(config, constants):
     params = trigger_params_from_config(config, constants)
-    warnings = list(params.validity_failures())
-
     analytic = check_trigger_condition(params)
     trajectory = numeric_evolve(params, sample_times=(params.probe_time, params.tau_star))
     numeric = condition_from_trajectory(params, trajectory)
@@ -493,8 +492,8 @@ def compute_trigger(config, constants):
         expected = params.amp * np.cos(params.omega * trajectory.taus)
         free_dev = float(np.max(np.abs(trajectory.x_mean - expected)) / params.amp)
 
-    if not numeric.passed:
-        warnings.append("numeric trigger condition failed")
+    warnings = check_warnings(params.validity_checks()
+                              + [(not numeric.passed, "numeric trigger condition failed")])
 
     amp_zone, zone_packet, energy = params.validity_factors()
     row = {

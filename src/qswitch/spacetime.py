@@ -99,6 +99,12 @@ def point_failures(checks, n):
         yield i, [point_message(c, i) for bad, c in zip(bads, checks) if bad[i]]
 
 
+def check_warnings(checks):
+    """The messages of the scalar checks that fail, in check order: the
+    warnings of one point, where check_domain raises the first error."""
+    return [message for _, messages in point_failures(checks, 1) for message in messages]
+
+
 def each_distinct(fn, column, dtype):
     """fn at each point of a 1-D column, as an array of dtype: fn is called
     once, on the column's distinct values as an array, and gives their

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spacetime import HBAR
+from .spacetime import HBAR, check_domain, check_warnings
 
 #: "much greater than" factor for the parameter hierarchy
 VALIDITY_THRESHOLD = 10.0
@@ -75,33 +75,30 @@ class TriggerParams:
 
     def __post_init__(self):
         explicit = () if self.amplitude is None else ("amplitude",)
-        for name in ("m", "omega", "delta", "hbar") + explicit:
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"require finite {name} > 0, got {value}")
-        if not (math.isfinite(self.v0) and self.v0 >= 0):
-            raise ValueError(f"require finite v0 >= 0, got {self.v0}")
-        if self.amplitude is None and self.v0 == 0.0:
-            raise ValueError("v0 = 0 requires an explicit amplitude")
-        # the derived quantities the clock divides by, each inside the float range;
-        # products before quotients and powers, which raise on 0 or past the range
-        for name, value in (
-                ("m omega", lambda: self.m * self.omega),
-                ("pi hbar omega", lambda: math.pi * self.hbar * self.omega),
-                ("sigma = sqrt(hbar/(m omega))", lambda: self.sigma),
-                ("speed omega A", lambda: self.speed),
-                ("kinetic energy m v^2/2", lambda: 0.5 * self.m * (self.speed * self.speed)),
-                ("m omega^2/2", lambda: 0.5 * self.m * (self.omega * self.omega)),
-                ("wavenumber k = m v/hbar", lambda: _wavenumbers(self)[0]),
-                ("k + k'", lambda: sum(_wavenumbers(self)))):
-            if not 0 < value() < math.inf:
-                raise ValueError(f"require a finite {name} > 0, got {value():g}")
-        # the crossing time and the zone's phase over it, 0 where v0 = 0
-        for name, value in (("crossing time epsilon = delta/(omega A)", lambda: self.epsilon),
-                            ("v0 epsilon", lambda: self.v0 * self.epsilon),
-                            ("rotation angle v0 epsilon/hbar", lambda: self.rotation_angle)):
-            if not 0 <= value() < math.inf:
-                raise ValueError(f"require a finite {name} >= 0, got {value():g}")
+        inputs = {name: getattr(self, name) for name in ("m", "omega", "delta", "hbar") + explicit}
+        check_domain(
+            *((not (math.isfinite(value) and value > 0), f"require finite {name} > 0, got {{}}", value)
+              for name, value in inputs.items()),
+            (not (math.isfinite(self.v0) and self.v0 >= 0), "require finite v0 >= 0, got {}", self.v0),
+            (self.amplitude is None and self.v0 == 0.0, "v0 = 0 requires an explicit amplitude"))
+        # the derived quantities the clock divides by, each inside the float range and formed
+        # once those before it pass; products before quotients and powers, which raise on 0 or
+        # past the range; the crossing time and the zone's phase over it are 0 where v0 = 0
+        for name, op, form in (
+                ("m omega", ">", lambda: self.m * self.omega),
+                ("pi hbar omega", ">", lambda: math.pi * self.hbar * self.omega),
+                ("sigma = sqrt(hbar/(m omega))", ">", lambda: self.sigma),
+                ("speed omega A", ">", lambda: self.speed),
+                ("kinetic energy m v^2/2", ">", lambda: 0.5 * self.m * (self.speed * self.speed)),
+                ("m omega^2/2", ">", lambda: 0.5 * self.m * (self.omega * self.omega)),
+                ("wavenumber k = m v/hbar", ">", lambda: _wavenumbers(self)[0]),
+                ("k + k'", ">", lambda: sum(_wavenumbers(self))),
+                ("crossing time epsilon = delta/(omega A)", ">=", lambda: self.epsilon),
+                ("v0 epsilon", ">=", lambda: self.v0 * self.epsilon),
+                ("rotation angle v0 epsilon/hbar", ">=", lambda: self.rotation_angle)):
+            value = form()
+            check_domain((not (0 < value < math.inf or value == 0 and op == ">="),
+                          f"require a finite {name} {op} 0, got {{:g}}", value))
 
     @property
     def period(self):
@@ -160,14 +157,12 @@ class TriggerParams:
         energy = self.kinetic_energy / self.v0 if self.v0 > 0 else math.inf
         return (self.amp / self.delta, self.delta / self.sigma, energy)
 
-    def validity_failures(self):
-        names = ("amplitude/zone-width", "zone-width/packet-width",
-                 "kinetic-energy/barrier")
-        return [
-            f"{name} factor {value:.3g} below threshold {VALIDITY_THRESHOLD:g}"
-            for name, value in zip(names, self.validity_factors())
-            if value < VALIDITY_THRESHOLD
-        ]
+    def validity_checks(self):
+        """Warning records (bad, template, factor), one per factor of validity_factors()."""
+        names = ("amplitude/zone-width", "zone-width/packet-width", "kinetic-energy/barrier")
+        return [(value < VALIDITY_THRESHOLD,
+                 f"{name} factor {{:.3g}} below threshold {VALIDITY_THRESHOLD:g}", value)
+                for name, value in zip(names, self.validity_factors())]
 
 
 @dataclass(frozen=True)
@@ -200,9 +195,8 @@ def analytic_columns(params, taus):
     at tau_star the internal state is fully fired.
     """
     tau_star = params.tau_star
-    outside = (taus < 0) | (taus > tau_star * (1 + 1e-12))
-    if outside.any():
-        raise ValueError(f"tau={taus[outside][0]:g} outside [0, tau_star={tau_star:g}]")
+    check_domain(((taus < 0) | (taus > tau_star * (1 + 1e-12)),
+                  "tau={:g} outside [0, tau_star={:g}]", taus, tau_star))
     # the phase is 0 before entry, where cos^2 = 1 and sin^2 = 0
     phi = params.v0 * np.maximum(taus - (tau_star - params.epsilon), 0.0) / params.hbar
     cos, sin = np.cos(phi), np.sin(phi)
@@ -217,7 +211,7 @@ def reflection_bound(params):
     hbar k' = sqrt(2 m (E - v0)); quantifies the error of the
     perfect-transmission approximation.  Returns 1.0 when the packet
     energy does not clear the barrier (invalid regime, also surfaced by
-    validity_failures()).
+    validity_checks()).
     """
     k, k_prime = _wavenumbers(params)
     return ((k - k_prime) / (k + k_prime)) ** 2
@@ -266,60 +260,59 @@ def _step_ceilings(params):
     """Default step ceilings (where the zone can reach the grid, elsewhere): the
     period / STEPS_PER_SCALE, and the first also pi hbar/v0 / ZONE_STEPS_PER_SCALE."""
     coarse = params.period / STEPS_PER_SCALE
-    if params.v0 > 0:
-        return min(coarse, math.pi * params.hbar / params.v0 / ZONE_STEPS_PER_SCALE), coarse
-    return coarse, coarse
+    if params.v0 == 0:
+        return coarse, coarse
+    zone = math.pi * params.hbar / params.v0 / ZONE_STEPS_PER_SCALE
+    check_domain((not zone > 0, "zone step ceiling (pi hbar/v0)/{:g} underflows to 0 at "
+                  "hbar={:g}, v0={:g}", ZONE_STEPS_PER_SCALE, params.hbar, params.v0))
+    return min(coarse, zone), coarse
 
 
 def _grid_needs(params, tau_end):
-    """(reach, spacing, ceiling) a co-moving grid for a run up to tau_end needs.
+    """(reach, spacing) a co-moving grid for a run up to tau_end needs.
 
     reach: the half-width in y to cover, 10 sigma of tails plus the lag
     delta (k/k' - 1) that each zone passage leaves behind (the well channel's
     lead is smaller), never more than the orbit, 2A.  spacing: the stricter of
     sigma / POINTS_PER_SIGMA and pi over the momentum content, a few packet
     widths of spread plus the barrier channel's slow-down k - k' in the zone.
-    ceiling: the zone's step ceiling of _step_ceilings.
+    The barrier channel never leads: where k' rounds above k, lag and slow-down
+    are 0, so reach and spacing are positive.
     """
     k, k_prime = _wavenumbers(params)
-    lag = params.delta * (k / k_prime - 1.0) if k_prime > 0 else math.inf
+    lag = params.delta * max(k / k_prime - 1.0, 0.0) if k_prime > 0 else math.inf
     passages = max(1, math.floor(2.0 * tau_end / params.period + 0.5))
     reach = 10.0 * params.sigma + min(passages * lag, 2.0 * params.amp)
-    spacing = min(params.sigma / POINTS_PER_SIGMA, math.pi / (6.0 / params.sigma + (k - k_prime)))
-    return reach, spacing, _step_ceilings(params)[0]
+    spacing = min(params.sigma / POINTS_PER_SIGMA,
+                  math.pi / (6.0 / params.sigma + max(k - k_prime, 0.0)))
+    return reach, spacing
 
 
 def default_grid(params, tau_end=None):
     """Co-moving grid [-r, r] at the needs of _grid_needs for a run up to tau_end
     (default tau_star): r the reach, the spacing at most the needed one with a
-    5-smooth point count, and the zone's step ceiling.
+    5-smooth point count, and the zone's step ceiling of _step_ceilings.
     """
-    reach, spacing, ceiling = _grid_needs(params, params.tau_star if tau_end is None else tau_end)
-    if not spacing > 0:
-        raise ValueError(f"require a grid spacing > 0, got {spacing:g}")
-    if not 2.0 * reach / spacing <= MAX_GRID_POINTS:
-        raise ValueError(f"the clock grid needs {2.0 * reach / spacing:.3g} points, "
-                         f"more than {MAX_GRID_POINTS}")
-    n_points = _fft_friendly(max(256, math.ceil(2.0 * reach / spacing)))
-    return GridSpec(-reach, reach, n_points, ceiling)
+    reach, spacing = _grid_needs(params, params.tau_star if tau_end is None else tau_end)
+    need = 2.0 * reach / spacing
+    check_domain((not need <= MAX_GRID_POINTS,
+                  "the clock grid needs {:.3g} points, more than {}", need, MAX_GRID_POINTS))
+    n_points = _fft_friendly(max(256, math.ceil(need)))
+    return GridSpec(-reach, reach, n_points, _step_ceilings(params)[0])
 
 
 def _validate_grid(params, grid, tau_end):
-    if not (isinstance(grid.n_points, (int, np.integer)) and grid.n_points > 0):
-        raise ValueError(f"require integer n_points > 0, got {grid.n_points}")
-    if not 0 < grid.dt_max < math.inf:
-        raise ValueError(f"require finite dt_max > 0, got {grid.dt_max}")
-    reach, spacing, ceiling = _grid_needs(params, tau_end)
-    if grid.x_min > -reach or grid.x_max < reach:
-        raise ValueError(
-            f"grid [{grid.x_min:g}, {grid.x_max:g}] does not cover the packet's "
-            f"co-moving reach [{-reach:g}, {reach:g}]"
-        )
-    if grid.dx > spacing * (1 + 1e-12):
-        raise ValueError(f"grid spacing {grid.dx:g} exceeds the {spacing:g} that the "
-                         f"packet's width and momentum need")
-    if grid.dt_max > ceiling * (1 + 1e-12):
-        raise ValueError(f"time step {grid.dt_max:g} exceeds the clock's ceiling {ceiling:g}")
+    check_domain((not (isinstance(grid.n_points, (int, np.integer)) and grid.n_points > 0),
+                  "require integer n_points > 0, got {}", grid.n_points),
+                 (not 0 < grid.dt_max < math.inf, "require finite dt_max > 0, got {}", grid.dt_max))
+    (reach, spacing), ceiling = _grid_needs(params, tau_end), _step_ceilings(params)[0]
+    check_domain(
+        (grid.x_min > -reach or grid.x_max < reach, "grid [{:g}, {:g}] does not cover the "
+         "packet's co-moving reach [{:g}, {:g}]", grid.x_min, grid.x_max, -reach, reach),
+        (grid.dx > spacing * (1 + 1e-12), "grid spacing {:g} exceeds the {:g} that the "
+         "packet's width and momentum need", grid.dx, spacing),
+        (grid.dt_max > ceiling * (1 + 1e-12),
+         "time step {:g} exceeds the clock's ceiling {:g}", grid.dt_max, ceiling))
 
 
 @dataclass
@@ -412,11 +405,10 @@ def numeric_evolve(params, grid=None, tau_end=None, sample_times=(), n_samples=2
     """
     if tau_end is None:
         tau_end = params.tau_star
-    if not (math.isfinite(tau_end) and tau_end > 0):
-        raise ValueError(f"require finite tau_end > 0, got {tau_end}")
-    for t in sample_times:
-        if not 0.0 <= float(t) <= tau_end:
-            raise ValueError(f"sample time {float(t)} outside [0, tau_end={tau_end}]")
+    check_domain((not (math.isfinite(tau_end) and tau_end > 0),
+                  "require finite tau_end > 0, got {}", tau_end),
+                 *((not 0.0 <= t <= tau_end, "sample time {} outside [0, tau_end={}]", t, tau_end)
+                   for t in map(float, sample_times)))
     if grid is None:
         grid = default_grid(params, tau_end=tau_end)
     _validate_grid(params, grid, tau_end)
@@ -519,11 +511,10 @@ def _report(params, p_ready_before, p_fired_at_star, norm_drift):
     """The report of both clauses; a violated parameter hierarchy, or a
     crossing time too long to leave room for the probe, fails it whatever
     the populations."""
-    failures = tuple(params.validity_failures())
-    if params.probe_time == 0.0:
-        failures += (f"crossing time epsilon={params.epsilon:g} too close to "
-                     f"tau_star={params.tau_star:g}",)
-    return TriggerConditionReport(p_ready_before, p_fired_at_star, norm_drift, failures)
+    failures = check_warnings(params.validity_checks() + [(
+        params.probe_time == 0.0, "crossing time epsilon={:g} too close to tau_star={:g}",
+        params.epsilon, params.tau_star)])
+    return TriggerConditionReport(p_ready_before, p_fired_at_star, norm_drift, tuple(failures))
 
 
 def check_trigger_condition(params):

@@ -843,6 +843,22 @@ class TestCliCommands:
                                 "delta = 6.283185307179586e-6\nv0 = 2.5e11\n") == (
             2, {}, "error: the clock grid needs 1.86e+06 points, more than 1048576\n")
 
+    @pytest.mark.parametrize("values", [
+        # once "error: math domain error": k' rounded above k, and the grid came out reversed
+        "m = 2.338360193004059e+69\nomega = 8.441297296832886e+46\ndelta = 51.514046774825715\n"
+        "v0 = 2.85560573658917e-310\nhbar = 2.577321480529874e-147\n",
+        # once a RuntimeWarning traceback from the same reversed grid
+        "m = 5.243303050804249e+132\nomega = 9.944898055442212e+86\n"
+        "delta = 4.3142392695771926e+21\nv0 = 7.498112618732066e-176\n"
+        "hbar = 2.0460633075464912e-13\n",
+    ], ids=["math-domain-error", "runtime-warning"])
+    def test_clock_runs_where_k_prime_rounds_above_k(self, tmp_path, capsys, values):
+        cfg = tmp_path / "clock.cfg"
+        cfg.write_text("[trigger]\n" + values)
+        code, out, err = run_main(["trigger", "--config", str(cfg)], capsys)
+        assert (code, len(out.splitlines())) == (0, 2)
+        assert err.endswith("warning: numeric trigger condition failed\n")
+
     def test_explicit_schedule_with_zero_tau_star_rejected(self, tmp_path):
         cfg = tmp_path / "zero.cfg"
         cfg.write_text("[body]\npreset = earth\n[protocol]\ndt_v = 0\ndt_s = 0\n")

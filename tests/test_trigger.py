@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from qswitch import trigger
 from qswitch.config import default_trigger_config
-from qswitch.spacetime import CODATA2018
+from qswitch.spacetime import CODATA2018, DomainError, check_warnings
 from qswitch.trigger import (
     GridSpec,
     TriggerParams,
@@ -140,9 +140,9 @@ class TestParams:
 
     def test_validity_failures_reported(self):
         p = params_with_factors(12.0, 3.0)  # packet not narrow vs the zone
-        failures = p.validity_failures()
+        failures = check_warnings(p.validity_checks())
         assert any("zone-width/packet-width" in f for f in failures)
-        assert not params_with_factors(12.0, 12.0).validity_failures()
+        assert not check_warnings(params_with_factors(12.0, 12.0).validity_checks())
 
     @pytest.mark.parametrize("field", ["m", "omega", "delta", "v0", "hbar", "amplitude"])
     def test_rejects_non_finite(self, field):
@@ -182,6 +182,91 @@ def test_accepted_params_evaluate_without_numpy_warnings(values, free_amplitude)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         check_trigger_condition(params)
+
+
+def unit_clock(**values):
+    """TriggerParams arguments of FAST (m = omega = hbar = 1, delta = 12), but values."""
+    return {"m": 1.0, "omega": 1.0, "delta": 12.0, "v0": FAST.v0, "hbar": 1.0, **values}
+
+
+def fast_grid(**values):
+    return GridSpec(**{**vars(default_grid(FAST)), **values})
+
+
+# one case per rule of the clock that some input breaks: (function, arguments, message)
+RULES = [
+    (TriggerParams, unit_clock(m=-1.0), "require finite m > 0, got -1.0"),
+    (TriggerParams, unit_clock(omega=0.0), "require finite omega > 0, got 0.0"),
+    (TriggerParams, unit_clock(delta=math.inf), "require finite delta > 0, got inf"),
+    (TriggerParams, unit_clock(hbar=math.nan), "require finite hbar > 0, got nan"),
+    (TriggerParams, unit_clock(amplitude=-2.0), "require finite amplitude > 0, got -2.0"),
+    (TriggerParams, unit_clock(v0=-1.0), "require finite v0 >= 0, got -1.0"),
+    (TriggerParams, unit_clock(v0=0.0), "v0 = 0 requires an explicit amplitude"),
+    (TriggerParams, dict(m=4.9558745935122954e-79, omega=6.2288610794e-314,
+                         delta=1.8689143735661765e-123, v0=0.0, hbar=3.054579629525974e+250,
+                         amplitude=2.442890228243344e+48), "require a finite m omega > 0, got 0"),
+    (TriggerParams, dict(m=1.2806792588328738e+61, omega=4.266303366107348e-144,
+                         delta=1.6527792905820842e-285, v0=2.6021839054679853e+27,
+                         hbar=4.221322958553284e-226), "require a finite pi hbar omega > 0, got 0"),
+    (TriggerParams, dict(m=4.9218638177494617e+120, omega=1.3725683163063652e+146,
+                         delta=1.7468189301637727e-160, v0=1.8438417173870495e-291,
+                         hbar=1.4929371333330637e-162),
+     "require a finite sigma = sqrt(hbar/(m omega)) > 0, got 0"),
+    (TriggerParams, dict(m=2.8941079668242465e+245, omega=2.5269065153659883e-103,
+                         delta=6.94714912838807e+195, v0=8.422893148763937e+206,
+                         hbar=0.5155088780877356), "require a finite speed omega A > 0, got inf"),
+    (TriggerParams, unit_clock(hbar=1e300, delta=14.0, v0=22.0),
+     "require a finite kinetic energy m v^2/2 > 0, got 0"),
+    (TriggerParams, dict(m=6.832193997415815e-264, omega=3.470516070773736e+212,
+                         delta=1.8015524775141948e-208, v0=4.774151077204372e+291,
+                         hbar=5.737149079332431e-249, amplitude=7.245869857057469e-214),
+     "require a finite m omega^2/2 > 0, got inf"),
+    (TriggerParams, dict(m=2552671487929318.5, omega=2094.8869935259445,
+                         delta=7.247951715434118e+108, v0=1.01607909507585e+17,
+                         hbar=2.0612548945306875e+242),
+     "require a finite wavenumber k = m v/hbar > 0, got 0"),
+    (TriggerParams, unit_clock(m=1e300, delta=14.0, v0=22.0), "require a finite k + k' > 0, got inf"),
+    (TriggerParams, dict(m=8.49e30, omega=2.51e84, delta=7.53e245, v0=2.62e-247, hbar=2.07e73),
+     "require a finite crossing time epsilon = delta/(omega A) >= 0, got inf"),
+    (TriggerParams, dict(m=2.4288535046202226e-62, omega=9.884738953945887e-58,
+                         delta=2.8942276776332806e+141, v0=2.3565170520898958e+286,
+                         hbar=1.9102006928246858e-225, amplitude=8.798306258186386e+32),
+     "require a finite v0 epsilon >= 0, got inf"),
+    (TriggerParams, dict(m=2.1088411617015504e-131, omega=3.0301269830697647e+66,
+                         delta=5.594426593178657e+105, v0=5.659765176073829e-34,
+                         hbar=2.8140201143291287e-208, amplitude=4.785674320944582e-123),
+     "require a finite rotation angle v0 epsilon/hbar >= 0, got inf"),
+    (analytic_columns, dict(params=FAST, taus=np.array([0.0, -0.1])),
+     "tau=-0.1 outside [0, tau_star=1.5708]"),
+    (default_grid, dict(params=TriggerParams(**unit_clock(delta=6.283185307179586e-6, v0=2.5e11))),
+     "the clock grid needs 1.86e+06 points, more than 1048576"),
+    # v0 >> hbar: pi hbar/v0/35 underflows, and the default grid once had dt_max = 0
+    (default_grid, dict(params=TriggerParams(
+        m=5.147629425846556e-242, omega=8.330035009946501e+95, delta=1.0634128630543022e-293,
+        v0=5.071857580932438e+267, hbar=1.463169466989106e-85)),
+     "zone step ceiling (pi hbar/v0)/35 underflows to 0 at hbar=1.46317e-85, v0=5.07186e+267"),
+    (numeric_evolve, dict(params=FAST, grid=fast_grid(n_points=0)),
+     "require integer n_points > 0, got 0"),
+    (numeric_evolve, dict(params=FAST, grid=fast_grid(dt_max=0.0)),
+     "require finite dt_max > 0, got 0.0"),
+    (numeric_evolve, dict(params=FAST, grid=fast_grid(x_min=-8.0, x_max=8.0)),
+     "grid [-8, 8] does not cover the packet's co-moving reach [-10.0109, 10.0109]"),
+    (numeric_evolve, dict(params=FAST, grid=fast_grid(n_points=64)),
+     "grid spacing 0.312841 exceeds the 0.125 that the packet's width and momentum need"),
+    (numeric_evolve, dict(params=FAST, grid=fast_grid(dt_max=0.1)),
+     "time step 0.1 exceeds the clock's ceiling 0.0047619"),
+    (numeric_evolve, dict(params=FAST, tau_end=math.nan), "require finite tau_end > 0, got nan"),
+    (numeric_evolve, dict(params=FAST, sample_times=(2.0,)),
+     "sample time 2.0 outside [0, tau_end=1.5707963267948966]"),
+]
+
+
+@pytest.mark.parametrize("function, arguments, message", RULES,
+                         ids=[f"{function.__name__}-{message[:40]}" for function, _, message in RULES])
+def test_each_rule_raises_its_domain_error(function, arguments, message):
+    with pytest.raises(DomainError) as raised:
+        function(**arguments)
+    assert str(raised.value) == message
 
 
 def analytic_at(params, tau):
@@ -247,7 +332,7 @@ class TestReflectionBound:
         p = TriggerParams(m=1.0, omega=1.0, delta=1.0, v0=10.0, hbar=1.0,
                           amplitude=1.0)
         assert reflection_bound(p) == 1.0
-        assert any("kinetic-energy" in f for f in p.validity_failures())
+        assert any("kinetic-energy" in f for f in check_warnings(p.validity_checks()))
 
 
 class TestGridValidation:
@@ -298,6 +383,16 @@ class TestGridValidation:
         assert math.pi / grid.dx < 6.0 / p.sigma + (k - k_prime)
         with pytest.raises(ValueError, match="spacing"):
             numeric_evolve(p, grid=grid)
+
+    def test_reach_positive_where_k_prime_rounds_above_k(self):
+        # v0 far below the kinetic energy: k' rounds above k, and the lag delta (k/k' - 1)
+        # once took the reach below 0, so the point count's math.ceil(-inf) raised
+        p = TriggerParams(m=5.612899123906609e+54, omega=1.1089407287466437e+122,
+                          delta=4.285753411887956e+188, v0=5e-324, hbar=9.099263167021358e-112)
+        k, k_prime = trigger._wavenumbers(p)
+        assert k_prime > k
+        grid = default_grid(p)
+        assert grid.x_min < grid.x_max and grid.n_points == 256
 
     def test_coarse_time_step_rejected(self):
         good = default_grid(FAST)
