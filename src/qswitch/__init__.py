@@ -13,18 +13,15 @@ from .timing import (
     ProtocolSchedule,
     small_mass_duration,
     solve_matching,
-    solved_schedule,
     static_agent_tau,
     validate_windows,
 )
-from .hilbert import SparseOperator, StateVector, apply, basis_state, measure_in_basis, project
+from .hilbert import StateVector
 from .switch_model import (
     AmplitudeModel,
     SwitchOutcome,
     build_input,
     diagonal_measure,
-    interaction_a,
-    interaction_b,
     run_switch,
 )
 from .trigger import (

@@ -33,8 +33,7 @@ from .config import (
     with_sweep_value,
 )
 from .hilbert import DUMP_CUTOFF
-from .spacetime import (CODATA2018, broadcast_checks, check_domain, check_warnings, each_distinct,
-                        point_failures)
+from .spacetime import CODATA2018, check_domain, check_warnings, each_distinct, point_failures
 from .switch_model import (
     AmplitudeModel,
     build_input,
@@ -626,7 +625,7 @@ def compute_sweep(config, constants):
 
     warned = False
     for lo, hi in spans:
-        warned |= broadcast_checks(_checked(compute, lo, hi, name_of)[1], hi - lo)[1].any()
+        warned |= any(np.any(bad) for bad, *_ in _checked(compute, lo, hi, name_of)[1])
 
     def warnings():
         for lo, hi in spans:

@@ -57,7 +57,7 @@ class StateVector:
     def __post_init__(self):
         dims = factor_dims(self.factors)
         expected = math.prod(dims)
-        amps = np.asarray(self.amps, dtype=complex).reshape(-1)
+        amps = np.array(self.amps, dtype=complex).reshape(-1)  # a copy: the caller may reuse its array
         if amps.size != expected:
             raise ValueError(
                 f"amplitude array length {amps.size} does not match factor "

@@ -83,19 +83,13 @@ def check_domain(*checks):
         raise DomainError(messages[0], i)
 
 
-def broadcast_checks(checks, n):
-    """Each check's `bad` as a row over n points, and the points failing any."""
-    bads = np.empty((len(checks), n), dtype=bool)
-    for k, check in enumerate(checks):
-        bads[k] = check[0]
-    return bads, np.logical_or.reduce(bads)
-
-
 def point_failures(checks, n):
     """(point, the messages of the checks it fails, in check order) of each of
     n points that fails any, made as they are read; a scalar check covers all n."""
-    bads, hit = broadcast_checks(checks, n)
-    for i in np.flatnonzero(hit).tolist():
+    bads = np.empty((len(checks), n), dtype=bool)
+    for k, check in enumerate(checks):
+        bads[k] = check[0]
+    for i in np.flatnonzero(np.logical_or.reduce(bads)).tolist():
         yield i, [point_message(c, i) for bad, c in zip(bads, checks) if bad[i]]
 
 

@@ -81,9 +81,12 @@ class TriggerParams:
               for name, value in inputs.items()),
             (not (math.isfinite(self.v0) and self.v0 >= 0), "require finite v0 >= 0, got {}", self.v0),
             (self.amplitude is None and self.v0 == 0.0, "v0 = 0 requires an explicit amplitude"))
-        # the derived quantities the clock divides by, each inside the float range and formed
-        # once those before it pass; products before quotients and powers, which raise on 0 or
-        # past the range; the crossing time and the zone's phase over it are 0 where v0 = 0
+        # the derived quantities the clock divides by, then the hierarchy's printed factors, each
+        # inside the float range and formed once those before it pass; products before quotients
+        # and powers, which raise on 0 or past the range; the crossing time and the zone's phase
+        # over it are 0 where v0 = 0, a factor that underflows is 0 and warns, and E/v0 is inf by
+        # definition where v0 = 0
+        energy = ("kinetic-energy/barrier factor E/v0", ">=", lambda: self.kinetic_energy / self.v0)
         for name, op, form in (
                 ("m omega", ">", lambda: self.m * self.omega),
                 ("pi hbar omega", ">", lambda: math.pi * self.hbar * self.omega),
@@ -95,7 +98,10 @@ class TriggerParams:
                 ("k + k'", ">", lambda: sum(_wavenumbers(self))),
                 ("crossing time epsilon = delta/(omega A)", ">=", lambda: self.epsilon),
                 ("v0 epsilon", ">=", lambda: self.v0 * self.epsilon),
-                ("rotation angle v0 epsilon/hbar", ">=", lambda: self.rotation_angle)):
+                ("rotation angle v0 epsilon/hbar", ">=", lambda: self.rotation_angle),
+                ("amplitude/zone-width factor A/delta", ">=", lambda: self.amp / self.delta),
+                ("zone-width/packet-width factor delta/sigma", ">=", lambda: self.delta / self.sigma),
+                *([energy] if self.v0 > 0 else [])):
             value = form()
             check_domain((not (0 < value < math.inf or value == 0 and op == ">="),
                           f"require a finite {name} {op} 0, got {{:g}}", value))

@@ -85,6 +85,15 @@ class TestBasisStates:
         with pytest.raises(ValueError):
             StateVector(("path",), np.zeros(3, dtype=complex))
 
+    def test_state_does_not_alias_its_input(self):
+        # the read-only flag was once set on a view of the caller's array
+        amps = np.zeros(FULL_DIM, dtype=complex)
+        state = StateVector(SWITCH_FACTORS, amps)
+        amps[0] = 1.0
+        assert state.amps[0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            state.amps[0] = 1.0
+
 
 class TestApply:
     def test_identity_bit_identical(self):

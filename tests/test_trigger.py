@@ -182,6 +182,9 @@ def test_accepted_params_evaluate_without_numpy_warnings(values, free_amplitude)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         check_trigger_condition(params)
+    # the factors are printed; E/v0 is inf by definition where v0 = 0
+    factors = params.validity_factors()
+    assert all(map(math.isfinite, factors if params.v0 > 0 else factors[:2])), factors
 
 
 def unit_clock(**values):
@@ -236,6 +239,13 @@ RULES = [
                          delta=5.594426593178657e+105, v0=5.659765176073829e-34,
                          hbar=2.8140201143291287e-208, amplitude=4.785674320944582e-123),
      "require a finite rotation angle v0 epsilon/hbar >= 0, got inf"),
+    # the hierarchy's factors are printed: each once overflowed to inf on an accepted clock
+    (TriggerParams, unit_clock(delta=1e-300, v0=1e-300, amplitude=1e10),
+     "require a finite amplitude/zone-width factor A/delta >= 0, got inf"),
+    (TriggerParams, unit_clock(hbar=1e-100, delta=1e270, v0=1e-300, amplitude=1.0),
+     "require a finite zone-width/packet-width factor delta/sigma >= 0, got inf"),
+    (TriggerParams, unit_clock(delta=1.0, v0=1e-300, amplitude=1e10),
+     "require a finite kinetic-energy/barrier factor E/v0 >= 0, got inf"),
     (analytic_columns, dict(params=FAST, taus=np.array([0.0, -0.1])),
      "tau=-0.1 outside [0, tau_star=1.5708]"),
     (default_grid, dict(params=TriggerParams(**unit_clock(delta=6.283185307179586e-6, v0=2.5e11))),
@@ -387,8 +397,8 @@ class TestGridValidation:
     def test_reach_positive_where_k_prime_rounds_above_k(self):
         # v0 far below the kinetic energy: k' rounds above k, and the lag delta (k/k' - 1)
         # once took the reach below 0, so the point count's math.ceil(-inf) raised
-        p = TriggerParams(m=5.612899123906609e+54, omega=1.1089407287466437e+122,
-                          delta=4.285753411887956e+188, v0=5e-324, hbar=9.099263167021358e-112)
+        p = TriggerParams(m=4.615002175964918e+87, omega=4.254013345541952e-64,
+                          delta=2.6658960055047863e+243, v0=5e-324, hbar=2.385247450918615e-18)
         k, k_prime = trigger._wavenumbers(p)
         assert k_prime > k
         grid = default_grid(p)

@@ -68,6 +68,23 @@ def private_definitions(source):
     return found
 
 
+def function_definitions(source):
+    """The qualified name of each function, method and nested function
+    `source` defines, as its code object's co_qualname names it."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.append(prefix + child.name)
+                visit(child, f"{prefix}{child.name}.<locals>.")
+            else:
+                visit(child, f"{prefix}{child.name}." if isinstance(child, ast.ClassDef) else prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
 def names_read(source):
     """Each name `source` reads, as a name, an attribute or an imported name."""
     read = set()
